@@ -92,6 +92,14 @@ FaultInjector::FaultInjector(FaultPlan plan, sim::Engine& engine,
         mem_flips_.push_back(MemFlipBudget{e, e.count});
         mem_flip_budget_ += e.count;
         break;
+      // Chip-scoped kinds are fault::ClusterInjector's (fault/cluster.hpp);
+      // a per-chip injector ignores them on purpose.
+      case FaultKind::ChipCrash:
+      case FaultKind::ChipStall:
+      case FaultKind::XMeshFail:
+      case FaultKind::NoticeDrop:
+      case FaultKind::NoticeFlip:
+        break;
     }
   }
   for (CoreFault& cf : cores_) {

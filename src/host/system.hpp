@@ -10,6 +10,7 @@
 // initial operand matrices") from device GFLOPS.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -61,7 +62,8 @@ public:
         finished_(o.finished_),
         failed_(o.failed_),
         finish_time_(o.finish_time_),
-        label_(std::move(o.label_)) {}
+        label_(std::move(o.label_)),
+        on_complete_(std::move(o.on_complete_)) {}
   Workgroup& operator=(Workgroup&& o) noexcept {
     if (this != &o) {
       release_cores();
@@ -75,6 +77,7 @@ public:
       failed_ = o.failed_;
       finish_time_ = o.finish_time_;
       label_ = std::move(o.label_);
+      on_complete_ = std::move(o.on_complete_);
     }
     return *this;
   }
@@ -97,6 +100,11 @@ public:
   /// Label prepended to this group's process names ("job 12 core (2,3)") so
   /// DeadlockError and traces attribute hangs to a specific serving job.
   void set_label(std::string label) { label_ = std::move(label); }
+
+  /// Callback run once per start(), when the last kernel of the group
+  /// retires (normally or by exception): lets a host loop that pumps the
+  /// engine itself learn of completion without polling complete() every event.
+  void on_complete(std::function<void()> fn) { on_complete_ = std::move(fn); }
 
   /// Signal all cores to begin executing the loaded kernel. Each core's
   /// status word is cleared, then set (with a watched store) on completion.
@@ -175,7 +183,7 @@ private:
       co_await kernel_(ctx);
     } catch (...) {
       ++failed_;
-      if (finished_ + failed_ == procs_.size()) finish_time_ = m_->engine().now();
+      retire_if_last();
       throw;
     }
     // Completion signal: a real kernel's final act is a status store the
@@ -183,7 +191,13 @@ private:
     m_->mem().write_value<std::uint32_t>(ctx.my_global(device::CoreCtx::kStatusOffset), 1,
                                          ctx.coord());
     ++finished_;
-    if (finished_ + failed_ == procs_.size()) finish_time_ = m_->engine().now();
+    retire_if_last();
+  }
+
+  void retire_if_last() {
+    if (finished_ + failed_ != procs_.size()) return;
+    finish_time_ = m_->engine().now();
+    if (on_complete_) on_complete_();
   }
 
   void release_cores() noexcept {
@@ -203,6 +217,7 @@ private:
   std::size_t failed_ = 0;    // kernels that ended with an exception
   sim::Cycles finish_time_ = 0;  // cycle the last kernel retired
   std::string label_;            // process-name prefix (serving job id)
+  std::function<void()> on_complete_;  // see on_complete()
 };
 
 class System {

@@ -83,7 +83,7 @@ trace::Counters::Id Scheduler::tenant_counter(const std::string& tenant,
                            trace::Counters::Kind::Monotonic);
 }
 
-void Scheduler::log_event(const std::string& line) { log_.push_back(line); }
+void Scheduler::log_event(std::string line) { log_.push_back(std::move(line)); }
 
 void Scheduler::submit(JobSpec spec) {
   if (ran_) throw std::logic_error("Scheduler::submit after run()");
@@ -134,6 +134,7 @@ void Scheduler::resolve(JobRecord& rec, Verdict v, sim::Cycles now,
   rec.detail = std::move(detail);
   if (rec.finished == 0 && v != Verdict::Completed) rec.finished = now;
   ++resolved_;
+  ++epoch_;
   if (rec.spec.graph != 0) {
     if (const auto it = graphs_.find(rec.spec.graph);
         it != graphs_.end() && it->second.unresolved > 0) {
@@ -196,6 +197,7 @@ bool Scheduler::admit_arrivals(sim::Cycles now) {
     }
     rec.admitted = now;
     pending_.push_back(Pending{idx, now, 0});
+    ++epoch_;
     bump(c_admitted_, 1.0);
     gauge(g_queue_depth_, static_cast<double>(pending_.size()));
     log_event(util::format("@%llu admit job=%u depth=%zu",
@@ -383,6 +385,7 @@ void Scheduler::requeue_or_fail(std::uint32_t rec_idx, sim::Cycles now,
     const sim::Cycles backoff = cfg_.retry_backoff
                                 << std::min(rec.reexecs - 1, 20u);
     pending_.push_back(Pending{rec_idx, now, now + backoff});
+    ++epoch_;
     gauge(g_queue_depth_, static_cast<double>(pending_.size()));
     log_event(util::format("@%llu requeue job=%u reexec=%u reason=%s retry_at=%llu",
                         static_cast<unsigned long long>(now), rec.spec.id,
@@ -428,6 +431,7 @@ std::size_t Scheduler::abandon_unresolved(sim::Cycles at,
   running_.clear();
   pending_.clear();
   next_arrival_ = arrivals_.size();
+  ++epoch_;
   for (JobRecord& rec : records_) {
     if (rec.verdict != Verdict::Pending) continue;
     ++abandoned;
@@ -495,6 +499,7 @@ bool Scheduler::check_watchdogs(sim::Cycles now) {
     }
     report_fault(now, first_sign, rec, "watchdog", std::move(detail));
     alloc_.quarantine(run.placement);
+    ++epoch_;
     gauge(g_quarantined_, static_cast<double>(alloc_.quarantined_cores()));
     log_event(util::format(
         "@%llu quarantine origin=(%u,%u) shape=%ux%u job=%u total=%u",
@@ -673,6 +678,7 @@ bool Scheduler::launch(Pending& p, sim::Cycles now) {
     const sim::Cycles backoff = cfg_.retry_backoff
                                 << std::min(rec.attempts - 1, 20u);
     p.retry_at = now + backoff;
+    ++epoch_;
     bump(c_retries_, 1.0);
     log_event(util::format("@%llu launch-fail job=%u attempt=%u retry_at=%llu",
                         static_cast<unsigned long long>(now), spec.id,
@@ -689,6 +695,7 @@ bool Scheduler::launch(Pending& p, sim::Cycles now) {
     wg.emplace(sys_->open(placement->origin.row, placement->origin.col,
                           placement->rows, placement->cols));
     wg->set_label(util::format("job %u", spec.id));
+    wg->on_complete([this] { ++epoch_; });  // reap at the next pass
     if (const std::size_t shm = job_shm_bytes(spec); shm > 0) {
       shm_base = sys_->shm_alloc(shm);
     }
@@ -749,6 +756,7 @@ bool Scheduler::launch(Pending& p, sim::Cycles now) {
     return true;  // terminal: caller removes the job from pending_
   }
 
+  ++epoch_;
   rec.started = now;
   rec.placed_row = placement->origin.row;
   rec.placed_col = placement->origin.col;
@@ -794,8 +802,11 @@ bool Scheduler::launch(Pending& p, sim::Cycles now) {
   return true;
 }
 
-void Scheduler::try_place(sim::Cycles now) {
-  if (pending_.empty()) return;
+/// Launch what fits, in aged-priority order. Returns the pending_ index of
+/// the starving head that stopped the backfill (its head-block line is
+/// logged), or kNoBlock.
+std::size_t Scheduler::try_place(sim::Cycles now) {
+  if (pending_.empty()) return kNoBlock;
   // Order candidates by aged priority (descending), admission order as the
   // tie-break. Indices, not Pending copies: launch() mutates retry state.
   std::vector<std::size_t> order(pending_.size());
@@ -806,6 +817,7 @@ void Scheduler::try_place(sim::Cycles now) {
   });
 
   std::vector<std::size_t> launched;
+  std::size_t blocked = kNoBlock;
   for (std::size_t k = 0; k < order.size(); ++k) {
     Pending& p = pending_[order[k]];
     JobRecord& rec = records_[p.rec];
@@ -819,9 +831,8 @@ void Scheduler::try_place(sim::Cycles now) {
         now >= p.enqueued + cfg_.head_block_wait) {
       // The highest-priority waiter is starving for space: stop backfilling
       // smaller jobs behind it, or a stream of 1x1s would starve an 8x8.
-      log_event(util::format("@%llu head-block job=%u waited=%llu",
-                          static_cast<unsigned long long>(now), rec.spec.id,
-                          static_cast<unsigned long long>(now - p.enqueued)));
+      blocked = order[k];
+      log_head_block(p, now);
       break;
     }
   }
@@ -832,9 +843,26 @@ void Scheduler::try_place(sim::Cycles now) {
     }
     gauge(g_queue_depth_, static_cast<double>(pending_.size()));
   }
+  return blocked;
 }
 
-sim::Cycles Scheduler::next_wakeup(sim::Cycles now) const {
+void Scheduler::log_head_block(const Pending& p, sim::Cycles now) {
+  log_event(util::format("@%llu head-block job=%u waited=%llu",
+                         static_cast<unsigned long long>(now),
+                         records_[p.rec].spec.id,
+                         static_cast<unsigned long long>(now - p.enqueued)));
+}
+
+/// Earliest cycle after `now` at which the host has work: the next arrival,
+/// a backoff expiring, a queue timeout, or (watchdog armed) a running job's
+/// silence horizon -- the engine wakeup armed when no device event is left.
+/// With `policy`, also every cycle at which a policy pass could decide
+/// differently from one at `now` with no state change in between: a pending
+/// job's next aging step (try_place's order only moves there) and a head
+/// crossing head_block_wait. A running job already past its silence horizon
+/// is read afresh every step (fault injector, engine idleness), so then the
+/// result is `now` itself.
+sim::Cycles Scheduler::next_wakeup(sim::Cycles now, bool policy) const {
   sim::Cycles t = kNever;
   if (next_arrival_ < arrivals_.size()) {
     t = std::min(t, std::max(records_[arrivals_[next_arrival_]].spec.arrival,
@@ -847,13 +875,22 @@ sim::Cycles Scheduler::next_wakeup(sim::Cycles now) const {
       const sim::Cycles deadline = records_[p.rec].admitted + spec.timeout;
       t = std::min(t, std::max(deadline, now + 1));
     }
+    if (policy) {
+      const sim::Cycles waited = now >= p.enqueued ? now - p.enqueued : 0;
+      t = std::min(t, p.enqueued + cfg_.aging_quantum *
+                                       (waited / cfg_.aging_quantum + 1));
+      if (waited < cfg_.head_block_wait) {
+        t = std::min(t, p.enqueued + cfg_.head_block_wait);
+      }
+    }
   }
   if (cfg_.watchdog_cycles != 0) {
     // With the watchdog armed, every running job is a wakeup source: if its
     // kernels fall silent the host still visits it at the silence horizon.
     for (const Running& r : running_) {
-      t = std::min(t, std::max(records_[r.rec].started + cfg_.watchdog_cycles,
-                               now + 1));
+      const sim::Cycles horizon = records_[r.rec].started + cfg_.watchdog_cycles;
+      if (policy && horizon <= now) return now;
+      t = std::min(t, std::max(horizon, now + 1));
     }
   }
   return t;
@@ -873,23 +910,44 @@ void Scheduler::begin() {
                    });
 }
 
+/// One full sweep of the serving policies, repeated until nothing moves.
+/// If it changed no state (epoch_ unmoved: no admit, verdict, launch or
+/// retry, so its only possible line is a head-block), its outcome stays
+/// valid until the policy horizon or the next state change.
+void Scheduler::policy_pass(sim::Cycles now) {
+  ++passes_.full;
+  const std::uint64_t epoch = epoch_;
+  std::size_t blocked = kNoBlock;
+  bool progress = true;
+  while (progress) {
+    progress = admit_arrivals(now);
+    progress = reap_completed(now) || progress;
+    progress = check_watchdogs(now) || progress;
+    progress = drop_timed_out(now) || progress;
+    progress = drop_orphaned(now) || progress;
+    const std::size_t before = resolved_;
+    blocked = try_place(now);
+    // A terminal verdict inside try_place (launch failed/errored out) may
+    // orphan queued consumer stages; sweep again so they cannot stall the
+    // run waiting on a producer that will never exist.
+    if (resolved_ != before) progress = drop_orphaned(now) || progress;
+  }
+  blocked_ = blocked;
+  pass_epoch_ = epoch_;
+  pass_valid_until_ = epoch_ == epoch ? next_wakeup(now, /*policy=*/true) : now;
+}
+
 void Scheduler::run_window(sim::Cycles limit) {
   sim::Engine& eng = sys_->engine();
   while (resolved_ < records_.size()) {
     const sim::Cycles now = eng.now();
-    bool progress = true;
-    while (progress) {
-      progress = admit_arrivals(now);
-      progress = reap_completed(now) || progress;
-      progress = check_watchdogs(now) || progress;
-      progress = drop_timed_out(now) || progress;
-      progress = drop_orphaned(now) || progress;
-      const std::size_t before = resolved_;
-      try_place(now);
-      // A terminal verdict inside try_place (launch failed/errored out) may
-      // orphan queued consumer stages; sweep again so they cannot stall the
-      // run waiting on a producer that will never exist.
-      if (resolved_ != before) progress = drop_orphaned(now) || progress;
+    if (epoch_ == pass_epoch_ && now < pass_valid_until_) {
+      // Nothing the last full pass read has changed: it would decide the
+      // same again, down to its head-block line.
+      ++passes_.cached;
+      if (blocked_ != kNoBlock) log_head_block(pending_[blocked_], now);
+    } else {
+      policy_pass(now);
     }
     if (resolved_ >= records_.size()) break;
     if (eng.step_below(limit)) continue;
@@ -932,6 +990,7 @@ void Scheduler::submit_remote(JobSpec spec) {
   JobRecord rec;
   rec.spec = std::move(spec);
   records_.push_back(std::move(rec));
+  ++epoch_;
   register_graph(idx);
   // Keep the unconsumed arrival tail sorted by (arrival, id). The delivery
   // time is >= now, and every consumed arrival is <= now, so the insertion

@@ -192,6 +192,16 @@ public:
     return handoff_dram_bytes_;
   }
 
+  /// How often the serving loop swept its policies: `full` passes (admit,
+  /// reap, watchdogs, timeouts, orphans, placement) against `cached` replays
+  /// of the last full pass's outcome (see run_window). Host-side diagnostics
+  /// only: kept out of counters(), so no report or trace byte depends on it.
+  struct PassCounts {
+    std::uint64_t full = 0;
+    std::uint64_t cached = 0;
+  };
+  [[nodiscard]] const PassCounts& passes() const noexcept { return passes_; }
+
 private:
   struct Pending {
     std::uint32_t rec;        // index into records_
@@ -224,8 +234,9 @@ private:
     bool wired = false;
   };
 
-  void log_event(const std::string& line);
+  void log_event(std::string line);
   [[nodiscard]] double effective_priority(const Pending& p, sim::Cycles now) const;
+  void policy_pass(sim::Cycles now);
   bool admit_arrivals(sim::Cycles now);
   /// Admission-time static verification of a Custom job. Returns true when
   /// the job may be admitted; on false the record is already resolved
@@ -233,10 +244,11 @@ private:
   bool lint_gate(JobRecord& rec, sim::Cycles now);
   bool reap_completed(sim::Cycles now);
   bool drop_timed_out(sim::Cycles now);
-  void try_place(sim::Cycles now);
+  std::size_t try_place(sim::Cycles now);
+  void log_head_block(const Pending& p, sim::Cycles now);
   bool launch(Pending& p, sim::Cycles now);
   void resolve(JobRecord& rec, Verdict v, sim::Cycles now, std::string detail);
-  [[nodiscard]] sim::Cycles next_wakeup(sim::Cycles now) const;
+  [[nodiscard]] sim::Cycles next_wakeup(sim::Cycles now, bool policy = false) const;
   bool check_watchdogs(sim::Cycles now);
   void register_graph(std::uint32_t rec_idx);
   [[nodiscard]] bool dag_launchable(std::uint32_t rec_idx) const;
@@ -284,6 +296,21 @@ private:
   double busy_core_cycles_ = 0.0;
   unsigned peak_resident_ = 0;
   bool ran_ = false;
+
+  // Event-driven policy passes. Every state change the passes read bumps
+  // epoch_: admit, resolve (any verdict), launch, launch-fail retry,
+  // requeue, quarantine, submit_remote (new arrival, graph wiring),
+  // abandon_unresolved, and a workgroup completing (Workgroup::on_complete).
+  // A full pass that changed nothing stays valid while epoch_ == pass_epoch_
+  // and now < pass_valid_until_ (next_wakeup's policy horizon); until then
+  // each step replays it, re-logging the starving head pending_[blocked_]
+  // if the pass head-blocked.
+  std::uint64_t epoch_ = 0;
+  std::uint64_t pass_epoch_ = 0;
+  sim::Cycles pass_valid_until_ = 0;
+  static constexpr std::size_t kNoBlock = static_cast<std::size_t>(-1);
+  std::size_t blocked_ = kNoBlock;
+  PassCounts passes_;
 
   // Counters live in the tracer's registry when tracing is enabled (so the
   // samples join the Perfetto export); otherwise in a private registry.

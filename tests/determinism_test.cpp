@@ -27,7 +27,11 @@
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "host/system.hpp"
+#include "lint/wg_fixtures.hpp"
 #include "sched/cluster.hpp"
+#include "sched/report.hpp"
+#include "sched/scheduler.hpp"
+#include "sched/workload.hpp"
 #include "shmem/shmem.hpp"
 #include "shmem/workloads.hpp"
 #include "sim/engine.hpp"
@@ -188,14 +192,6 @@ TEST(GoldenDeterminism, ElinkContentionIterationsWithEmptyFaultPlan) {
   EXPECT_EQ(iters, (std::vector<std::uint64_t>{37, 18, 12, 6}));
 }
 
-// ---- parallel (PDES) cluster serving ---------------------------------------
-//
-// The tentpole contract of --parallel=N: the cluster report, every chip's
-// decision log, and the cross-chip notice logs are byte-identical for every
-// worker count. Each scenario below runs with N in {1, 2, 4}, compares the
-// full byte stream against the N=1 reference, and pins its FNV-1a hash so
-// any drift in the window schedule or merge order fails loudly here.
-
 std::uint64_t fnv1a(const std::string& s) {
   std::uint64_t h = 1469598103934665603ull;
   for (const unsigned char c : s) {
@@ -204,6 +200,189 @@ std::uint64_t fnv1a(const std::string& s) {
   }
   return h;
 }
+
+// ---- single-chip serving ---------------------------------------------------
+//
+// The scheduler's decision log is part of its contract: every admit, place,
+// retry, timeout, head-block and fault line, in order. These scenarios pin
+// fnv1a(report + decision log + fault log) for one chip, one per policy
+// path, so a change to when or how the policy passes run cannot move a
+// single decision without failing here.
+
+// Everything observable from a single-chip serving run.
+std::string serve_bytes(const sched::Scheduler& sc) {
+  std::string all = sched::render_report(sc);
+  for (const auto& line : sc.event_log()) all += line + "\n";
+  for (const auto& r : sc.fault_log()) all += fault::to_line(r) + "\n";
+  return all;
+}
+
+std::size_t log_lines_with(const sched::Scheduler& sc, const char* what) {
+  std::size_t n = 0;
+  for (const auto& line : sc.event_log()) {
+    n += line.find(what) != std::string::npos ? 1 : 0;
+  }
+  return n;
+}
+
+// abl_sched's overload shape: arrivals outpace service, the admission queue
+// fills, priorities age and a starving head blocks backfill on every pass.
+sched::TrafficConfig overload_traffic() {
+  sched::TrafficConfig tc;
+  tc.jobs = 300;
+  tc.seed = 42;
+  tc.mean_interarrival = 12'000;
+  return tc;
+}
+
+TEST(GoldenDeterminism, ServeOverloadAgingAndHeadBlock) {
+  host::System sys;
+  sched::Scheduler sc(sys);
+  for (auto& spec : sched::generate(overload_traffic())) sc.submit(std::move(spec));
+  sc.run();
+  EXPECT_GT(log_lines_with(sc, " head-block "), 0u);
+  EXPECT_GT(log_lines_with(sc, " reject "), 0u);
+  EXPECT_EQ(fnv1a(serve_bytes(sc)), 15127138766402273350ull);
+}
+
+// The policy sweeps run on state changes and horizons, not once per engine
+// event: between them each step replays the last pass (re-logging its
+// head-block line). Guards the saving, which the golden above cannot see.
+TEST(GoldenDeterminism, ServeOverloadPassesAreEventDriven) {
+  host::System sys;
+  sched::Scheduler sc(sys);
+  for (auto& spec : sched::generate(overload_traffic())) sc.submit(std::move(spec));
+  sc.run();
+  const auto& passes = sc.passes();
+  const std::size_t steps = sys.engine().events_processed();
+  EXPECT_GT(passes.full, 0u);
+  EXPECT_GE(passes.full + passes.cached, steps);
+  EXPECT_LT(passes.full * 10, steps)
+      << passes.full << " full passes for " << steps << " engine events";
+}
+
+// Injected launch failures on a third of the jobs (exponential-backoff
+// retries) and a short queue timeout, so both paths fire in one stream.
+TEST(GoldenDeterminism, ServeLaunchRetriesAndTimeouts) {
+  sched::TrafficConfig tc;
+  tc.jobs = 80;
+  tc.seed = 5;
+  tc.mean_interarrival = 15'000;
+  tc.fail_prob = 0.35;
+  tc.timeout = 300'000;
+  host::System sys;
+  sched::Scheduler sc(sys);
+  for (auto& spec : sched::generate(tc)) sc.submit(std::move(spec));
+  sc.run();
+  EXPECT_GT(log_lines_with(sc, " launch-fail "), 0u);
+  EXPECT_GT(log_lines_with(sc, " timeout "), 0u);
+  EXPECT_EQ(fnv1a(serve_bytes(sc)), 14234782603428984755ull);
+}
+
+// Pipelines serialised graph by graph (the abl_dag baseline), with the
+// scratchpad handoff enabled.
+TEST(GoldenDeterminism, ServePipelinesSerialisedWithScratchHandoff) {
+  sched::TrafficConfig tc;
+  tc.jobs = 40;
+  tc.seed = 11;
+  tc.mean_interarrival = 20'000;
+  tc.pipeline_frac = 0.6;
+  sched::SchedConfig cfg;
+  cfg.pipeline_overlap = false;
+  cfg.scratch_handoff = true;
+  host::System sys;
+  sched::Scheduler sc(sys, cfg);
+  for (auto& spec : sched::generate(tc)) sc.submit(std::move(spec));
+  sc.run();
+  EXPECT_GT(log_lines_with(sc, " handoff "), 0u);
+  EXPECT_EQ(fnv1a(serve_bytes(sc)), 8146954803341702387ull);
+}
+
+// Custom jobs through the admission-time lint gate in warn mode: racy
+// programs are logged and admitted, mixed into generated traffic.
+TEST(GoldenDeterminism, ServeLintWarnCustomJobs) {
+  sched::TrafficConfig tc;
+  tc.jobs = 20;
+  tc.seed = 3;
+  tc.mean_interarrival = 25'000;
+  sched::SchedConfig cfg;
+  cfg.lint = sched::LintMode::Warn;
+  host::System sys;
+  sched::Scheduler sc(sys, cfg);
+  for (auto& spec : sched::generate(tc)) sc.submit(std::move(spec));
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    const auto fx = i % 3 == 2 ? lint::fixtures::barrier_exchange()
+                               : lint::fixtures::listing12(/*racy=*/i % 3 == 0);
+    sched::JobSpec s;
+    s.id = 1000 + i;
+    s.tenant = "dave";
+    s.kind = sched::JobKind::Custom;
+    s.rows = fx.rows;
+    s.cols = fx.cols;
+    s.arrival = 40'000 * i;
+    s.programs = fx.programs;
+    sc.submit(std::move(s));
+  }
+  sc.run();
+  EXPECT_GT(log_lines_with(sc, " lint-warn "), 0u);
+  EXPECT_EQ(fnv1a(serve_bytes(sc)), 17764332830629029129ull);
+}
+
+// Watchdog armed under a seeded chaos plan: stalls, link outages and memory
+// flips turn into fault reports, quarantines and re-executions.
+TEST(GoldenDeterminism, ServeWatchdogUnderChaosPlan) {
+  sched::TrafficConfig tc;
+  tc.jobs = 40;
+  tc.seed = 8;
+  tc.mean_interarrival = 20'000;
+  fault::ChaosConfig chaos;
+  chaos.seed = 21;
+  chaos.core_stalls = 2;
+  chaos.core_kills = 1;
+  chaos.link_faults = 2;
+  chaos.mem_flips = 2;
+  host::System sys;
+  sys.machine().enable_faults(fault::generate(chaos));
+  sched::SchedConfig cfg;
+  cfg.watchdog_cycles = 400'000;
+  sched::Scheduler sc(sys, cfg);
+  for (auto& spec : sched::generate(tc)) sc.submit(std::move(spec));
+  sc.run();
+  EXPECT_FALSE(sc.fault_log().empty());
+  EXPECT_EQ(fnv1a(serve_bytes(sc)), 10972818334702173703ull);
+}
+
+// A silence budget far shorter than any job, so running jobs sit past
+// their watchdog horizon, under permanent mesh-link failures: a kernel
+// whose route is severed throws, and the watchdog must trip the wrecked
+// group in the very cycle of the throw, not one cycle later.
+TEST(GoldenDeterminism, ServeWatchdogTripsWreckedGroupInSameCycle) {
+  sched::TrafficConfig tc;
+  tc.jobs = 40;
+  tc.seed = 1;
+  tc.mean_interarrival = 10'000;
+  fault::ChaosConfig chaos;
+  chaos.seed = 1;
+  chaos.link_faults = 3;
+  chaos.transient_link_prob = 0.0;
+  host::System sys;
+  sys.machine().enable_faults(fault::generate(chaos));
+  sched::SchedConfig cfg;
+  cfg.watchdog_cycles = 200;
+  sched::Scheduler sc(sys, cfg);
+  for (auto& spec : sched::generate(tc)) sc.submit(std::move(spec));
+  sc.run();
+  EXPECT_FALSE(sc.fault_log().empty());
+  EXPECT_EQ(fnv1a(serve_bytes(sc)), 1817491458113101221ull);
+}
+
+// ---- parallel (PDES) cluster serving ---------------------------------------
+//
+// The tentpole contract of --parallel=N: the cluster report, every chip's
+// decision log, and the cross-chip notice logs are byte-identical for every
+// worker count. Each scenario below runs with N in {1, 2, 4}, compares the
+// full byte stream against the N=1 reference, and pins its FNV-1a hash so
+// any drift in the window schedule or merge order fails loudly here.
 
 // Everything observable from a cluster run, concatenated: report bytes,
 // per-chip decision logs, per-chip fault logs, per-chip notice logs.

@@ -198,18 +198,25 @@ TEST_F(DmaTest, BytesMovedAccounting) {
 }
 
 // Parameterised semantics sweep: every (elem size, inner, outer, stride)
-// combination must equal the reference element walk.
+// combination must equal the reference element walk. The element size is
+// held widened to 32 bits so the case has no padding bytes: gtest names each
+// case by a byte dump of it, and padding would put stack garbage into the
+// test names.
 struct DescCase {
-  dma::ElemSize elem;
+  std::uint32_t elem;  // a dma::ElemSize value, i.e. the element width in bytes
   std::uint32_t inner, outer;
   std::int32_t si, di, so, dso;
 };
+
+static_assert(sizeof(DescCase) == 7 * sizeof(std::uint32_t), "DescCase must have no padding");
+
+constexpr std::uint32_t width(dma::ElemSize e) { return static_cast<std::uint8_t>(e); }
 
 class DmaDescSemantics : public DmaTest, public ::testing::WithParamInterface<DescCase> {};
 
 TEST_P(DmaDescSemantics, MatchesReferenceWalk) {
   const auto& p = GetParam();
-  const auto esz = static_cast<std::uint32_t>(static_cast<std::uint8_t>(p.elem));
+  const auto esz = p.elem;
   std::vector<std::byte> src_img(8192);
   sim::Rng rng(7);
   for (auto& b : src_img) b = static_cast<std::byte>(rng.next_below(256));
@@ -218,7 +225,7 @@ TEST_P(DmaDescSemantics, MatchesReferenceWalk) {
   dma::DmaDescriptor d;
   d.src = g({0, 0}, 0x2000);
   d.dst = g({0, 1}, 0x2000);
-  d.elem = p.elem;
+  d.elem = static_cast<dma::ElemSize>(p.elem);
   d.inner_count = p.inner;
   d.outer_count = p.outer;
   d.src_inner_stride = p.si;
@@ -248,12 +255,12 @@ TEST_P(DmaDescSemantics, MatchesReferenceWalk) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, DmaDescSemantics,
     ::testing::Values(
-        DescCase{dma::ElemSize::Byte, 64, 1, 1, 1, 0, 0},
-        DescCase{dma::ElemSize::HWord, 32, 4, 2, 2, 8, 8},
-        DescCase{dma::ElemSize::Word, 16, 8, 4, 4, 64, 32},
-        DescCase{dma::ElemSize::Word, 1, 16, 4, 4, 32, 4},      // column gather
-        DescCase{dma::ElemSize::DWord, 8, 8, 8, 8, 128, 64},
-        DescCase{dma::ElemSize::Word, 16, 4, 8, 4, 0, 0},       // src gap
-        DescCase{dma::ElemSize::DWord, 16, 1, 8, 8, 0, 0}));
+        DescCase{width(dma::ElemSize::Byte), 64, 1, 1, 1, 0, 0},
+        DescCase{width(dma::ElemSize::HWord), 32, 4, 2, 2, 8, 8},
+        DescCase{width(dma::ElemSize::Word), 16, 8, 4, 4, 64, 32},
+        DescCase{width(dma::ElemSize::Word), 1, 16, 4, 4, 32, 4},      // column gather
+        DescCase{width(dma::ElemSize::DWord), 8, 8, 8, 8, 128, 64},
+        DescCase{width(dma::ElemSize::Word), 16, 4, 8, 4, 0, 0},       // src gap
+        DescCase{width(dma::ElemSize::DWord), 16, 1, 8, 8, 0, 0}));
 
 }  // namespace
