@@ -205,22 +205,12 @@ void BM_BarrierRound(benchmark::State& state) {
 }
 BENCHMARK(BM_BarrierRound);
 
-// ---- parallel PDES cluster serving ----------------------------------------
+// ---- multi-chip PDES cluster serving --------------------------------------
 
-// Wall-clock cost of serving a chip grid through the conservative PDES
-// executor, swept over worker counts {1, 2, 4, 8}. This is the speedup
-// measurement for --parallel=N: simulated work and output bytes are
-// identical for every worker count (the determinism goldens pin that), so
-// real_time ratios between rows ARE the parallel speedup. UseRealTime is
-// essential: the workers burn CPU time on other threads, so cpu_time of the
-// benchmark thread would undercount a parallel run.
-//
-// The `workers` counter records the executor's actual thread count -- the
-// per-benchmark "threads" field stays 1 because google-benchmark only
-// counts its own harness threads, not the threads under test.
+// Wall-clock cost of serving a chip grid (construction included) through
+// the conservative PDES window loop.
 void BM_ClusterServe(benchmark::State& state) {
   const auto grid = static_cast<unsigned>(state.range(0));  // chips per side
-  const auto workers = static_cast<unsigned>(state.range(1));
   sched::ClusterConfig cfg;
   cfg.chip_rows = cfg.chip_cols = grid;
   cfg.traffic.jobs = 12;
@@ -231,12 +221,11 @@ void BM_ClusterServe(benchmark::State& state) {
   sim::Cycles makespan = 0;
   for (auto _ : state) {
     sched::ClusterScheduler cs(cfg);
-    cs.run(workers);
+    cs.run();
     windows = cs.stats().windows;
     makespan = cs.stats().makespan;
     benchmark::DoNotOptimize(makespan);
   }
-  state.counters["workers"] = workers;
   state.counters["chips"] = grid * grid;
   state.counters["windows"] = static_cast<double>(windows);
   state.counters["sim_cycles"] = static_cast<double>(makespan);
@@ -244,9 +233,9 @@ void BM_ClusterServe(benchmark::State& state) {
 }
 BENCHMARK(BM_ClusterServe)
     ->UseRealTime()
-    ->ArgNames({"grid", "workers"})
-    ->Args({2, 1})->Args({2, 2})->Args({2, 4})->Args({2, 8})
-    ->Args({4, 1})->Args({4, 2})->Args({4, 4})->Args({4, 8});
+    ->ArgName("grid")
+    ->Arg(2)
+    ->Arg(4);
 
 }  // namespace
 
@@ -275,14 +264,11 @@ int main(int argc, char** argv) {
   int eff_argc = static_cast<int>(args.size());
   benchmark::Initialize(&eff_argc, args.data());
   if (benchmark::ReportUnrecognizedArguments(eff_argc, args.data())) return 1;
-  // The per-benchmark "threads" field only counts google-benchmark harness
-  // threads (always 1 here); record the machine's real parallelism and the
-  // executor worker sweep in the context block so BENCH_simperf.json says
-  // what hardware the BM_ClusterServe speedups were measured on.
+  // Record the machine's core count in the context block so
+  // BENCH_simperf.json says what hardware its rows were measured on.
   benchmark::AddCustomContext(
       "hardware_concurrency",
       std::to_string(std::thread::hardware_concurrency()));
-  benchmark::AddCustomContext("cluster_worker_sweep", "1,2,4,8");
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -122,7 +122,7 @@ struct TimingParams {
   }
   /// Minimum latency of any cross-chip effect: one eLink transaction
   /// through the glue logic plus (at least) one chip-grid hop in flight.
-  /// This is the parallel executor's lookahead -- with the defaults,
+  /// This is the PDES window loop's lookahead -- with the defaults,
   /// 200 + 250 = 450 cycles.
   [[nodiscard]] sim::Cycles xmesh_min_latency() const noexcept {
     return elink_txn_latency_cycles + xmesh_hop_latency_cycles;

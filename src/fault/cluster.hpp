@@ -11,10 +11,11 @@
 // survive?") at points it already visits, so an empty or chip-fault-free
 // plan leaves the run bit-identical to an uninstrumented one.
 //
-// Thread-safety under the parallel PDES executor: every mutable member is
-// per-chip (notice budgets, rng, injection log) and only ever touched from
-// the worker advancing that chip's domain; the schedules (crash cycles,
-// stall and outage windows) are immutable after construction.
+// Ownership: every mutable member is per-chip (notice budgets, rng,
+// injection log) and only ever touched while that chip's domain advances;
+// the schedules (crash cycles, stall and outage windows) are immutable
+// after construction. A chip's draws therefore depend only on its own
+// history, never on the order in which domains are advanced.
 
 #include <cstdint>
 #include <map>
@@ -58,8 +59,8 @@ public:
   [[nodiscard]] sim::Cycles xmesh_clear(unsigned src, unsigned dst,
                                         sim::Cycles t) const;
 
-  // ---- notice-path injection (per-sending-chip state; call only from the
-  //      worker advancing `chip`) ------------------------------------------
+  // ---- notice-path injection (per-sending-chip state; call only while
+  //      `chip` advances) --------------------------------------------------
   /// Consume a drop budget if one is armed at `now`: the notice is lost.
   [[nodiscard]] bool drop_notice(unsigned chip, sim::Cycles now);
   /// Flip one seeded-random bit of `payload` if a flip budget is armed (the

@@ -84,8 +84,9 @@ struct PartitionMap {
   }
 
   // ---- chip health (written by the failover layer; empty = all healthy).
-  // During a parallel run each domain keeps its own view of peer health
-  // (no cross-domain writes); this map is the folded post-run summary.
+  // During a run each domain keeps its own view of peer health, built from
+  // the messages it received (no cross-domain writes); this map is the
+  // folded post-run summary.
   std::vector<ChipHealth> health;
 
   void mark(sim::DomainId d, ChipHealth h) {

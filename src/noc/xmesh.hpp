@@ -11,10 +11,10 @@
 //
 // Everything here is *sender-local* state: egress occupancy lives with the
 // sending chip, and the receiver only sees a delivery time. That locality
-// is what lets the parallel PDES executor treat chips as independent
-// domains between barriers, with min_latency() as the lookahead -- the
-// guarantee that no cross-chip effect lands sooner than one eLink
-// transaction plus one hop after it is issued.
+// is what lets the conservative PDES window loop treat chips as
+// independent domains within a window, with min_latency() as the
+// lookahead -- the guarantee that no cross-chip effect lands sooner than
+// one eLink transaction plus one hop after it is issued.
 
 #include <algorithm>
 #include <cstddef>

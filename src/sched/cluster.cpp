@@ -37,11 +37,13 @@ std::uint32_t payload_crc(const std::string& payload) {
 }  // namespace
 
 // One chip = one PDES domain. The scheduler and every engine event of this
-// chip are touched only by the worker currently advancing the domain;
-// cross-chip effects arrive exclusively through ParallelEngine::send. All
-// failover bookkeeping below follows the same ownership rule: origin-side
-// state (outstanding forwards, peer-health views) belongs to the origin
-// chip's worker, home-side state (dedup table) to the home chip's worker.
+// chip are touched only while the domain advances; cross-chip effects
+// arrive exclusively through ParallelEngine::send. All failover bookkeeping
+// below follows the same ownership rule: origin-side state (outstanding
+// forwards, peer-health views) belongs to the origin chip, home-side state
+// (dedup table) to the home chip. A chip learns of its peers only through
+// delivered messages, which is what keeps each chip's view of the cluster
+// realistic.
 struct ClusterScheduler::Chip final : sim::Domain {
   // Tracing must be armed before the Scheduler grabs its counter registry,
   // i.e. between the two member initialisers.
@@ -168,7 +170,7 @@ ClusterScheduler::ClusterScheduler(ClusterConfig cfg) : cfg_(std::move(cfg)) {
   if (!cfg_.fault_plans.empty() && cfg_.fault_plans.size() != k) {
     throw std::invalid_argument("fault_plans must hold one plan per chip");
   }
-  if (cfg_.remote_frac < 0.0 || cfg_.remote_frac > 1.0) {
+  if (!(cfg_.remote_frac >= 0.0 && cfg_.remote_frac <= 1.0)) {
     throw std::invalid_argument("remote_frac must be in [0, 1]");
   }
   if (!cfg_.cluster_plan.empty() || cfg_.cluster_plan.cluster()) {
@@ -217,8 +219,8 @@ ClusterScheduler::ClusterScheduler(ClusterConfig cfg) : cfg_(std::move(cfg)) {
 
   // Completion notices: when a chip resolves a job it did not originate, the
   // verdict travels back over the same bridge and lands as a log line on
-  // the origin chip. Runs on the home chip's worker; the delivery closure
-  // runs on the origin chip's worker, one window or more later.
+  // the origin chip. Runs while the home chip advances; the delivery
+  // closure runs on the origin chip, one window or more later.
   for (unsigned h = 0; h < k; ++h) {
     chips_[h]->sched.set_resolve_hook(
         [this, h](const JobRecord& rec, sim::Cycles now) {
@@ -650,7 +652,7 @@ void ClusterScheduler::emit_heartbeats(unsigned chip, sim::Cycles) {
   }
 }
 
-void ClusterScheduler::run(unsigned workers) {
+void ClusterScheduler::run(unsigned /*workers*/) {
   if (ran_) throw std::logic_error("ClusterScheduler::run called twice");
   ran_ = true;
   for (auto& ch : chips_) ch->sched.begin();
@@ -661,7 +663,7 @@ void ClusterScheduler::run(unsigned workers) {
                                       [this, c] { emit_heartbeats(c, 0); });
     }
   }
-  pe_->run(workers);
+  pe_->run();
   for (unsigned c = 0; c < chips_.size(); ++c) {
     Chip& ch = *chips_[c];
     ch.sched.finish();
@@ -697,8 +699,8 @@ void ClusterScheduler::run(unsigned workers) {
   }
   if (armed_) {
     // Fold every origin's health view into the partition map and surface
-    // the sick-chip counters (own-view during the run keeps the parallel
-    // executor race-free; the fold here is single-threaded).
+    // the sick-chip counters. During the run each chip acts only on its own
+    // view, built from the heartbeats and notices it received.
     const unsigned k = part_.chips();
     for (unsigned h = 0; h < k; ++h) {
       std::uint64_t faults = 0, rehomed = 0, quarantined_by = 0;
@@ -788,8 +790,8 @@ std::string ClusterScheduler::health_footer() const {
 
 std::string ClusterScheduler::report() const {
   if (!ran_) throw std::logic_error("ClusterScheduler::report before run");
-  // Worker count and wall-clock are deliberately absent: these bytes are the
-  // determinism contract compared across --parallel=N.
+  // Wall-clock is deliberately absent: these bytes are the determinism
+  // contract compared across reruns.
   std::string out = util::format(
       "=== epi-serve cluster %ux%u: %u chips x %ux%u cores ===\n",
       cfg_.chip_rows, cfg_.chip_cols, part_.chips(), part_.chip.rows,

@@ -1,20 +1,18 @@
 #pragma once
-// epi-serve cluster mode: serving a multi-chip xMesh array in parallel.
+// epi-serve cluster mode: serving a multi-chip xMesh array.
 //
 // One chip is one conservative-PDES domain (machine/partition.hpp): it owns
-// its own Machine, engine, and Scheduler, and advances on a worker thread
-// inside sim::ParallelEngine's synchronous windows. The only cross-domain
+// its own Machine, engine, and Scheduler, and advances inside
+// sim::ParallelEngine's synchronous windows. The only cross-domain
 // traffic is job forwarding -- a deterministic fraction of each chip's
 // arrival stream is homed on another chip, so the launch request crosses
 // the xMesh bridge (serialization + per-hop flight, noc/xmesh.hpp) before
 // joining the home chip's admission queue -- plus the completion notice
 // that flows back to the origin when the job resolves.
 //
-// Determinism contract (the tentpole property): the window schedule and
-// every per-domain event order are pure functions of the configuration, so
-// run(N) produces byte-identical reports, decision logs, and notice logs
-// for every worker count N, including N=1 (the sequential reference, which
-// executes the very same window loop inline).
+// Determinism contract: the window schedule and every per-domain event
+// order are pure functions of the configuration, so reruns produce
+// byte-identical reports, decision logs, and notice logs.
 //
 // Failover (armed only when the cluster plan carries chip-scoped faults,
 // so fault-free runs keep their historical bytes): every chip heartbeats
@@ -99,9 +97,8 @@ struct ClusterStats {
   std::uint64_t abandoned_jobs = 0;// jobs a dead chip left unresolved
 };
 
-/// Owns the chips, routes the streams, and drives the parallel run. All
-/// report/log accessors are valid after run() and independent of the worker
-/// count used.
+/// Owns the chips, routes the streams, and drives the windowed run. All
+/// report/log accessors are valid after run().
 class ClusterScheduler {
 public:
   explicit ClusterScheduler(ClusterConfig cfg);
@@ -110,13 +107,14 @@ public:
   ClusterScheduler(const ClusterScheduler&) = delete;
   ClusterScheduler& operator=(const ClusterScheduler&) = delete;
 
-  /// Serve every chip's stream to completion using `workers` threads
-  /// (clamped to [1, chips]). Callable once.
-  void run(unsigned workers);
+  /// Serve every chip's stream to completion. Callable once. `workers` is
+  /// ignored: the window loop runs on the calling thread. The parameter
+  /// stays so existing callers keep building.
+  void run(unsigned workers = 1);
 
   /// Deterministic cluster report: header + per-chip epi-serve reports +
-  /// cross-chip notice logs. Excludes worker count and wall-clock by design
-  /// so the bytes are identical for every `workers` value.
+  /// cross-chip notice logs. Excludes wall-clock by design so the bytes are
+  /// identical from run to run.
   [[nodiscard]] std::string report() const;
 
   [[nodiscard]] const machine::PartitionMap& partition() const noexcept {

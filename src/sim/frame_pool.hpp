@@ -22,13 +22,13 @@
 // coroutine handles from the sanitizer, and the sanitized suite has caught
 // exactly that class of bug before.
 //
-// The pool is thread_local: the parallel PDES executor advances each
-// domain's engine on a fixed worker thread, so frame allocation and the
-// overwhelming majority of frees stay on the owning thread's pool with no
-// synchronisation. A block freed on a different thread (e.g. machine
-// teardown on the main thread) simply parks on that thread's free list --
-// blocks are plain operator-new storage with a self-describing size-class
-// header, so which pool recycles them is immaterial.
+// The pool is thread_local, so it needs no synchronisation: the simulator
+// itself is single-threaded, and a program that runs independent machines
+// on threads of its own gets one pool per thread. A block freed on a
+// different thread than the one that allocated it simply parks on that
+// thread's free list -- blocks are plain operator-new storage with a
+// self-describing size-class header, so which pool recycles them is
+// immaterial.
 
 #include <cstddef>
 #include <cstdint>

@@ -3,52 +3,15 @@
 #include <algorithm>
 #include <iterator>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 namespace epi::sim {
-
-// Centralized sense-reversing barrier: a short spin (the common case --
-// workers finish a window within microseconds of each other), then a futex
-// wait through C++20 atomic wait so an oversubscribed or idle-tail run
-// sleeps instead of burning the core another worker needs. The generation
-// counter's release/acquire pairing is also what publishes the leader's
-// plain writes (window_end_, done_) to the other workers.
-class ParallelEngine::Barrier {
-public:
-  explicit Barrier(std::uint32_t parties) : parties_(parties) {}
-
-  void arrive_and_wait() {
-    if (parties_ == 1) return;  // inline sequential reference: no-op
-    const std::uint32_t gen = gen_.load(std::memory_order_acquire);
-    if (count_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
-      count_.store(0, std::memory_order_relaxed);
-      gen_.fetch_add(1, std::memory_order_release);
-      gen_.notify_all();
-      return;
-    }
-    for (int spin = 0; spin < 256; ++spin) {
-      if (gen_.load(std::memory_order_acquire) != gen) return;
-#if defined(__x86_64__) || defined(__i386__)
-      __builtin_ia32_pause();
-#endif
-    }
-    while (gen_.load(std::memory_order_acquire) == gen) gen_.wait(gen);
-  }
-
-private:
-  const std::uint32_t parties_;
-  std::atomic<std::uint32_t> count_{0};
-  std::atomic<std::uint32_t> gen_{0};
-};
 
 ParallelEngine::ParallelEngine(Cycles lookahead) : lookahead_(lookahead) {
   if (lookahead_ == 0) {
     throw std::invalid_argument("ParallelEngine: lookahead must be positive");
   }
 }
-
-ParallelEngine::~ParallelEngine() = default;
 
 DomainId ParallelEngine::add_domain(Domain& d) {
   if (ran_) throw std::logic_error("ParallelEngine: add_domain after run()");
@@ -73,23 +36,16 @@ void ParallelEngine::send(DomainId src, DomainId dst, Cycles at,
         std::to_string(at) + " < now " + std::to_string(now) + " + lookahead " +
         std::to_string(lookahead_));
   }
-  const std::size_t ch = src * domains_.size() + dst;
-  channels_[ch]->push(Msg{at, key, src, send_seq_[ch]++, std::move(deliver)});
+  outbox_[dst].push_back(Msg{at, key, src, send_seq_++, std::move(deliver)});
 }
 
 void ParallelEngine::flush_inbound(DomainId dst) {
-  const std::size_t k = domains_.size();
-  std::vector<Msg>& box = inbox_[dst];
-  box.clear();
-  for (DomainId src = 0; src < k; ++src) {
-    Msg m;
-    while (channels_[src * k + dst]->pop(m)) box.push_back(std::move(m));
-  }
+  std::vector<Msg>& box = outbox_[dst];
   if (box.empty()) return;
   // Deterministic merge: delivery time, then the caller's stable tie-break
-  // key, then source domain, then per-channel send order. Injection order
-  // becomes engine insertion-sequence order, so same-cycle messages fire
-  // exactly in this order on every worker count.
+  // key, then source domain, then send order. Injection order becomes
+  // engine insertion-sequence order, so same-cycle messages fire exactly in
+  // this order.
   std::sort(box.begin(), box.end(), [](const Msg& a, const Msg& b) {
     if (a.at != b.at) return a.at < b.at;
     if (a.key != b.key) return a.key < b.key;
@@ -99,101 +55,48 @@ void ParallelEngine::flush_inbound(DomainId dst) {
   Engine& eng = domains_[dst]->engine();
   for (Msg& m : box) {
     eng.call_at(m.at, std::move(m.deliver));
-    ++delivered_[dst];
+    ++stats_.messages;
   }
   box.clear();
 }
 
-Cycles ParallelEngine::domain_floor(DomainId d) {
+template <typename F>
+void ParallelEngine::guarded(DomainId d, F&& f) {
   try {
-    return domains_[d]->next_time();
+    f();
   } catch (...) {
     if (!errors_[d]) errors_[d] = std::current_exception();
-    failed_.store(true, std::memory_order_release);
-    return Engine::kNever;
+    failed_ = true;
   }
 }
 
-void ParallelEngine::decide() {
-  Cycles tmin = Engine::kNever;
-  for (const WorkerSlot& s : slots_) tmin = std::min(tmin, s.min);
-  if (tmin == Engine::kNever || failed_.load(std::memory_order_acquire)) {
-    done_ = true;
-    return;
-  }
-  stats_.horizon = tmin;
-  ++stats_.windows;
-  window_end_ =
-      tmin > Engine::kNever - lookahead_ ? Engine::kNever : tmin + lookahead_;
-}
-
-void ParallelEngine::worker_loop(unsigned w, unsigned workers) {
-  const auto k = static_cast<DomainId>(domains_.size());
-  for (;;) {
-    Cycles local_min = Engine::kNever;
-    for (DomainId d = w; d < k; d += workers) {
-      try {
-        flush_inbound(d);
-      } catch (...) {
-        if (!errors_[d]) errors_[d] = std::current_exception();
-        failed_.store(true, std::memory_order_release);
-      }
-      local_min = std::min(local_min, domain_floor(d));
-    }
-    slots_[w].min = local_min;
-    barrier_->arrive_and_wait();
-    if (w == 0) decide();
-    barrier_->arrive_and_wait();
-    if (done_) return;
-    const Cycles limit = window_end_;
-    for (DomainId d = w; d < k; d += workers) {
-      try {
-        domains_[d]->advance(limit);
-      } catch (...) {
-        if (!errors_[d]) errors_[d] = std::current_exception();
-        failed_.store(true, std::memory_order_release);
-      }
-    }
-    barrier_->arrive_and_wait();
-  }
-}
-
-void ParallelEngine::run(unsigned workers) {
+void ParallelEngine::run() {
   if (ran_) throw std::logic_error("ParallelEngine: run() called twice");
   ran_ = true;
-  const std::size_t k = domains_.size();
+  const auto k = static_cast<DomainId>(domains_.size());
   if (k == 0) return;
-  if (workers < 1) workers = 1;
-  workers = static_cast<unsigned>(std::min<std::size_t>(workers, k));
-
-  channels_.reserve(k * k);
-  for (std::size_t i = 0; i < k * k; ++i) {
-    channels_.push_back(std::make_unique<SpscChannel<Msg>>());
-  }
-  send_seq_.assign(k * k, 0);
-  delivered_.assign(k, 0);
+  outbox_.resize(k);
   errors_.assign(k, nullptr);
-  inbox_.resize(k);
-  slots_.assign(workers, WorkerSlot{});
-  barrier_ = std::make_unique<Barrier>(workers);
-  stats_.workers = workers;
   stats_.lookahead = lookahead_;
 
-  if (workers == 1) {
-    worker_loop(0, 1);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers - 1);
-    for (unsigned w = 1; w < workers; ++w) {
-      pool.emplace_back([this, w, workers] { worker_loop(w, workers); });
+  for (;;) {
+    Cycles tmin = Engine::kNever;
+    for (DomainId d = 0; d < k; ++d) {
+      guarded(d, [&] {
+        flush_inbound(d);
+        tmin = std::min(tmin, domains_[d]->next_time());
+      });
     }
-    worker_loop(0, workers);
-    for (std::thread& t : pool) t.join();
+    if (tmin == Engine::kNever || failed_) break;
+    stats_.horizon = tmin;
+    ++stats_.windows;
+    const Cycles limit =
+        tmin > Engine::kNever - lookahead_ ? Engine::kNever : tmin + lookahead_;
+    for (DomainId d = 0; d < k; ++d) {
+      guarded(d, [&] { domains_[d]->advance(limit); });
+    }
   }
 
-  // Each window crosses three barriers; the terminating pass crosses two.
-  stats_.barriers = stats_.windows * 3 + 2;
-  for (std::uint64_t n : delivered_) stats_.messages += n;
   for (const std::exception_ptr& e : errors_) {
     if (e) std::rethrow_exception(e);
   }

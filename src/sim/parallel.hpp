@@ -1,5 +1,5 @@
 #pragma once
-// Conservative parallel discrete-event execution over spatial domains.
+// Conservative discrete-event execution over spatial domains.
 //
 // The machine model partitions naturally at chip boundaries: a
 // machine::Machine owns its own Engine, memory system, mesh and eLinks, so
@@ -9,37 +9,33 @@
 // bound is exactly the *lookahead* a conservative PDES scheme needs.
 //
 // Execution proceeds in synchronous windows (a YAWNS-style lower-bound-
-// timestamp barrier):
+// timestamp loop):
 //
-//   1. every worker flushes its domains' inbound channels (messages from
-//      the previous window), sorts them by (deliver time, tie-break key,
-//      source domain, channel sequence) and injects them into the domain's
-//      engine -- a deterministic merge;
-//   2. every worker publishes the earliest pending work across its domains;
-//      the leader reduces these to T_min and opens the window
-//      [T_min, T_min + lookahead);
-//   3. every domain advances through events strictly below the window end.
-//      Cross-domain sends are routed through per-pair SPSC channels
-//      (sim/channel.hpp) and, by the lookahead contract, deliver at or
-//      after the window end -- so no domain ever receives a message from
-//      its own past.
+//   1. every domain's outbox (messages sent to it in the previous window)
+//      is sorted by (deliver time, tie-break key, source domain, send
+//      order) and injected into the domain's engine -- a deterministic
+//      merge;
+//   2. the earliest pending work across all domains, T_min, opens the
+//      window [T_min, T_min + lookahead);
+//   3. every domain, in id order, advances through events strictly below
+//      the window end. Cross-domain sends land in the destination's outbox
+//      and, by the lookahead contract, deliver at or after the window end
+//      -- so no domain ever receives a message from its own past.
 //
-// Determinism: the window schedule is a pure function of domain state --
-// the same sequence of (flush, T_min, advance) happens for ANY worker
-// count, including the inline single-threaded reference (run(1) executes
-// the identical loop with a 1-party barrier). Reports, traces and decision
-// logs are therefore byte-identical across --parallel=N; the determinism
-// goldens pin this.
+// Determinism: the window schedule is a pure function of domain state, and
+// domains interact only through the merged outboxes, so reports, traces
+// and decision logs are byte-identical from run to run; the determinism
+// goldens pin this. The loop runs on the calling thread: a window holds
+// only microseconds of work per domain, and advancing a window's domains
+// on worker threads measured slower than this loop on a 4-core machine
+// (EXPERIMENTS.md).
 
-#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "sim/channel.hpp"
 #include "sim/engine.hpp"
 
 namespace epi::sim {
@@ -48,8 +44,7 @@ using DomainId = std::uint32_t;
 
 /// One spatial partition of the simulated machine (in practice: one chip
 /// plus everything host-side that drives it). The executor calls these
-/// only from the domain's owning worker thread, phase-separated by
-/// barriers, so implementations need no internal synchronisation.
+/// one domain at a time, so implementations need no synchronisation.
 class Domain {
 public:
   virtual ~Domain() = default;
@@ -74,16 +69,16 @@ public:
 };
 
 struct ParallelStats {
-  unsigned workers = 0;           // worker threads actually used
   std::uint64_t windows = 0;      // synchronisation windows executed
-  std::uint64_t barriers = 0;     // barrier crossings (3 per window)
+  std::uint64_t barriers = 0;     // always 0: no threads, no barriers; kept
+                                  // so existing harnesses that read it build
   std::uint64_t messages = 0;     // cross-domain messages delivered
   Cycles lookahead = 0;           // window width (min cross-domain latency)
   Cycles horizon = 0;             // T_min of the last window opened
 };
 
 /// The conservative windowed executor. Domains are registered once, then
-/// run(workers) drives them to global completion. Not reusable.
+/// run() drives them to global completion. Not reusable.
 class ParallelEngine {
 public:
   /// `lookahead` is the minimum cross-domain latency: every send must
@@ -91,7 +86,6 @@ public:
   explicit ParallelEngine(Cycles lookahead);
   ParallelEngine(const ParallelEngine&) = delete;
   ParallelEngine& operator=(const ParallelEngine&) = delete;
-  ~ParallelEngine();
 
   /// Register a domain (not owned). Returns its id.
   DomainId add_domain(Domain& d);
@@ -105,50 +99,35 @@ public:
   void send(DomainId src, DomainId dst, Cycles at, std::uint64_t key,
             std::function<void()> deliver);
 
-  /// Drive all domains to completion on `workers` threads (values < 2 run
-  /// the identical window loop inline -- the sequential reference).
-  /// Throws DeadlockError if domains report unfinished work at global
-  /// idle; rethrows the first (lowest-domain) exception a domain raised.
-  void run(unsigned workers);
+  /// Drive all domains to completion. Throws DeadlockError if domains
+  /// report unfinished work at global idle; after a domain throws, the
+  /// current window completes, no further window opens, and the exception
+  /// of the lowest-id failing domain is rethrown.
+  void run();
 
   [[nodiscard]] const ParallelStats& stats() const noexcept { return stats_; }
   [[nodiscard]] Cycles lookahead() const noexcept { return lookahead_; }
-  [[nodiscard]] std::size_t domains() const noexcept { return domains_.size(); }
 
 private:
   struct Msg {
     Cycles at = 0;
     std::uint64_t key = 0;
     DomainId src = 0;
-    std::uint64_t seq = 0;  // per-channel send order (last-resort tie-break)
+    std::uint64_t seq = 0;  // send order (last-resort tie-break)
     std::function<void()> deliver;
   };
-  struct alignas(64) WorkerSlot {
-    Cycles min = Engine::kNever;
-  };
 
-  class Barrier;
-
-  [[nodiscard]] SpscChannel<Msg>& channel(DomainId src, DomainId dst) {
-    return *channels_[src * domains_.size() + dst];
-  }
   void flush_inbound(DomainId dst);
-  [[nodiscard]] Cycles domain_floor(DomainId d);
-  void worker_loop(unsigned w, unsigned workers);
-  void decide();
+  // Run `f`, parking any exception as domain `d`'s error.
+  template <typename F>
+  void guarded(DomainId d, F&& f);
 
   Cycles lookahead_;
   std::vector<Domain*> domains_;
-  std::vector<std::unique_ptr<SpscChannel<Msg>>> channels_;  // K*K, row = src
-  std::vector<std::uint64_t> send_seq_;                      // per channel
-  std::vector<std::uint64_t> delivered_;                     // per domain
-  std::vector<std::exception_ptr> errors_;                   // per domain
-  std::vector<std::vector<Msg>> inbox_;                      // per-domain scratch
-  std::vector<WorkerSlot> slots_;
-  std::unique_ptr<Barrier> barrier_;
-  Cycles window_end_ = 0;  // leader-written between barriers
-  bool done_ = false;      // leader-written between barriers
-  std::atomic<bool> failed_{false};
+  std::vector<std::vector<Msg>> outbox_;     // per destination domain
+  std::vector<std::exception_ptr> errors_;   // per domain
+  std::uint64_t send_seq_ = 0;
+  bool failed_ = false;
   ParallelStats stats_;
   bool ran_ = false;
 };

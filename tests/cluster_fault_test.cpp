@@ -298,7 +298,7 @@ TEST(ClusterFailover, LateNoticeAfterQuarantineIsStale) {
       "chip-stall chip=0,1 at=0 for=1500000\n");
 
   sched::ClusterScheduler cs(cfg);
-  cs.run(2);
+  cs.run();
   EXPECT_TRUE(cs.failover_armed());
   EXPECT_EQ(cs.stats().dead_chips, 0u);  // a stall is not a crash
   EXPECT_GT(cs.stats().reforwarded, 0u);
@@ -339,7 +339,7 @@ TEST(ClusterFailover, WatchdogAbandonedKernelsAreNotADeadlock) {
       "chip-stall chip=0,1 at=100000 for=50000\n");
 
   sched::ClusterScheduler cs(cfg);
-  ASSERT_NO_THROW(cs.run(2));
+  ASSERT_NO_THROW(cs.run());
   bool watchdog_fired = false;
   for (unsigned c = 0; c < cs.stats().chips; ++c) {
     for (const auto& r : cs.chip_sched(c).fault_log()) {

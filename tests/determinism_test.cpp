@@ -376,19 +376,19 @@ TEST(GoldenDeterminism, ServeWatchdogTripsWreckedGroupInSameCycle) {
   EXPECT_EQ(fnv1a(serve_bytes(sc)), 1817491458113101221ull);
 }
 
-// ---- parallel (PDES) cluster serving ---------------------------------------
+// ---- multi-chip (PDES) cluster serving -------------------------------------
 //
-// The tentpole contract of --parallel=N: the cluster report, every chip's
-// decision log, and the cross-chip notice logs are byte-identical for every
-// worker count. Each scenario below runs with N in {1, 2, 4}, compares the
-// full byte stream against the N=1 reference, and pins its FNV-1a hash so
-// any drift in the window schedule or merge order fails loudly here.
+// The cluster contract: the cluster report, every chip's decision log, and
+// the cross-chip notice logs are byte-identical from run to run. Each
+// scenario below runs twice on fresh chips, compares the full byte streams,
+// and pins their FNV-1a hash so any drift in the window schedule or merge
+// order fails loudly here.
 
 // Everything observable from a cluster run, concatenated: report bytes,
 // per-chip decision logs, per-chip fault logs, per-chip notice logs.
-std::string cluster_bytes(const sched::ClusterConfig& cfg, unsigned workers) {
+std::string cluster_bytes(const sched::ClusterConfig& cfg) {
   sched::ClusterScheduler cs(cfg);
-  cs.run(workers);
+  cs.run();
   std::string all = cs.report();
   for (unsigned c = 0; c < cs.stats().chips; ++c) {
     for (const auto& line : cs.chip_sched(c).event_log()) all += line + "\n";
@@ -400,11 +400,10 @@ std::string cluster_bytes(const sched::ClusterConfig& cfg, unsigned workers) {
   return all;
 }
 
-void expect_parallel_invariant(const sched::ClusterConfig& cfg,
-                               std::uint64_t golden) {
-  const std::string ref = cluster_bytes(cfg, 1);
-  EXPECT_EQ(cluster_bytes(cfg, 2), ref);
-  EXPECT_EQ(cluster_bytes(cfg, 4), ref);
+void expect_replay_golden(const sched::ClusterConfig& cfg,
+                          std::uint64_t golden) {
+  const std::string ref = cluster_bytes(cfg);
+  EXPECT_EQ(cluster_bytes(cfg), ref);
   EXPECT_EQ(fnv1a(ref), golden);
 }
 
@@ -421,11 +420,11 @@ sched::ClusterConfig small_cluster() {
 
 // Mixed serving traffic (matmul/stencil/offload/shmem kinds), clean chips.
 TEST(GoldenDeterminism, ClusterServeParallelInvariance) {
-  expect_parallel_invariant(small_cluster(), 10252299936465896053ull);
+  expect_replay_golden(small_cluster(), 10252299936465896053ull);
 }
 
 // Comm-bound epi-shmem traffic only (cannon + transpose): the PGAS flag
-// protocols and chained signal DMA all inside parallel windows.
+// protocols and chained signal DMA all inside PDES windows.
 TEST(GoldenDeterminism, ClusterShmemMixParallelInvariance) {
   sched::ClusterConfig cfg = small_cluster();
   cfg.traffic.matmul_weight = 0;
@@ -434,12 +433,12 @@ TEST(GoldenDeterminism, ClusterShmemMixParallelInvariance) {
   cfg.traffic.cannon_weight = 2;
   cfg.traffic.transpose_weight = 2;
   cfg.traffic.seed = 9;
-  expect_parallel_invariant(cfg, 13678313535663572526ull);
+  expect_replay_golden(cfg, 13678313535663572526ull);
 }
 
 // Per-chip chaos plans with the watchdog armed: stalls, link outages and
 // write corruption become FaultReports and re-executions, and that whole
-// recovery story must still be worker-count-invariant.
+// recovery story must still replay byte for byte.
 TEST(GoldenDeterminism, ClusterServeWithFaultsParallelInvariance) {
   sched::ClusterConfig cfg = small_cluster();
   cfg.sched.watchdog_cycles = 400'000;
@@ -451,42 +450,38 @@ TEST(GoldenDeterminism, ClusterServeWithFaultsParallelInvariance) {
     chaos.mem_flips = 1;
     cfg.fault_plans.push_back(fault::generate(chaos));
   }
-  expect_parallel_invariant(cfg, 74659777904851189ull);
+  expect_replay_golden(cfg, 74659777904851189ull);
 }
 
 // Pipelined (job-graph) traffic: multi-stage requests with per-graph routing,
 // co-placement, tensor handoffs over both transports, and stage overlap --
-// the whole epi-dag story must be worker-count-invariant too.
+// the whole epi-dag story must replay byte for byte too.
 TEST(GoldenDeterminism, ClusterPipelineParallelInvariance) {
   sched::ClusterConfig cfg = small_cluster();
   cfg.traffic.jobs = 10;
   cfg.traffic.seed = 13;
   cfg.traffic.pipeline_frac = 0.5;
-  expect_parallel_invariant(cfg, 2654938591465841575ull);
+  expect_replay_golden(cfg, 2654938591465841575ull);
 }
 
 // Arming empty per-chip plans hooks every layer but must not move a single
-// event: identical bytes to the no-plan run, for every worker count.
+// event: identical bytes to the no-plan run.
 TEST(GoldenDeterminism, ClusterServeEmptyFaultPlansAreFree) {
-  const std::string ref = cluster_bytes(small_cluster(), 1);
+  const std::string ref = cluster_bytes(small_cluster());
   sched::ClusterConfig armed = small_cluster();
   armed.fault_plans.assign(4, fault::FaultPlan{});
-  EXPECT_EQ(cluster_bytes(armed, 1), ref);
-  EXPECT_EQ(cluster_bytes(armed, 2), ref);
-  EXPECT_EQ(cluster_bytes(armed, 4), ref);
+  EXPECT_EQ(cluster_bytes(armed), ref);
 }
 
 // Same guarantee for the cluster-scoped plan path: a `chips 2x2` plan with
 // no events constructs the ClusterInjector but must not arm failover or
 // move a single event.
 TEST(GoldenDeterminism, ClusterServeEmptyClusterPlanIsFree) {
-  const std::string ref = cluster_bytes(small_cluster(), 1);
+  const std::string ref = cluster_bytes(small_cluster());
   sched::ClusterConfig armed = small_cluster();
   std::istringstream plan("seed 1\nchips 2x2\n");
   armed.cluster_plan = fault::parse(plan, "empty");
-  EXPECT_EQ(cluster_bytes(armed, 1), ref);
-  EXPECT_EQ(cluster_bytes(armed, 2), ref);
-  EXPECT_EQ(cluster_bytes(armed, 4), ref);
+  EXPECT_EQ(cluster_bytes(armed), ref);
 }
 
 // The failover tentpole: a chip crash mid-run plus a host stall, a flapping
@@ -494,7 +489,7 @@ TEST(GoldenDeterminism, ClusterServeEmptyClusterPlanIsFree) {
 // watchdogs, quarantine, and re-forwarding all fire, and the complete
 // recovery transcript (report with health footer, recovery decisions,
 // cluster fault lines, per-chip decision/fault/notice logs) must be
-// byte-identical for every worker count.
+// byte-identical from run to run.
 TEST(GoldenDeterminism, ClusterChipCrashFailoverParallelInvariance) {
   sched::ClusterConfig cfg = small_cluster();
   cfg.traffic.jobs = 10;
@@ -514,7 +509,7 @@ TEST(GoldenDeterminism, ClusterChipCrashFailoverParallelInvariance) {
   // dead chip is marked, orphans were re-homed, and every record carries a
   // terminal verdict.
   sched::ClusterScheduler cs(cfg);
-  cs.run(4);
+  cs.run();
   EXPECT_TRUE(cs.failover_armed());
   EXPECT_EQ(cs.stats().dead_chips, 1u);
   EXPECT_GT(cs.stats().reforwarded, 0u);
@@ -533,7 +528,7 @@ TEST(GoldenDeterminism, ClusterChipCrashFailoverParallelInvariance) {
   }
   EXPECT_GT(completed_elsewhere, 0u);
 
-  expect_parallel_invariant(cfg, 12557027773043665117ull);
+  expect_replay_golden(cfg, 12557027773043665117ull);
 }
 
 }  // namespace

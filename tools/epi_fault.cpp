@@ -37,11 +37,14 @@
 //                              under chip crashes/stalls, bridge-link
 //                              outages and notice faults; every job must
 //                              reach a verdict (no wedged graphs), orphaned
-//                              forwards must be re-homed, and the cluster
-//                              report must be byte-identical across
-//                              --parallel={1,2,4}
+//                              forwards must be re-homed, and a replay of
+//                              the same configuration must produce a
+//                              byte-identical cluster report
 //
-// Exit status: 0 on success / all checks pass, 1 otherwise.
+// Numeric values are parsed strictly (tools/cli.hpp).
+//
+// Exit status: 0 on success / all checks pass, 1 otherwise, 2 on a bad
+// command line.
 
 #include <cstdio>
 #include <fstream>
@@ -58,19 +61,13 @@
 #include "sched/report.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/workload.hpp"
+#include "cli.hpp"
 
 namespace {
 
 using namespace epi;
 
-bool value_flag(std::string_view arg, std::string_view flag, std::string& out) {
-  if (arg.size() > flag.size() + 1 && arg.substr(0, flag.size()) == flag &&
-      arg[flag.size()] == '=') {
-    out = std::string(arg.substr(flag.size() + 1));
-    return true;
-  }
-  return false;
-}
+using cli::value_flag;
 
 struct ServeResult {
   std::string report;
@@ -273,7 +270,7 @@ int chaos_smoke() {
 /// Cluster chaos smoke: an RxC chip grid served under every chip-scoped
 /// fault kind at once. The failover acceptance criteria in one binary: no
 /// wedged jobs or graphs, orphaned forwards re-homed onto healthy chips,
-/// and the full recovery transcript byte-identical across worker counts.
+/// and the full recovery transcript byte-identical on replay.
 int cluster_chaos_smoke(unsigned rows, unsigned cols) {
   int failures = 0;
 
@@ -306,9 +303,9 @@ int cluster_chaos_smoke(unsigned rows, unsigned cols) {
     sched::ClusterStats stats;
     unsigned unresolved = 0;
   };
-  const auto serve_cluster = [&conf](unsigned workers) {
+  const auto serve_cluster = [&conf] {
     sched::ClusterScheduler cs(conf);
-    cs.run(workers);
+    cs.run();
     Run out;
     out.report = cs.report();
     out.stats = cs.stats();
@@ -320,7 +317,7 @@ int cluster_chaos_smoke(unsigned rows, unsigned cols) {
     return out;
   };
 
-  const Run first = serve_cluster(4);
+  const Run first = serve_cluster();
   check(first.unresolved == 0, "cluster chaos: no wedged jobs or graphs",
         failures);
   check(first.stats.dead_chips >= 1, "cluster chaos: a chip crashed mid-run",
@@ -329,13 +326,8 @@ int cluster_chaos_smoke(unsigned rows, unsigned cols) {
         "cluster chaos: orphaned forwards were re-homed", failures);
   check(first.stats.quarantines > 0,
         "cluster chaos: the sick chip was quarantined", failures);
-  for (const unsigned w : {1u, 2u}) {
-    const Run again = serve_cluster(w);
-    check(again.report == first.report,
-          w == 1 ? "cluster chaos: --parallel=1 replays the same bytes"
-                 : "cluster chaos: --parallel=2 replays the same bytes",
-          failures);
-  }
+  check(serve_cluster().report == first.report,
+        "cluster chaos: a replay produces the same bytes", failures);
 
   std::printf(
       "\ncluster-chaos-smoke: %s (dead=%u reforwarded=%llu quarantines=%llu "
@@ -353,7 +345,7 @@ int cluster_chaos_smoke(unsigned rows, unsigned cols) {
 
 int main(int argc, char** argv) {
   std::string verb;
-  std::string plan_path, out_path, val;
+  std::string plan_path, out_path;
   fault::ChaosConfig cc;
   cc.dims = {8, 8};
   cc.core_kills = 1;
@@ -368,52 +360,55 @@ int main(int argc, char** argv) {
   sim::Cycles watchdog = 400'000;
   bool print_log = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "gen" || arg == "run") { verb = arg; continue; }
-    if (arg == "--selftest") { verb = "selftest"; continue; }
-    if (arg == "--chaos-smoke") { verb = "chaos-smoke"; continue; }
-    if (arg == "--log") { print_log = true; continue; }
-    if (value_flag(arg, "--plan", plan_path) || value_flag(arg, "--out", out_path))
-      continue;
-    if (value_flag(arg, "--chaos-seed", val)) { cc.seed = std::stoull(val); continue; }
-    if (value_flag(arg, "--kills", val)) { cc.core_kills = std::stoul(val); continue; }
-    if (value_flag(arg, "--stalls", val)) { cc.core_stalls = std::stoul(val); continue; }
-    if (value_flag(arg, "--links", val)) { cc.link_faults = std::stoul(val); continue; }
-    if (value_flag(arg, "--elink-outages", val)) { cc.elink_outages = std::stoul(val); continue; }
-    if (value_flag(arg, "--elink-flips", val)) { cc.elink_flips = std::stoul(val); continue; }
-    if (value_flag(arg, "--mem-flips", val)) { cc.mem_flips = std::stoul(val); continue; }
-    if (value_flag(arg, "--chips", val)) {
-      const auto x = val.find('x');
-      if (x == std::string::npos) {
-        std::fprintf(stderr, "epi_fault: --chips needs RxC (e.g. 2x2)\n");
-        return 2;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string_view arg = argv[i];
+      if (arg == "gen" || arg == "run") { verb = arg; continue; }
+      if (arg == "--selftest") { verb = "selftest"; continue; }
+      if (arg == "--chaos-smoke") { verb = "chaos-smoke"; continue; }
+      if (arg == "--log") { print_log = true; continue; }
+      if (value_flag(arg, "--plan", plan_path) ||
+          value_flag(arg, "--out", out_path) ||
+          cli::uint_flag(arg, "--chaos-seed", cc.seed, 0, cli::kMaxSeed) ||
+          cli::uint_flag(arg, "--kills", cc.core_kills, 0, cli::kMaxFaults) ||
+          cli::uint_flag(arg, "--stalls", cc.core_stalls, 0, cli::kMaxFaults) ||
+          cli::uint_flag(arg, "--links", cc.link_faults, 0, cli::kMaxFaults) ||
+          cli::uint_flag(arg, "--elink-outages", cc.elink_outages, 0,
+                         cli::kMaxFaults) ||
+          cli::uint_flag(arg, "--elink-flips", cc.elink_flips, 0,
+                         cli::kMaxFaults) ||
+          cli::uint_flag(arg, "--mem-flips", cc.mem_flips, 0, cli::kMaxFaults) ||
+          cli::grid_flag(arg, "--chips", cc.chip_rows, cc.chip_cols, 8) ||
+          cli::uint_flag(arg, "--chip-crashes", cc.chip_crashes, 0,
+                         cli::kMaxFaults) ||
+          cli::uint_flag(arg, "--chip-stalls", cc.chip_stalls, 0,
+                         cli::kMaxFaults) ||
+          cli::uint_flag(arg, "--xmesh", cc.xmesh_faults, 0, cli::kMaxFaults) ||
+          cli::uint_flag(arg, "--notice-drops", cc.notice_drops, 0,
+                         cli::kMaxFaults) ||
+          cli::uint_flag(arg, "--notice-flips", cc.notice_flips, 0,
+                         cli::kMaxFaults) ||
+          cli::uint_flag(arg, "--horizon", cc.horizon, 0, cli::kMaxCycles) ||
+          cli::uint_flag(arg, "--jobs", jobs, 1, cli::kMaxJobs) ||
+          cli::uint_flag(arg, "--seed", traffic_seed, 0, cli::kMaxSeed) ||
+          cli::uint_flag(arg, "--interarrival", interarrival, 0,
+                         cli::kMaxCycles) ||
+          cli::uint_flag(arg, "--watchdog", watchdog, 0, cli::kMaxCycles)) {
+        continue;
       }
-      cc.chip_rows = static_cast<unsigned>(std::stoul(val.substr(0, x)));
-      cc.chip_cols = static_cast<unsigned>(std::stoul(val.substr(x + 1)));
-      continue;
+      throw cli::UsageError("unknown argument '" + std::string(arg) +
+                            "' (see the header of tools/epi_fault.cpp)");
     }
-    if (value_flag(arg, "--chip-crashes", val)) { cc.chip_crashes = std::stoul(val); continue; }
-    if (value_flag(arg, "--chip-stalls", val)) { cc.chip_stalls = std::stoul(val); continue; }
-    if (value_flag(arg, "--xmesh", val)) { cc.xmesh_faults = std::stoul(val); continue; }
-    if (value_flag(arg, "--notice-drops", val)) { cc.notice_drops = std::stoul(val); continue; }
-    if (value_flag(arg, "--notice-flips", val)) { cc.notice_flips = std::stoul(val); continue; }
-    if (value_flag(arg, "--horizon", val)) { cc.horizon = std::stoull(val); continue; }
-    if (value_flag(arg, "--jobs", val)) { jobs = static_cast<unsigned>(std::stoul(val)); continue; }
-    if (value_flag(arg, "--seed", val)) { traffic_seed = std::stoull(val); continue; }
-    if (value_flag(arg, "--interarrival", val)) { interarrival = std::stoull(val); continue; }
-    if (value_flag(arg, "--watchdog", val)) { watchdog = std::stoull(val); continue; }
-    std::fprintf(stderr, "epi_fault: unknown argument '%s' (see the header of tools/epi_fault.cpp)\n",
-                 std::string(arg).c_str());
+  } catch (const cli::UsageError& e) {
+    std::fprintf(stderr, "epi_fault: %s\n", e.what());
     return 2;
   }
 
   try {
     if (verb == "selftest") return selftest();
     if (verb == "chaos-smoke") {
-      if (cc.chip_rows != 0 || cc.chip_cols != 0) {
-        if (cc.chip_rows == 0 || cc.chip_cols == 0 ||
-            cc.chip_rows * cc.chip_cols < 2) {
+      if (cc.chip_rows != 0) {
+        if (cc.chip_rows * cc.chip_cols < 2) {
           std::fprintf(stderr,
                        "epi_fault: --chaos-smoke --chips needs a grid of at "
                        "least 2 chips\n");

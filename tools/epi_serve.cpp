@@ -45,17 +45,16 @@
 //                        must complete, deterministically across two runs
 //
 // Cluster (multi-chip xMesh) mode -- each chip is one conservative-PDES
-// domain with its own engine and scheduler, advanced in parallel windows:
-//     --chips=RxC        serve an RxC chip grid instead of one chip; each
-//                        chip gets its own seeded stream of --jobs jobs and
-//                        a --remote-frac fraction is forwarded over the
-//                        xMesh bridge to another chip's scheduler
-//     --parallel=N       worker threads for the cluster run (default 1;
-//                        reports are byte-identical for every N)
+// domain with its own engine and scheduler, advanced in shared windows:
+//     --chips=RxC        serve an RxC chip grid (up to 8x8) instead of one
+//                        chip; each chip gets its own seeded stream of
+//                        --jobs jobs and a --remote-frac fraction is
+//                        forwarded over the xMesh bridge to another chip's
+//                        scheduler
 //     --remote-frac=F    fraction of each chip's stream homed off-chip
 //                        (default 0.25)
-//     --selftest         in cluster mode: rerun with 1, 2 and N workers and
-//                        fail unless all reports are byte-identical
+//     --selftest         in cluster mode: run the same configuration twice
+//                        and fail unless the reports are byte-identical
 //     --plan=FILE        in cluster mode: a cluster fault plan (`chips RxC`
 //                        grammar) -- chip-crash/chip-stall/xmesh/notice
 //                        faults arm the failover stack (heartbeat watchdogs,
@@ -68,6 +67,9 @@
 //
 // Generated streams mix matmul, stencil, DRAM-window offload, and the
 // epi-shmem cannon/transpose PGAS workloads (see src/sched/workload.hpp).
+//
+// Numeric values are parsed strictly (tools/cli.hpp): a malformed, signed
+// or out-of-range value exits with status 2 and names the flag.
 
 #include <chrono>
 #include <cstdio>
@@ -76,7 +78,6 @@
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "fault/injector.hpp"
@@ -89,6 +90,7 @@
 #include "sched/workload.hpp"
 #include "trace/export.hpp"
 #include "trace/tracer.hpp"
+#include "cli.hpp"
 
 namespace {
 
@@ -114,19 +116,11 @@ struct Options {
   unsigned asm_rows = 1, asm_cols = 1;
   bool verify_selftest = false;
   unsigned chip_rows = 0, chip_cols = 0;  // 0 = single-chip mode
-  unsigned parallel = 1;
   double remote_frac = 0.25;
   double pipelines = 0.0;
 };
 
-bool value_flag(std::string_view arg, std::string_view flag, std::string& out) {
-  if (arg.size() > flag.size() + 1 && arg.substr(0, flag.size()) == flag &&
-      arg[flag.size()] == '=') {
-    out = std::string(arg.substr(flag.size() + 1));
-    return true;
-  }
-  return false;
-}
+using cli::value_flag;
 
 struct RunOutput {
   std::string report;
@@ -281,9 +275,9 @@ int verify_selftest() {
   return ok ? 0 : 1;
 }
 
-/// Cluster mode: serve an RxC chip grid through the parallel PDES executor.
-/// The report is byte-identical for every worker count; --selftest proves it
-/// by rerunning with other counts and comparing bytes.
+/// Cluster mode: serve an RxC chip grid through the conservative PDES
+/// window loop. --selftest reruns the same configuration on fresh chips and
+/// compares the report bytes.
 int run_cluster(const Options& opt) {
   if (!opt.spec_path.empty() || !opt.asm_files.empty()) {
     std::fprintf(stderr,
@@ -312,10 +306,10 @@ int run_cluster(const Options& opt) {
   cc.remote_frac = opt.remote_frac;
   cc.trace = !opt.trace_path.empty();
 
-  const auto serve = [&cc, &opt](unsigned workers, double* wall_ms) {
+  const auto serve = [&cc, &opt](double* wall_ms) {
     sched::ClusterScheduler cs(cc);
     const auto t0 = std::chrono::steady_clock::now();
-    cs.run(workers);
+    cs.run();
     const auto t1 = std::chrono::steady_clock::now();
     if (wall_ms != nullptr) {
       *wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -334,34 +328,25 @@ int run_cluster(const Options& opt) {
 
   std::cout << "serving a " << opt.chip_rows << "x" << opt.chip_cols
             << " chip grid: " << opt.jobs << " jobs/chip (seed " << opt.seed
-            << "), remote-frac " << opt.remote_frac << ", --parallel="
-            << opt.parallel << "\n\n";
+            << "), remote-frac " << opt.remote_frac << "\n\n";
   double wall = 0.0;
-  const std::string report = serve(opt.parallel, &wall);
+  const std::string report = serve(&wall);
   std::cout << report;
   // Timing is narrative only -- never part of the report bytes.
-  std::printf(
-      "\nwall-clock: %.1f ms with %u worker thread(s) (%u hardware threads)\n",
-      wall, opt.parallel, std::thread::hardware_concurrency());
+  std::printf("\nwall-clock: %.1f ms\n", wall);
   if (!opt.report_path.empty()) {
     std::ofstream os(opt.report_path, std::ios::binary | std::ios::trunc);
     if (!os) throw std::runtime_error("cannot write report: " + opt.report_path);
     os << report;
   }
   if (opt.selftest) {
-    bool ok = true;
-    for (const unsigned w : {1u, 2u}) {
-      if (w == opt.parallel) continue;
-      if (serve(w, nullptr) != report) {
-        std::fprintf(stderr,
-                     "epi_serve: FAIL: reports differ between --parallel=%u "
-                     "and --parallel=%u\n",
-                     opt.parallel, w);
-        ok = false;
-      }
+    const bool ok = serve(nullptr) == report;
+    if (!ok) {
+      std::fprintf(stderr, "epi_serve: FAIL: cluster reports differ between "
+                           "two identical runs\n");
     }
     std::cout << (ok ? "\nselftest: PASS (byte-identical cluster reports "
-                       "across worker counts)\n"
+                       "across two identical runs)\n"
                      : "\nselftest: FAIL\n");
     return ok ? 0 : 1;
   }
@@ -373,91 +358,46 @@ int run_cluster(const Options& opt) {
 int main(int argc, char** argv) {
   Options opt;
   std::string val;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (value_flag(arg, "--spec", opt.spec_path) ||
-        value_flag(arg, "--spec-out", opt.spec_out) ||
-        value_flag(arg, "--report", opt.report_path) ||
-        value_flag(arg, "--trace", opt.trace_path) ||
-        value_flag(arg, "--plan", opt.plan_path)) {
-      continue;
-    }
-    if (value_flag(arg, "--watchdog", val)) {
-      opt.watchdog = std::stoull(val);
-      opt.watchdog_set = true;
-      continue;
-    }
-    if (arg == "--strict") { opt.strict = true; continue; }
-    if (value_flag(arg, "--jobs", val)) { opt.jobs = static_cast<unsigned>(std::stoul(val)); continue; }
-    if (value_flag(arg, "--seed", val)) { opt.seed = std::stoull(val); continue; }
-    if (value_flag(arg, "--interarrival", val)) { opt.interarrival = std::stoull(val); continue; }
-    if (value_flag(arg, "--queue", val)) { opt.queue = std::stoul(val); continue; }
-    if (arg == "--log") { opt.print_log = true; continue; }
-    if (arg == "--selftest") { opt.selftest = true; continue; }
-    if (arg == "--verify-selftest") { opt.verify_selftest = true; continue; }
-    if (value_flag(arg, "--lint", val)) {
-      if (val == "off") opt.lint = sched::LintMode::Off;
-      else if (val == "warn") opt.lint = sched::LintMode::Warn;
-      else if (val == "strict") opt.lint = sched::LintMode::Strict;
-      else {
-        std::fprintf(stderr, "epi_serve: --lint needs off|warn|strict\n");
-        return 2;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string_view arg = argv[i];
+      if (value_flag(arg, "--spec", opt.spec_path) ||
+          value_flag(arg, "--spec-out", opt.spec_out) ||
+          value_flag(arg, "--report", opt.report_path) ||
+          value_flag(arg, "--trace", opt.trace_path) ||
+          value_flag(arg, "--plan", opt.plan_path) ||
+          value_flag(arg, "--asm", opt.asm_files) ||
+          cli::uint_flag(arg, "--jobs", opt.jobs, 1, cli::kMaxJobs) ||
+          cli::uint_flag(arg, "--seed", opt.seed, 0, cli::kMaxSeed) ||
+          cli::uint_flag(arg, "--interarrival", opt.interarrival, 0,
+                         cli::kMaxCycles) ||
+          cli::uint_flag(arg, "--queue", opt.queue, 1, cli::kMaxJobs) ||
+          cli::fraction_flag(arg, "--remote-frac", opt.remote_frac) ||
+          cli::fraction_flag(arg, "--pipelines", opt.pipelines) ||
+          cli::grid_flag(arg, "--chips", opt.chip_rows, opt.chip_cols, 8) ||
+          cli::grid_flag(arg, "--asm-shape", opt.asm_rows, opt.asm_cols, 8)) {
+        continue;
       }
-      continue;
-    }
-    if (value_flag(arg, "--chips", val)) {
-      const auto x = val.find('x');
-      try {
-        if (x == std::string::npos) throw std::invalid_argument(val);
-        opt.chip_rows = static_cast<unsigned>(std::stoul(val.substr(0, x)));
-        opt.chip_cols = static_cast<unsigned>(std::stoul(val.substr(x + 1)));
-      } catch (const std::exception&) {
-        std::fprintf(stderr, "epi_serve: --chips needs RxC (e.g. 2x2)\n");
-        return 2;
+      if (cli::uint_flag(arg, "--watchdog", opt.watchdog, 0, cli::kMaxCycles)) {
+        opt.watchdog_set = true;
+        continue;
       }
-      if (opt.chip_rows == 0 || opt.chip_cols == 0) {
-        std::fprintf(stderr, "epi_serve: --chips needs a non-empty grid\n");
-        return 2;
+      if (arg == "--strict") { opt.strict = true; continue; }
+      if (arg == "--log") { opt.print_log = true; continue; }
+      if (arg == "--selftest") { opt.selftest = true; continue; }
+      if (arg == "--verify-selftest") { opt.verify_selftest = true; continue; }
+      if (value_flag(arg, "--lint", val)) {
+        if (val == "off") opt.lint = sched::LintMode::Off;
+        else if (val == "warn") opt.lint = sched::LintMode::Warn;
+        else if (val == "strict") opt.lint = sched::LintMode::Strict;
+        else throw cli::UsageError("--lint needs off|warn|strict");
+        continue;
       }
-      continue;
+      throw cli::UsageError("unknown argument '" + std::string(arg) +
+                            "' (see the header of tools/epi_serve.cpp)");
     }
-    if (value_flag(arg, "--parallel", val)) {
-      opt.parallel = static_cast<unsigned>(std::stoul(val));
-      if (opt.parallel == 0) opt.parallel = 1;
-      continue;
-    }
-    if (value_flag(arg, "--remote-frac", val)) {
-      opt.remote_frac = std::stod(val);
-      continue;
-    }
-    if (value_flag(arg, "--pipelines", val)) {
-      opt.pipelines = std::stod(val);
-      if (opt.pipelines < 0.0 || opt.pipelines > 1.0) {
-        std::fprintf(stderr, "epi_serve: --pipelines needs a fraction in [0,1]\n");
-        return 2;
-      }
-      continue;
-    }
-    if (value_flag(arg, "--asm", opt.asm_files)) continue;
-    if (value_flag(arg, "--asm-shape", val)) {
-      const auto x = val.find('x');
-      try {
-        if (x == std::string::npos) throw std::invalid_argument(val);
-        opt.asm_rows = static_cast<unsigned>(std::stoul(val.substr(0, x)));
-        opt.asm_cols = static_cast<unsigned>(std::stoul(val.substr(x + 1)));
-      } catch (const std::exception&) {
-        std::fprintf(stderr, "epi_serve: --asm-shape needs RxC (e.g. 2x2)\n");
-        return 2;
-      }
-      if (opt.asm_rows == 0 || opt.asm_cols == 0 || opt.asm_rows > 8 ||
-          opt.asm_cols > 8) {
-        std::fprintf(stderr, "epi_serve: --asm-shape must fit the 8x8 mesh\n");
-        return 2;
-      }
-      continue;
-    }
-    std::fprintf(stderr, "epi_serve: unknown argument '%s' (see the header of tools/epi_serve.cpp)\n",
-                 std::string(arg).c_str());
+  } catch (const cli::UsageError& e) {
+    std::fprintf(stderr, "epi_serve: %s\n", e.what());
     return 2;
   }
 
