@@ -12,20 +12,15 @@
 // side dedups, CRC rejects), and the chips lost.
 //
 // Results go to BENCH_cluster_faults.json; the committed copy at the
-// repository root is the baseline scripts/bench.sh and CI compare against.
+// repository root is a byte-exact golden (ctest cluster_faults_bench_golden).
+// Every level is replayed once on a fresh cluster and the run exits non-zero
+// if the observable cluster bytes (report + decision/fault/notice logs)
+// diverge.
 //
-// Usage: abl_cluster_faults [jobs_per_chip] [--smoke] [--csv=FILE]
-//                           [--metrics=FILE] [--no-metrics]
-//
-// --smoke: shrink the stream, replay every level once on a fresh cluster
-// asserting the observable cluster bytes (report + decision/fault/notice
-// logs) are identical, and validate the metrics schema (the ctest entry);
-// non-zero exit on any mismatch.
+// Usage: abl_cluster_faults [--metrics=FILE] [--no-metrics]
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -122,24 +117,10 @@ double goodput(const LevelResult& lr) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto args = util::BenchArgs::parse(argc, argv, "abl_cluster_faults");
-  bool smoke = false;
-  for (auto it = args.positional.begin(); it != args.positional.end();) {
-    if (*it == "--smoke") {
-      smoke = true;
-      it = args.positional.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (args.metrics_path == "abl_cluster_faults_trace.json") {
-    // Default output name matches the committed baseline (override with
-    // --metrics=...).
-    args.metrics_path =
-        smoke ? "BENCH_cluster_faults_smoke.json" : "BENCH_cluster_faults.json";
-  }
-  const unsigned jobs =
-      static_cast<unsigned>(args.positional_double(0, smoke ? 10 : 20));
+  const auto args = util::BenchArgs::parse(argc, argv, "abl_cluster_faults",
+                                           "BENCH_cluster_faults.json");
+  if (args.reject_positional()) return 2;
+  constexpr unsigned jobs = 20;
 
   std::cout << "epi-serve cluster fault sweep: 2x2 chips, " << jobs
             << " jobs/chip/level, traffic seed 42, watchdog 400000 cycles\n\n";
@@ -152,7 +133,7 @@ int main(int argc, char** argv) {
     const LevelResult lr = run_level(lv, jobs);
     // Replay is the cluster determinism contract: a second run on a fresh
     // cluster must produce the very same observable bytes.
-    if (smoke && run_level(lv, jobs).bytes != lr.bytes) {
+    if (run_level(lv, jobs).bytes != lr.bytes) {
       std::fprintf(stderr,
                    "abl_cluster_faults: FAIL: level %s diverged on replay\n",
                    lv.name);
@@ -198,34 +179,5 @@ int main(int argc, char** argv) {
 
   util::finish_bench(args, nullptr, report);
 
-  if (smoke && !args.metrics_path.empty()) {
-    // Schema check: goodput and recovery metrics must exist per level.
-    std::ifstream in(args.metrics_path, std::ios::binary);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string json = ss.str();
-    if (json.find("\"bench\":\"abl_cluster_faults\"") == std::string::npos) {
-      std::fprintf(stderr, "abl_cluster_faults: FAIL: %s missing bench name\n",
-                   args.metrics_path.c_str());
-      ok = false;
-    }
-    for (const Level& lv : kLevels) {
-      for (const char* key :
-           {"goodput_jobs_per_mcycle", "completed_fraction", "reforwarded",
-            "quarantines", "dead_chips"}) {
-        const std::string want =
-            std::string("\"f_") + lv.name + "_" + key + "\":";
-        if (json.find(want) == std::string::npos) {
-          std::fprintf(stderr,
-                       "abl_cluster_faults: FAIL: %s missing metric %s\n",
-                       args.metrics_path.c_str(), want.c_str());
-          ok = false;
-        }
-      }
-    }
-    std::cout << (ok ? "\nsmoke: PASS (cluster bytes identical on replay "
-                       "at every level; metrics schema valid)\n"
-                     : "\nsmoke: FAIL\n");
-  }
   return ok ? 0 : 1;
 }

@@ -11,19 +11,14 @@
 // and how much of the mesh ended the run quarantined.
 //
 // Results go to BENCH_faults.json; the committed copy at the repository
-// root is the baseline scripts/bench.sh and CI compare new runs against.
+// root is a byte-exact golden (ctest faults_bench_golden). Every level is
+// replayed once and the run exits non-zero if the decision or fault log
+// diverges.
 //
-// Usage: abl_faults [jobs_per_level] [--smoke] [--trace=FILE] [--csv=FILE]
-//                   [--metrics=FILE] [--no-metrics]
-//
-// --smoke: shrink the stream, rerun every level twice asserting decision
-// and fault logs are byte-identical run over run, and validate the metrics
-// schema (the ctest entry); non-zero exit on any mismatch.
+// Usage: abl_faults [--metrics=FILE] [--no-metrics]
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -120,23 +115,10 @@ LevelResult run_level(const Level& lv, unsigned jobs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto args = util::BenchArgs::parse(argc, argv, "abl_faults");
-  bool smoke = false;
-  for (auto it = args.positional.begin(); it != args.positional.end();) {
-    if (*it == "--smoke") {
-      smoke = true;
-      it = args.positional.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (args.metrics_path == "abl_faults_trace.json") {
-    // Default output name matches the committed baseline (override with
-    // --metrics=...).
-    args.metrics_path = smoke ? "BENCH_faults_smoke.json" : "BENCH_faults.json";
-  }
-  const unsigned jobs =
-      static_cast<unsigned>(args.positional_double(0, smoke ? 24 : 48));
+  const auto args =
+      util::BenchArgs::parse(argc, argv, "abl_faults", "BENCH_faults.json");
+  if (args.reject_positional()) return 2;
+  constexpr unsigned jobs = 48;
 
   std::cout << "epi-serve fault sweep: " << jobs
             << " jobs/level, traffic seed 42, watchdog 400000 cycles\n\n";
@@ -147,16 +129,13 @@ int main(int argc, char** argv) {
   bool ok = true;
   for (const Level& lv : kLevels) {
     const LevelResult lr = run_level(lv, jobs);
-    if (smoke) {
-      const LevelResult again = run_level(lv, jobs);
-      if (again.decision_log != lr.decision_log ||
-          again.fault_log != lr.fault_log) {
-        std::fprintf(stderr,
-                     "abl_faults: FAIL: run diverged between two identical "
-                     "runs at level %s\n",
-                     lv.name);
-        ok = false;
-      }
+    const LevelResult again = run_level(lv, jobs);
+    if (again.decision_log != lr.decision_log || again.fault_log != lr.fault_log) {
+      std::fprintf(stderr,
+                   "abl_faults: FAIL: run diverged between two identical "
+                   "runs at level %s\n",
+                   lv.name);
+      ok = false;
     }
     const sched::RunStats& rs = lr.stats;
     t.add_row({lv.name, std::to_string(rs.completed), std::to_string(rs.failed),
@@ -194,34 +173,5 @@ int main(int argc, char** argv) {
 
   util::finish_bench(args, nullptr, report);
 
-  if (smoke && !args.metrics_path.empty()) {
-    // Schema check: goodput and detection metrics must exist per level.
-    std::ifstream in(args.metrics_path, std::ios::binary);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string json = ss.str();
-    if (json.find("\"bench\":\"abl_faults\"") == std::string::npos) {
-      std::fprintf(stderr, "abl_faults: FAIL: %s missing bench name\n",
-                   args.metrics_path.c_str());
-      ok = false;
-    }
-    for (const Level& lv : kLevels) {
-      for (const char* key :
-           {"goodput_jobs_per_mcycle", "faults_detected",
-            "mean_detect_latency_cycles", "retry_amplification",
-            "cores_quarantined"}) {
-        const std::string want =
-            std::string("\"f_") + lv.name + "_" + key + "\":";
-        if (json.find(want) == std::string::npos) {
-          std::fprintf(stderr, "abl_faults: FAIL: %s missing metric %s\n",
-                       args.metrics_path.c_str(), want.c_str());
-          ok = false;
-        }
-      }
-    }
-    std::cout << (ok ? "\nsmoke: PASS (bit-identical decision and fault logs "
-                       "across reruns; metrics schema valid)\n"
-                     : "\nsmoke: FAIL\n");
-  }
   return ok ? 0 : 1;
 }

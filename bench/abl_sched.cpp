@@ -7,21 +7,15 @@
 //
 // Results go to BENCH_sched.json (throughput, p50/p99 queue wait and
 // turnaround, utilisation, deadline hit-rate per load point); the committed
-// copy at the repository root is the baseline scripts/bench.sh compares new
-// runs against.
+// copy at the repository root is a byte-exact golden (ctest
+// sched_bench_golden). Every load point is replayed once on a fresh machine
+// and the run exits non-zero if the scheduler's decision log diverges.
 //
-// Usage: abl_sched [jobs_per_point] [--smoke] [--trace=FILE] [--csv=FILE]
-//                  [--metrics=FILE] [--no-metrics]
-//
-// --smoke: shrink the sweep, run every load point twice asserting the
-// scheduler's decision log is byte-identical run over run, and validate the
-// metrics file's schema (the ctest entry); non-zero exit on any mismatch.
+// Usage: abl_sched [--trace=FILE] [--csv=FILE] [--metrics=FILE] [--no-metrics]
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -63,23 +57,10 @@ PointResult run_point(host::System& sys, sim::Cycles mean_interarrival,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto args = util::BenchArgs::parse(argc, argv, "abl_sched");
-  bool smoke = false;
-  for (auto it = args.positional.begin(); it != args.positional.end();) {
-    if (*it == "--smoke") {
-      smoke = true;
-      it = args.positional.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (args.metrics_path == "abl_sched_trace.json") {
-    // Default output name matches the committed baseline, like abl_simperf's
-    // BENCH_simperf.json (override with --metrics=...).
-    args.metrics_path = smoke ? "BENCH_sched_smoke.json" : "BENCH_sched.json";
-  }
-  const unsigned jobs =
-      static_cast<unsigned>(args.positional_double(0, smoke ? 24 : 48));
+  const auto args =
+      util::BenchArgs::parse(argc, argv, "abl_sched", "BENCH_sched.json");
+  if (args.reject_positional()) return 2;
+  constexpr unsigned jobs = 48;
   // Offered load rises left to right: mean interarrival shrinks from "mesh
   // mostly idle" to "arrivals outpace drain".
   const std::vector<sim::Cycles> sweep = {120'000, 40'000, 12'000};
@@ -100,16 +81,13 @@ int main(int argc, char** argv) {
     if (trace_this) sys->machine().enable_tracing();
     PointResult pr = run_point(*sys, mi, jobs);
     if (trace_this) traced_sys = std::move(sys);
-    if (smoke) {
-      host::System sys2;
-      const PointResult again = run_point(sys2, mi, jobs);
-      if (again.event_log != pr.event_log) {
-        std::fprintf(stderr,
-                     "abl_sched: FAIL: scheduler event order diverged between "
-                     "two identical runs at interarrival %llu\n",
-                     static_cast<unsigned long long>(mi));
-        ok = false;
-      }
+    host::System replay;
+    if (run_point(replay, mi, jobs).event_log != pr.event_log) {
+      std::fprintf(stderr,
+                   "abl_sched: FAIL: scheduler event order diverged between "
+                   "two identical runs at interarrival %llu\n",
+                   static_cast<unsigned long long>(mi));
+      ok = false;
     }
     const sched::RunStats& rs = pr.stats;
     t.add_row({std::to_string(mi), std::to_string(rs.completed),
@@ -145,33 +123,5 @@ int main(int argc, char** argv) {
   util::finish_bench(args, traced_sys ? traced_sys->machine().tracer() : nullptr,
                      report);
 
-  if (smoke && !args.metrics_path.empty()) {
-    // Schema check: the metrics file must carry a populated p99 latency for
-    // every load point, under the bench's own name.
-    std::ifstream in(args.metrics_path, std::ios::binary);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string json = ss.str();
-    if (json.find("\"bench\":\"abl_sched\"") == std::string::npos) {
-      std::fprintf(stderr, "abl_sched: FAIL: %s missing bench name\n",
-                   args.metrics_path.c_str());
-      ok = false;
-    }
-    for (const sim::Cycles mi : sweep) {
-      for (const char* key : {"p99_turnaround_cycles", "p99_wait_cycles",
-                              "throughput_jobs_per_mcycle", "utilisation"}) {
-        const std::string want =
-            "\"mi" + std::to_string(mi) + "_" + key + "\":";
-        if (json.find(want) == std::string::npos) {
-          std::fprintf(stderr, "abl_sched: FAIL: %s missing metric %s\n",
-                       args.metrics_path.c_str(), want.c_str());
-          ok = false;
-        }
-      }
-    }
-    std::cout << (ok ? "\nsmoke: PASS (bit-identical event order across "
-                       "reruns; metrics schema valid)\n"
-                     : "\nsmoke: FAIL\n");
-  }
   return ok ? 0 : 1;
 }

@@ -10,20 +10,16 @@
 // the Ross & Richie crossover the runtime's threshold encodes.
 //
 // Results go to BENCH_shmem.json; the committed copy at the repository root
-// is the baseline scripts/bench.sh compares new runs against.
+// is a byte-exact golden (ctest shmem_bench_golden). Every point is replayed
+// once on a fresh machine and the run exits non-zero if a cycle count
+// diverges.
 //
-// Usage: abl_shmem [reps] [--smoke] [--trace=FILE] [--csv=FILE]
-//                  [--metrics=FILE] [--no-metrics]
-//
-// --smoke: shrink the sweep, rerun every point asserting bit-identical
-// cycle measurements, and validate the metrics schema (the ctest entry).
+// Usage: abl_shmem [--trace=FILE] [--csv=FILE] [--metrics=FILE] [--no-metrics]
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -41,6 +37,7 @@ struct Shape {
 };
 
 enum class Prim { Put, Get, Barrier, Allreduce };
+constexpr const char* kPrimNames[] = {"put", "get", "barrier", "allreduce"};
 
 /// One measured point: `reps` repetitions of one primitive on a fresh
 /// machine; returns total simulated cycles (deterministic). When `keep` is
@@ -102,29 +99,12 @@ sim::Cycles run_point(Shape sh, Prim prim, std::uint32_t bytes, unsigned reps,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto args = util::BenchArgs::parse(argc, argv, "abl_shmem");
-  bool smoke = false;
-  for (auto it = args.positional.begin(); it != args.positional.end();) {
-    if (*it == "--smoke") {
-      smoke = true;
-      it = args.positional.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (args.metrics_path == "abl_shmem_trace.json") {
-    args.metrics_path = smoke ? "BENCH_shmem_smoke.json" : "BENCH_shmem.json";
-  }
-  const unsigned reps =
-      static_cast<unsigned>(args.positional_double(0, smoke ? 4 : 8));
-
-  const std::vector<Shape> shapes = smoke
-                                        ? std::vector<Shape>{{1, 2}, {2, 2}}
-                                        : std::vector<Shape>{{1, 2}, {2, 2},
-                                                             {4, 4}, {8, 8}};
-  const std::vector<std::uint32_t> sizes =
-      smoke ? std::vector<std::uint32_t>{16, 1024}
-            : std::vector<std::uint32_t>{16, 64, 256, 1024, 4096};
+  const auto args =
+      util::BenchArgs::parse(argc, argv, "abl_shmem", "BENCH_shmem.json");
+  if (args.reject_positional()) return 2;
+  constexpr unsigned reps = 8;
+  const std::vector<Shape> shapes = {{1, 2}, {2, 2}, {4, 4}, {8, 8}};
+  const std::vector<std::uint32_t> sizes = {16, 64, 256, 1024, 4096};
 
   std::cout << "epi-shmem primitive sweep: " << reps
             << " reps/point, PE 0 <-> farthest member per shape\n\n";
@@ -132,28 +112,40 @@ int main(int argc, char** argv) {
                  "get B/cyc", "barrier cyc", "allreduce cyc"});
 
   util::BenchReport report("abl_shmem");
-  std::vector<std::string> log;  // smoke: rerun must reproduce bit-identically
+  bool ok = true;
   std::unique_ptr<host::System> traced_sys;  // kept alive for finish_bench
+  // Every point runs twice from scratch; the replay must reproduce the
+  // same cycle count.
+  const auto measure = [&](Shape sh, Prim prim, std::uint32_t bytes,
+                           std::unique_ptr<host::System>* keep = nullptr) {
+    const sim::Cycles cycles = run_point(sh, prim, bytes, reps, keep);
+    if (run_point(sh, prim, bytes, reps) != cycles) {
+      std::fprintf(stderr,
+                   "abl_shmem: FAIL: %ux%u %s of %u B diverged on replay\n",
+                   sh.rows, sh.cols, kPrimNames[static_cast<int>(prim)], bytes);
+      ok = false;
+    }
+    return cycles;
+  };
 
-  for (const Shape sh : shapes) {
+  for (const Shape& sh : shapes) {
     const std::string sp =
         "s" + std::to_string(sh.rows) + "x" + std::to_string(sh.cols) + "_";
     // Collectives: one row per shape (message size does not apply).
-    const sim::Cycles bar = run_point(sh, Prim::Barrier, 0, reps);
+    const sim::Cycles bar = measure(sh, Prim::Barrier, 0);
     // Attach the tracer to the largest shape's reduction: one timeline of
     // the deepest tree instead of one file per point.
     const bool trace_this = args.tracing() && &sh == &shapes.back();
-    const sim::Cycles red = run_point(sh, Prim::Allreduce, 0, reps,
-                                      trace_this ? &traced_sys : nullptr);
+    const sim::Cycles red =
+        measure(sh, Prim::Allreduce, 0, trace_this ? &traced_sys : nullptr);
     const double bar_per = static_cast<double>(bar) / reps;
     const double red_per = static_cast<double>(red) / reps;
     report.metric(sp + "barrier_cycles_per_op", bar_per);
     report.metric(sp + "allreduce_cycles_per_op", red_per);
-    log.push_back(sp + "bar=" + std::to_string(bar) + " red=" + std::to_string(red));
 
     for (const std::uint32_t bytes : sizes) {
-      const sim::Cycles put = run_point(sh, Prim::Put, bytes, reps);
-      const sim::Cycles get = run_point(sh, Prim::Get, bytes, reps);
+      const sim::Cycles put = measure(sh, Prim::Put, bytes);
+      const sim::Cycles get = measure(sh, Prim::Get, bytes);
       const double put_per = static_cast<double>(put) / reps;
       const double get_per = static_cast<double>(get) / reps;
       const double put_bw = static_cast<double>(bytes) * reps / put;
@@ -163,8 +155,6 @@ int main(int argc, char** argv) {
       report.metric(pfx + "put_bytes_per_cycle", put_bw);
       report.metric(pfx + "get_cycles_per_op", get_per);
       report.metric(pfx + "get_bytes_per_cycle", get_bw);
-      log.push_back(pfx + "put=" + std::to_string(put) +
-                    " get=" + std::to_string(get));
       t.add_row({std::to_string(sh.rows) + "x" + std::to_string(sh.cols),
                  std::to_string(bytes), util::fmt(put_per, 1),
                  util::fmt(put_bw, 3), util::fmt(get_per, 1),
@@ -176,63 +166,8 @@ int main(int argc, char** argv) {
   std::cout << "\n(put/get between PE 0 and the farthest group member; "
                "crossover to DMA above 256 B; cycles at 600 MHz)\n";
 
-  bool ok = true;
-  if (smoke) {
-    // Every point, rerun from scratch, must reproduce the same cycle counts.
-    std::vector<std::string> again;
-    for (const Shape sh : shapes) {
-      const std::string sp =
-          "s" + std::to_string(sh.rows) + "x" + std::to_string(sh.cols) + "_";
-      const sim::Cycles bar = run_point(sh, Prim::Barrier, 0, reps);
-      const sim::Cycles red = run_point(sh, Prim::Allreduce, 0, reps);
-      again.push_back(sp + "bar=" + std::to_string(bar) +
-                      " red=" + std::to_string(red));
-      for (const std::uint32_t bytes : sizes) {
-        const sim::Cycles put = run_point(sh, Prim::Put, bytes, reps);
-        const sim::Cycles get = run_point(sh, Prim::Get, bytes, reps);
-        again.push_back(sp + "b" + std::to_string(bytes) +
-                        "_put=" + std::to_string(put) +
-                        " get=" + std::to_string(get));
-      }
-    }
-    if (again != log) {
-      std::fprintf(stderr,
-                   "abl_shmem: FAIL: cycle measurements diverged between two "
-                   "identical sweeps\n");
-      ok = false;
-    }
-  }
-
   util::finish_bench(args, traced_sys ? traced_sys->machine().tracer() : nullptr,
                      report);
 
-  if (smoke && !args.metrics_path.empty()) {
-    std::ifstream in(args.metrics_path, std::ios::binary);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string json = ss.str();
-    if (json.find("\"bench\":\"abl_shmem\"") == std::string::npos) {
-      std::fprintf(stderr, "abl_shmem: FAIL: %s missing bench name\n",
-                   args.metrics_path.c_str());
-      ok = false;
-    }
-    for (const Shape sh : shapes) {
-      const std::string sp =
-          "s" + std::to_string(sh.rows) + "x" + std::to_string(sh.cols) + "_";
-      for (const std::string key :
-           {sp + "barrier_cycles_per_op", sp + "allreduce_cycles_per_op",
-            sp + "b" + std::to_string(sizes.front()) + "_put_cycles_per_op",
-            sp + "b" + std::to_string(sizes.back()) + "_get_bytes_per_cycle"}) {
-        if (json.find("\"" + key + "\":") == std::string::npos) {
-          std::fprintf(stderr, "abl_shmem: FAIL: %s missing metric %s\n",
-                       args.metrics_path.c_str(), key.c_str());
-          ok = false;
-        }
-      }
-    }
-    std::cout << (ok ? "\nsmoke: PASS (bit-identical cycle counts across "
-                       "reruns; metrics schema valid)\n"
-                     : "\nsmoke: FAIL\n");
-  }
   return ok ? 0 : 1;
 }

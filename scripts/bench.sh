@@ -1,62 +1,24 @@
 #!/usr/bin/env bash
-# Simulator performance benchmarks: Release build, then
-#   * abl_simperf  -> BENCH_simperf.json (wall-clock engine throughput)
-#   * abl_sched    -> BENCH_sched.json   (serving throughput/latency sweep)
-#   * abl_faults   -> BENCH_faults.json  (goodput/detection under injected faults)
-#   * abl_cluster_faults -> BENCH_cluster_faults.json (cluster goodput/recovery
-#                           under chip crashes, link outages, lost notices)
-#   * abl_shmem    -> BENCH_shmem.json   (PGAS put/get/barrier/reduce sweep)
-#   * abl_dag      -> BENCH_dag.json     (pipeline overlap/handoff policy ablation)
-# all written at the repository root. Run from anywhere:
+# Regenerate the simulated-metric sweep goldens BENCH_<x>.json at the
+# repository root from a Release build. Run from anywhere:
 #
-#     scripts/bench.sh [extra google-benchmark args...]
+#     scripts/bench.sh
 #
-# The committed BENCH_*.json files are the regression baselines; re-run this
-# script and commit the new files to move them. CI compares fresh results
-# against the committed baselines and warns on a >20% drop.
+# The *_bench_golden ctests require each sweep to reproduce its committed
+# file byte for byte; re-run this script and commit the new files only when
+# a change to simulated behaviour is intended. Host wall-clock is measured by
+# perfbench/ (python3 perfbench/run.py), not here.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
+SWEEPS=(sched faults cluster_faults shmem dag)
 
-echo "== Release build =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build build-release -j "${JOBS}" --target abl_simperf abl_sched abl_faults abl_cluster_faults abl_shmem abl_dag
+cmake --build build-release -j "${JOBS}" --target "${SWEEPS[@]/#/abl_}"
 
-echo "== abl_simperf (results -> BENCH_simperf.json) =="
-# Debian's libbenchmark is packaged with an unset build type, so the library
-# itself prints a spurious "Library was built as DEBUG" banner to stderr.
-# Our binary *is* a Release build (it refuses to run otherwise -- see the
-# NDEBUG guard in bench/abl_simperf.cpp); drop that one known-bogus line and
-# pass every other stderr line through.
-./build-release/bench/abl_simperf \
-    --benchmark_out=BENCH_simperf.json --benchmark_out_format=json "$@" \
-    2> >(grep -v '^\*\*\*WARNING\*\*\* Library was built as DEBUG' >&2)
-
-echo "Wrote $(pwd)/BENCH_simperf.json"
-
-echo "== abl_sched (results -> BENCH_sched.json) =="
-./build-release/bench/abl_sched --metrics=BENCH_sched.json
-
-echo "Wrote $(pwd)/BENCH_sched.json"
-
-echo "== abl_faults (results -> BENCH_faults.json) =="
-./build-release/bench/abl_faults --metrics=BENCH_faults.json
-
-echo "Wrote $(pwd)/BENCH_faults.json"
-
-echo "== abl_cluster_faults (results -> BENCH_cluster_faults.json) =="
-./build-release/bench/abl_cluster_faults --metrics=BENCH_cluster_faults.json
-
-echo "Wrote $(pwd)/BENCH_cluster_faults.json"
-
-echo "== abl_shmem (results -> BENCH_shmem.json) =="
-./build-release/bench/abl_shmem --metrics=BENCH_shmem.json
-
-echo "Wrote $(pwd)/BENCH_shmem.json"
-
-echo "== abl_dag (results -> BENCH_dag.json) =="
-./build-release/bench/abl_dag --metrics=BENCH_dag.json
-
-echo "Wrote $(pwd)/BENCH_dag.json"
+for x in "${SWEEPS[@]}"; do
+  ./build-release/bench/abl_${x} --metrics="BENCH_${x}.json" > /dev/null
+  echo "Wrote $(pwd)/BENCH_${x}.json"
+done

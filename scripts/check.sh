@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Full verification sweep: a Release build with the normal test suite, then
 # a Debug build with AddressSanitizer/UBSan (-DEPI_SANITIZE=ON) running the
-# same suite. Run from the repository root:
+# same suite. Both suites include the *_bench_golden tests, so every
+# simulated-metric sweep must reproduce its committed BENCH_<x>.json byte for
+# byte in both build modes. Run from the repository root:
 #
 #     scripts/check.sh [extra ctest args...]
 
@@ -20,14 +22,6 @@ echo "== Cluster chaos smoke (Release) =="
 # lost/corrupted notices must all recover (no wedged graphs, zero
 # unresolved jobs), and a replay must produce a byte-identical report.
 ./build-release/tools/epi_fault --chaos-smoke --chips=2x2
-
-echo "== Simulator-performance smoke (Release only) =="
-# abl_simperf must only ever run from a Release tree: the binary exits
-# non-zero when built without NDEBUG, so a mis-wired build type fails the
-# sweep loudly here instead of producing garbage numbers.
-./build-release/bench/abl_simperf \
-    --benchmark_filter=BM_EngineEventThroughput --benchmark_min_time=0.05 \
-    --benchmark_out=/dev/null --benchmark_out_format=json
 
 echo "== Sanitized debug build (ASan+UBSan) =="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DEPI_SANITIZE=ON

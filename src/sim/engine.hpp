@@ -8,7 +8,8 @@
 // is reproducible bit-for-bit.
 //
 // Hot-path design (the simulator's own throughput bounds how large a
-// modelled experiment is practical -- see abl_simperf):
+// modelled experiment is practical -- perfbench/ measures it as
+// sim.host_ns_per_event):
 //   * Events are 32 bytes: a coroutine handle plus an index into a side
 //     table of callbacks. Coroutine resumes -- the overwhelming majority --
 //     never pay for an embedded std::function.

@@ -8,8 +8,7 @@
 // drawn from a handful of distinct sizes (one per coroutine function).
 // Routing the promise-level operator new/delete through a size-class free
 // list turns almost every frame allocation into a pop from a vector, which
-// measurably beats the general-purpose allocator on this workload (see
-// BM_FrameAllocation in abl_simperf).
+// measurably beats the general-purpose allocator on this workload.
 //
 // Each block carries a small header recording its size class, so
 // deallocation needs only the pointer and works regardless of whether the

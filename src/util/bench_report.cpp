@@ -27,10 +27,12 @@ bool take_value_flag(std::string_view arg, std::string_view flag, std::string& o
 
 }  // namespace
 
-BenchArgs BenchArgs::parse(int argc, char** argv, std::string bench) {
+BenchArgs BenchArgs::parse(int argc, char** argv, std::string bench,
+                           std::string metrics_path) {
   BenchArgs a;
   a.bench = std::move(bench);
-  a.metrics_path = a.bench + "_trace.json";
+  a.metrics_path =
+      metrics_path.empty() ? a.bench + "_trace.json" : std::move(metrics_path);
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (take_value_flag(arg, "--trace", a.trace_path) ||
@@ -45,6 +47,13 @@ BenchArgs BenchArgs::parse(int argc, char** argv, std::string bench) {
     a.positional.emplace_back(arg);
   }
   return a;
+}
+
+bool BenchArgs::reject_positional() const {
+  if (positional.empty()) return false;
+  std::cerr << bench << ": unexpected argument '" << positional.front()
+            << "' (accepts --trace=FILE --csv=FILE --metrics=FILE --no-metrics)\n";
+  return true;
 }
 
 double BenchArgs::positional_double(std::size_t i, double fallback) const {

@@ -5,13 +5,14 @@
 // Every instrumented bench accepts, in addition to its positional arguments:
 //   --trace=FILE     enable epi-trace and write a Chrome/Perfetto trace
 //   --csv=FILE       also dump the counter registry as CSV
-//   --metrics=FILE   override the BENCH_trace.json metrics path
+//   --metrics=FILE   override the default metrics path
 //   --no-metrics     suppress the metrics file entirely
 //
-// The metrics file (default `<bench>_trace.json`, written next to wherever
-// the bench runs) carries per-bench GFLOPS/bandwidth figures plus headline
-// counters, so the performance trajectory is tracked run-over-run by CI
-// artifacts instead of eyeballed terminal tables.
+// The metrics file (written next to wherever the bench runs; the default
+// name is given to `parse`) carries per-bench GFLOPS/bandwidth figures plus
+// headline counters, so results are compared as data instead of eyeballed
+// terminal tables. The sweeps whose committed `BENCH_<x>.json` is a golden
+// default to that name; the rest default to `<bench>_trace.json`.
 
 #include <string>
 #include <utility>
@@ -33,9 +34,14 @@ struct BenchArgs {
   std::vector<std::string> positional;
 
   /// Parse argv, stripping the flags above; anything else stays positional.
-  [[nodiscard]] static BenchArgs parse(int argc, char** argv, std::string bench);
+  /// `metrics_path` is the default metrics file (empty: `<bench>_trace.json`).
+  [[nodiscard]] static BenchArgs parse(int argc, char** argv, std::string bench,
+                                       std::string metrics_path = {});
 
   [[nodiscard]] bool tracing() const noexcept { return !trace_path.empty(); }
+  /// For benches that take no positional arguments: when one was given,
+  /// print a usage error naming it and return true (the caller exits 2).
+  [[nodiscard]] bool reject_positional() const;
   /// Positional argument `i` as a double, or `fallback` when absent.
   [[nodiscard]] double positional_double(std::size_t i, double fallback) const;
 };
