@@ -17,12 +17,6 @@ cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-release -j "${JOBS}"
 ctest --test-dir build-release --output-on-failure -j "${JOBS}" "$@"
 
-echo "== Cluster chaos smoke (Release) =="
-# One seeded chip-level chaos serve: chip crashes, bridge outages, and
-# lost/corrupted notices must all recover (no wedged graphs, zero
-# unresolved jobs), and a replay must produce a byte-identical report.
-./build-release/tools/epi_fault --chaos-smoke --chips=2x2
-
 echo "== Sanitized debug build (ASan+UBSan) =="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DEPI_SANITIZE=ON
 cmake --build build-asan -j "${JOBS}"

@@ -167,17 +167,10 @@ ClusterScheduler::ClusterScheduler(ClusterConfig cfg) : cfg_(std::move(cfg)) {
   part_.chip = cfg_.chip.dims;
   const unsigned k = part_.chips();
   if (k == 0) throw std::invalid_argument("cluster needs at least one chip");
-  if (!cfg_.fault_plans.empty() && cfg_.fault_plans.size() != k) {
-    throw std::invalid_argument("fault_plans must hold one plan per chip");
-  }
   if (!(cfg_.remote_frac >= 0.0 && cfg_.remote_frac <= 1.0)) {
     throw std::invalid_argument("remote_frac must be in [0, 1]");
   }
   if (!cfg_.cluster_plan.empty() || cfg_.cluster_plan.cluster()) {
-    if (!cfg_.fault_plans.empty()) {
-      throw std::invalid_argument(
-          "cluster_plan and per-chip fault_plans are mutually exclusive");
-    }
     injector_ = std::make_unique<fault::ClusterInjector>(cfg_.cluster_plan,
                                                          cfg_.chip_rows,
                                                          cfg_.chip_cols);
@@ -193,9 +186,6 @@ ClusterScheduler::ClusterScheduler(ClusterConfig cfg) : cfg_(std::move(cfg)) {
     Chip& ch = *chips_[c];
     ch.owner = this;
     ch.id = c;
-    if (!cfg_.fault_plans.empty() && !cfg_.fault_plans[c].empty()) {
-      ch.sys.machine().enable_faults(cfg_.fault_plans[c]);
-    }
     if (injector_) {
       const fault::FaultPlan mp = injector_->machine_plan(c);
       if (!mp.empty()) ch.sys.machine().enable_faults(mp);

@@ -64,13 +64,10 @@ struct ClusterConfig {
   SchedConfig sched{};             // per-chip scheduler policy
   TrafficConfig traffic{};         // per-chip stream; seed is offset per chip
   double remote_frac = 0.25;       // fraction of each stream homed off-chip
-  // Optional per-chip fault plans (empty vector = fault-free cluster; when
-  // set, must hold exactly one plan per chip -- empty plans are allowed and
-  // leave that chip clean).
-  std::vector<fault::FaultPlan> fault_plans{};
-  // Cluster-scoped plan (the `chips RxC` grammar): chip-scoped faults plus
-  // chip-tagged machine faults, split per chip by fault::ClusterInjector.
-  // Mutually exclusive with fault_plans.
+  // The cluster's one fault input (the `chips RxC` grammar; empty =
+  // fault-free): chip-scoped faults arm the failover stack, and chip-tagged
+  // machine faults are split per chip by fault::ClusterInjector onto that
+  // chip's machine injector.
   fault::FaultPlan cluster_plan{};
   FailoverConfig failover{};
   // Arm per-chip tracing: every chip's machine records into its own Tracer

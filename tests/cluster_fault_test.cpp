@@ -223,8 +223,12 @@ void expect_parse_error(const std::string& text, const std::string& needle) {
     (void)fault::parse(in, "plan.txt");
     FAIL() << "expected FaultError containing '" << needle << "'";
   } catch (const fault::FaultError& e) {
+    // The offending directive is always the text's last line.
+    const std::string where =
+        "plan.txt:" + std::to_string(std::count(text.begin(), text.end(), '\n')) +
+        ":";
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("plan.txt:"), std::string::npos) << msg;
+    EXPECT_EQ(msg.rfind(where, 0), 0u) << msg;
     EXPECT_NE(msg.find(needle), std::string::npos) << msg;
   }
 }
@@ -243,6 +247,10 @@ TEST(ClusterPlanParser, RejectsDuplicateIdsAndBadCoords) {
       "chips 2x2\n"
       "xmesh from=0,0 to=0,2 at=1 for=2\n",
       "outside the 2x2 chip grid");
+  expect_parse_error(
+      "chips 2x2\n"
+      "xmesh from=0,0 to=0,0 at=5 for=100\n",
+      "must differ");
   expect_parse_error("chip-crash chip=0,0 at=1\n", "chips");
   expect_parse_error(
       "chips 2x2\n"
@@ -350,6 +358,50 @@ TEST(ClusterFailover, WatchdogAbandonedKernelsAreNotADeadlock) {
     }
   }
   EXPECT_TRUE(watchdog_fired);
+}
+
+// Cluster chaos smoke: a generated 2x2 plan with every chip-scoped fault kind
+// at once (crash, stall, bridge outages, lost and corrupted notices). No job
+// or graph wedges, the crashed chip's orphaned forwards re-home onto healthy
+// chips, the sick chip is quarantined, and a replay is byte-identical.
+TEST(ClusterFailover, GeneratedChaosPlanRecoversAndReplays) {
+  fault::ChaosConfig cc;
+  cc.seed = 11;
+  cc.dims = {8, 8};
+  cc.horizon = 900'000;
+  cc.chip_rows = 2;
+  cc.chip_cols = 2;
+  cc.chip_crashes = 1;
+  cc.chip_stalls = 1;
+  cc.xmesh_faults = 2;
+  cc.notice_drops = 2;
+  cc.notice_flips = 1;
+
+  sched::ClusterConfig cfg;
+  cfg.chip_rows = 2;
+  cfg.chip_cols = 2;
+  cfg.traffic.jobs = 18;
+  cfg.traffic.seed = 7;
+  cfg.traffic.mean_interarrival = 40'000;
+  cfg.traffic.pipeline_frac = 0.3;  // graphs exercise DAG-aware recovery
+  cfg.remote_frac = 0.35;
+  cfg.sched.watchdog_cycles = 400'000;
+  cfg.cluster_plan = fault::generate(cc);
+
+  sched::ClusterScheduler cs(cfg);
+  cs.run();
+  for (unsigned c = 0; c < cs.stats().chips; ++c) {
+    for (const auto& rec : cs.chip_sched(c).records()) {
+      EXPECT_NE(rec.verdict, sched::Verdict::Pending);
+    }
+  }
+  EXPECT_GE(cs.stats().dead_chips, 1u);
+  EXPECT_GT(cs.stats().reforwarded, 0u);
+  EXPECT_GT(cs.stats().quarantines, 0u);
+
+  sched::ClusterScheduler replay(cfg);
+  replay.run();
+  EXPECT_EQ(replay.report(), cs.report());
 }
 
 }  // namespace

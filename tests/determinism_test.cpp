@@ -436,21 +436,30 @@ TEST(GoldenDeterminism, ClusterShmemMixParallelInvariance) {
   expect_replay_golden(cfg, 13678313535663572526ull);
 }
 
-// Per-chip chaos plans with the watchdog armed: stalls, link outages and
-// write corruption become FaultReports and re-executions, and that whole
-// recovery story must still replay byte for byte.
+// Chip-tagged machine faults in one `chips 2x2` plan, with the watchdog
+// armed: stalls, link outages and write corruption become FaultReports and
+// re-executions, and that whole recovery story must still replay byte for
+// byte. Chip c's events are a chaos plan seeded 100+c; the plan seed (100)
+// drives all four chips' injectors.
 TEST(GoldenDeterminism, ClusterServeWithFaultsParallelInvariance) {
   sched::ClusterConfig cfg = small_cluster();
   cfg.sched.watchdog_cycles = 400'000;
+  cfg.cluster_plan.seed = 100;
+  cfg.cluster_plan.chip_rows = 2;
+  cfg.cluster_plan.chip_cols = 2;
   for (unsigned c = 0; c < 4; ++c) {
     fault::ChaosConfig chaos;
     chaos.seed = 100 + c;
     chaos.core_stalls = 1;
     chaos.link_faults = 1;
     chaos.mem_flips = 1;
-    cfg.fault_plans.push_back(fault::generate(chaos));
+    for (fault::FaultEvent e : fault::generate(chaos).events) {
+      e.chip = {c / 2, c % 2};
+      e.has_chip = true;
+      cfg.cluster_plan.events.push_back(e);
+    }
   }
-  expect_replay_golden(cfg, 74659777904851189ull);
+  expect_replay_golden(cfg, 10894412347918113325ull);
 }
 
 // Pipelined (job-graph) traffic: multi-stage requests with per-graph routing,
@@ -464,18 +473,9 @@ TEST(GoldenDeterminism, ClusterPipelineParallelInvariance) {
   expect_replay_golden(cfg, 2654938591465841575ull);
 }
 
-// Arming empty per-chip plans hooks every layer but must not move a single
-// event: identical bytes to the no-plan run.
-TEST(GoldenDeterminism, ClusterServeEmptyFaultPlansAreFree) {
-  const std::string ref = cluster_bytes(small_cluster());
-  sched::ClusterConfig armed = small_cluster();
-  armed.fault_plans.assign(4, fault::FaultPlan{});
-  EXPECT_EQ(cluster_bytes(armed), ref);
-}
-
-// Same guarantee for the cluster-scoped plan path: a `chips 2x2` plan with
-// no events constructs the ClusterInjector but must not arm failover or
-// move a single event.
+// A `chips 2x2` plan with no events constructs the ClusterInjector but must
+// not arm failover or move a single event: identical bytes to the no-plan
+// run.
 TEST(GoldenDeterminism, ClusterServeEmptyClusterPlanIsFree) {
   const std::string ref = cluster_bytes(small_cluster());
   sched::ClusterConfig armed = small_cluster();

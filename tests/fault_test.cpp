@@ -62,6 +62,9 @@ TEST(FaultPlanParser, ErrorsCarrySourceAndLine) {
             std::string::npos);
   EXPECT_NE(parse_error("kill core=1,1 at=soon\n").find("non-numeric"),
             std::string::npos);
+  EXPECT_EQ(parse_error("link router=4 dir=east at=5 for=0\n").substr(0, 7),
+            "plan:1:");
+  EXPECT_EQ(parse_error("seed banana\n").substr(0, 7), "plan:1:");
 }
 
 TEST(FaultPlanParser, RoundTripsThroughText) {
@@ -78,6 +81,31 @@ TEST(FaultPlanParser, RoundTripsThroughText) {
   const std::string text = fault::save(plan);
   std::istringstream in(text);
   EXPECT_EQ(fault::save(fault::parse(in)), text);
+  // Same seed, same bytes; a different seed moves the random placements.
+  EXPECT_EQ(fault::save(fault::generate(cc)), text);
+  cc.seed = 100;
+  EXPECT_NE(fault::save(fault::generate(cc)), text);
+
+  // A generated cluster plan (chip-scoped faults plus a chip-tagged kill)
+  // round-trips too.
+  fault::ChaosConfig cl;
+  cl.seed = 5;
+  cl.dims = {8, 8};
+  cl.chip_rows = 2;
+  cl.chip_cols = 2;
+  cl.core_kills = 1;
+  cl.chip_crashes = 1;
+  cl.chip_stalls = 1;
+  cl.xmesh_faults = 2;
+  cl.notice_drops = 1;
+  cl.notice_flips = 1;
+  const fault::FaultPlan cplan = fault::generate(cl);
+  ASSERT_TRUE(cplan.cluster());
+  ASSERT_FALSE(cplan.events.empty());
+  EXPECT_TRUE(cplan.events[0].has_chip);  // the kill carries chip=
+  const std::string ctext = fault::save(cplan);
+  std::istringstream cin(ctext);
+  EXPECT_EQ(fault::save(fault::parse(cin)), ctext);
 }
 
 TEST(WorkloadParser, ErrorsCarrySourceAndLine) {
@@ -180,17 +208,21 @@ struct ChaosRun {
   std::string report;
   std::vector<std::string> log;
   std::vector<std::string> faults;
+  std::vector<std::string> injections;
+  unsigned completed = 0, unresolved = 0, quarantined = 0;
 };
 
-ChaosRun run_chaos(const fault::FaultPlan& plan) {
+ChaosRun run_chaos(const fault::FaultPlan& plan, unsigned jobs = 20,
+                   std::uint64_t seed = 5, sim::Cycles interarrival = 25'000,
+                   sim::Cycles watchdog = 300'000) {
   host::System sys;
   sys.machine().enable_faults(plan);
   sched::TrafficConfig tc;
-  tc.jobs = 20;
-  tc.seed = 5;
-  tc.mean_interarrival = 25'000;
+  tc.jobs = jobs;
+  tc.seed = seed;
+  tc.mean_interarrival = interarrival;
   sched::SchedConfig cfg;
-  cfg.watchdog_cycles = 300'000;
+  cfg.watchdog_cycles = watchdog;
   sched::Scheduler sc(sys, cfg);
   for (auto& spec : sched::generate(tc)) sc.submit(std::move(spec));
   sc.run();
@@ -198,6 +230,12 @@ ChaosRun run_chaos(const fault::FaultPlan& plan) {
   out.report = sched::render_report(sc);
   out.log = sc.event_log();
   for (const auto& r : sc.fault_log()) out.faults.push_back(fault::to_line(r));
+  out.injections = sys.machine().faults()->injections();
+  for (const auto& rec : sc.records()) {
+    if (rec.verdict == sched::Verdict::Completed) ++out.completed;
+    if (rec.verdict == sched::Verdict::Pending) ++out.unresolved;
+  }
+  out.quarantined = sc.allocator().quarantined_cores();
   return out;
 }
 
@@ -231,10 +269,46 @@ TEST(FaultDeterminism, EmptyPlanMatchesUninstrumentedRun) {
     sched::Scheduler sc(sys);
     for (const auto& spec : jobs) sc.submit(spec);
     sc.run();
+    if (arm) {  // nothing detected, nothing injected
+      EXPECT_TRUE(sc.fault_log().empty());
+      EXPECT_TRUE(sys.machine().faults()->injections().empty());
+    }
     return std::tuple<std::string, std::vector<std::string>, sim::Cycles>(
         sched::render_report(sc), sc.event_log(), sc.makespan());
   };
   EXPECT_EQ(serve(false), serve(true));
+}
+
+// Chaos smoke: one dead core, ~5% transient directed-link outages and eLink
+// corruption at once. Every job must reach a verdict, serving must continue,
+// the dead core must be quarantined, and the whole run -- report, decisions,
+// detections, injections -- must replay byte-identically. (Completed offload
+// results are CRC/pattern-validated inside the scheduler when an injector is
+// armed, so completed jobs are bit-correct by construction.)
+TEST(FaultChaos, CoreKillLinkAndElinkFaultsRecoverAndReplay) {
+  fault::ChaosConfig cc;
+  cc.seed = 11;
+  cc.dims = {8, 8};
+  cc.horizon = 900'000;
+  cc.core_kills = 1;
+  cc.link_faults = 13;  // ~5% of the 256 directed links
+  cc.transient_link_prob = 0.8;
+  cc.elink_outages = 1;
+  cc.elink_flips = 2;
+  cc.mem_flips = 1;
+  const fault::FaultPlan plan = fault::generate(cc);
+
+  const ChaosRun first = run_chaos(plan, 40, 7, 30'000, 400'000);
+  EXPECT_EQ(first.unresolved, 0u);
+  EXPECT_GT(first.completed, 0u);
+  EXPECT_GE(first.quarantined, 1u);
+  EXPECT_FALSE(first.faults.empty());
+
+  const ChaosRun second = run_chaos(plan, 40, 7, 30'000, 400'000);
+  EXPECT_EQ(second.report, first.report);
+  EXPECT_EQ(second.log, first.log);
+  EXPECT_EQ(second.faults, first.faults);
+  EXPECT_EQ(second.injections, first.injections);
 }
 
 }  // namespace

@@ -17,11 +17,14 @@
 //                        stages; see src/sched/dag.hpp)       (default 0)
 //     --spec-out=FILE    write the workload spec that was run
 //     --report=FILE      write the run report to FILE as well as stdout
-//     --log              print the scheduler's decision log
+//     --log              print the scheduler's decision log (and, with
+//                        --plan, the injector's injection log)
 //     --trace=FILE       Perfetto trace of the whole serving run
-//     --plan=FILE        arm a fault-injection plan (see src/fault/plan.hpp);
-//                        the watchdog defaults on (400000 cycles) so silent
-//                        stalls become FaultReports instead of deadlocks
+//     --plan=FILE        arm a fault-injection plan (see src/fault/plan.hpp;
+//                        `epi_fault gen` writes seeded ones); the watchdog
+//                        defaults on (400000 cycles) so silent stalls become
+//                        FaultReports instead of deadlocks, and detected
+//                        faults print as a fault log after the report
 //     --watchdog=C       per-job silence budget in cycles (0 disables)
 //     --strict           exit non-zero if any job ends with a Failed verdict
 //                        (default: failures are reported but tolerated --
@@ -55,6 +58,9 @@
 //                        (default 0.25)
 //     --selftest         in cluster mode: run the same configuration twice
 //                        and fail unless the reports are byte-identical
+//     --strict           in cluster mode: exit non-zero if any chip holds a
+//                        Failed job (a job left without a verdict always
+//                        fails the run, as on one chip)
 //     --plan=FILE        in cluster mode: a cluster fault plan (`chips RxC`
 //                        grammar) -- chip-crash/chip-stall/xmesh/notice
 //                        faults arm the failover stack (heartbeat watchdogs,
@@ -64,6 +70,8 @@
 //     --trace=FILE       in cluster mode: Perfetto trace with one process
 //                        per chip (per-chip sched.cluster.chipN.* counters
 //                        land on that chip's counter track)
+//   --spec, --spec-out, --asm and --log are single-chip flags; cluster mode
+//   rejects them (exit 2).
 //
 // Generated streams mix matmul, stencil, DRAM-window offload, and the
 // epi-shmem cannon/transpose PGAS workloads (see src/sched/workload.hpp).
@@ -126,6 +134,7 @@ struct RunOutput {
   std::string report;
   std::vector<std::string> log;
   std::vector<std::string> fault_log;
+  std::vector<std::string> injections;
   unsigned peak_resident = 0;
   unsigned unresolved = 0;
   unsigned failed = 0;
@@ -154,6 +163,7 @@ RunOutput run_once(const std::vector<sched::JobSpec>& jobs, const Options& opt,
   out.report = sched::render_report(sc);
   out.log = sc.event_log();
   for (const auto& r : sc.fault_log()) out.fault_log.push_back(fault::to_line(r));
+  if (auto* inj = sys.machine().faults()) out.injections = inj->injections();
   out.peak_resident = sc.peak_resident();
   for (const auto& rec : sc.records()) {
     if (rec.verdict == sched::Verdict::Pending) ++out.unresolved;
@@ -276,13 +286,16 @@ int verify_selftest() {
 }
 
 /// Cluster mode: serve an RxC chip grid through the conservative PDES
-/// window loop. --selftest reruns the same configuration on fresh chips and
-/// compares the report bytes.
+/// window loop. The exit rules match single-chip mode, summed over chips.
+/// --selftest reruns the same configuration on fresh chips and compares the
+/// report bytes.
 int run_cluster(const Options& opt) {
-  if (!opt.spec_path.empty() || !opt.asm_files.empty()) {
+  if (!opt.spec_path.empty() || !opt.spec_out.empty() ||
+      !opt.asm_files.empty() || opt.print_log) {
     std::fprintf(stderr,
-                 "epi_serve: --spec/--asm are single-chip flags; cluster "
-                 "mode generates its own per-chip streams\n");
+                 "epi_serve: --spec/--spec-out/--asm/--log are single-chip "
+                 "flags; cluster mode generates its own per-chip streams and "
+                 "prints one cluster report\n");
     return 2;
   }
   sched::ClusterConfig cc;
@@ -306,12 +319,19 @@ int run_cluster(const Options& opt) {
   cc.remote_frac = opt.remote_frac;
   cc.trace = !opt.trace_path.empty();
 
-  const auto serve = [&cc, &opt](double* wall_ms) {
+  unsigned unresolved = 0, failed = 0;
+  const auto serve = [&](double* wall_ms) {
     sched::ClusterScheduler cs(cc);
     const auto t0 = std::chrono::steady_clock::now();
     cs.run();
     const auto t1 = std::chrono::steady_clock::now();
     if (wall_ms != nullptr) {
+      for (unsigned c = 0; c < cs.stats().chips; ++c) {
+        for (const auto& rec : cs.chip_sched(c).records()) {
+          if (rec.verdict == sched::Verdict::Pending) ++unresolved;
+          if (rec.verdict == sched::Verdict::Failed) ++failed;
+        }
+      }
       *wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
       // Only the measured (first) run exports the trace.
       if (cc.trace) {
@@ -338,6 +358,15 @@ int run_cluster(const Options& opt) {
     std::ofstream os(opt.report_path, std::ios::binary | std::ios::trunc);
     if (!os) throw std::runtime_error("cannot write report: " + opt.report_path);
     os << report;
+  }
+  if (unresolved != 0) {
+    std::fprintf(stderr, "epi_serve: FAIL: %u jobs left without a verdict\n",
+                 unresolved);
+    return 1;
+  }
+  if (opt.strict && failed != 0) {
+    std::fprintf(stderr, "epi_serve: --strict: %u jobs failed\n", failed);
+    return 1;
   }
   if (opt.selftest) {
     const bool ok = serve(nullptr) == report;
@@ -454,6 +483,10 @@ int main(int argc, char** argv) {
       for (const auto& line : first.fault_log) std::cout << line << "\n";
     }
     if (opt.print_log) {
+      if (!opt.plan_path.empty()) {
+        std::cout << "\n-- injections --\n";
+        for (const auto& line : first.injections) std::cout << line << "\n";
+      }
       std::cout << "\n-- decision log --\n";
       for (const auto& line : first.log) std::cout << line << "\n";
     }
