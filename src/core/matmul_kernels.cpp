@@ -92,15 +92,17 @@ void load_block(device::CoreCtx& ctx, BlockAddrs a, unsigned rows, unsigned cols
 }
 
 /// C += A * B functionally, accumulating in the reference's k-major order.
+/// The (r, p, j) loop streams rows of B and C; every C element still sums its
+/// products in p order, so the result is bit-identical to the (r, j, p) dot
+/// products (epi_core builds with -ffp-contract=off: no FMA contraction).
 void mac_block(std::span<const float> a, std::span<const float> b, std::span<float> c,
                unsigned m, unsigned n, unsigned k) {
   for (unsigned r = 0; r < m; ++r) {
-    for (unsigned j = 0; j < k; ++j) {
-      float acc = c[r * k + j];
-      for (unsigned p = 0; p < n; ++p) {
-        acc += a[r * n + p] * b[p * k + j];
-      }
-      c[r * k + j] = acc;
+    float* __restrict crow = c.data() + static_cast<std::size_t>(r) * k;
+    for (unsigned p = 0; p < n; ++p) {
+      const float x = a[r * n + p];
+      const float* __restrict brow = b.data() + static_cast<std::size_t>(p) * k;
+      for (unsigned j = 0; j < k; ++j) crow[j] += x * brow[j];
     }
   }
 }

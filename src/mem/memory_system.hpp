@@ -91,6 +91,31 @@ public:
     static_assert(std::is_trivially_copyable_v<T>);
     write_bytes(a, std::as_bytes(std::span<const T, 1>(&v, 1)), issuer);
   }
+
+  /// Bulk u32 store: observably identical to `write_value<u32>(a + 4*i,
+  /// w[i], issuer)` for ascending i -- every hook sees the same per-word
+  /// on_write calls in the same order (a fault hook's flip draw depends on
+  /// the call size), and watchers wake in the same order (ascending address,
+  /// FIFO per address) -- but resolves once, copies once and walks the watch
+  /// index once. A range that leaves its scratchpad or the DRAM window
+  /// throws out_of_range before any byte is written.
+  void write_words(arch::Addr a, std::span<const std::uint32_t> w,
+                   arch::CoreCoord issuer) {
+    if (w.empty()) return;
+    const std::size_t n = w.size_bytes();
+    auto dst = resolve(a, n, issuer);
+    std::memcpy(dst.data(), w.data(), n);
+    const arch::Addr ca = canonical(a, issuer);
+    if (!hooks_.empty()) {
+      const sim::Cycles now = engine_->now();
+      for (std::size_t i = 0; i < w.size(); ++i) {
+        const arch::Addr wa = ca + static_cast<arch::Addr>(4 * i);
+        for (MemoryHook* h : hooks_) h->on_write(wa, 4, issuer, now);
+      }
+    }
+    notify_watches(ca, static_cast<std::uint32_t>(n));
+  }
+
   template <typename T>
   [[nodiscard]] T read_value(arch::Addr a, arch::CoreCoord issuer) {
     static_assert(std::is_trivially_copyable_v<T>);

@@ -74,15 +74,15 @@ sim::Op<void> offload_job_kernel(device::CoreCtx& ctx, unsigned elems, Addr shm_
 /// a fresh kernel's wait_u32_ge immediately and desynchronise the group.
 void reset_runtime_words(host::System& sys, host::Workgroup& wg) {
   auto& mem = sys.machine().mem();
+  const std::vector<std::uint32_t> slots(wg.size(), 0);
+  const std::uint32_t release = 0;
   for (unsigned r = 0; r < wg.info().rows; ++r) {
     for (unsigned c = 0; c < wg.info().cols; ++c) {
       auto& ctx = wg.ctx(r, c);
-      for (unsigned i = 0; i < wg.size(); ++i) {
-        mem.write_value<std::uint32_t>(
-            ctx.my_global(device::CoreCtx::kBarrierSlotsOffset + 4 * i), 0, ctx.coord());
-      }
-      mem.write_value<std::uint32_t>(ctx.my_global(device::CoreCtx::kBarrierReleaseOffset),
-                                     0, ctx.coord());
+      mem.write_words(ctx.my_global(device::CoreCtx::kBarrierSlotsOffset), slots,
+                      ctx.coord());
+      mem.write_words(ctx.my_global(device::CoreCtx::kBarrierReleaseOffset), {&release, 1},
+                      ctx.coord());
     }
   }
 }
@@ -158,15 +158,13 @@ void fill_offload_input(host::System& sys, host::Workgroup& wg, const JobSpec& s
   if (spec.kind != JobKind::Offload) return;
   auto& mem = sys.machine().mem();
   const std::uint32_t elems = std::max(1u, spec.block) * std::max(1u, spec.block);
+  std::vector<std::uint32_t> words(elems);
   for (unsigned r = 0; r < wg.info().rows; ++r) {
     for (unsigned c = 0; c < wg.info().cols; ++c) {
       auto& ctx = wg.ctx(r, c);
       const unsigned g = r * wg.info().cols + c;
-      for (std::uint32_t w = 0; w < elems; ++w) {
-        mem.write_value<std::uint32_t>(ctx.my_global(kOffloadData + 4 * w),
-                                       offload_pattern_word(spec.id, g, w),
-                                       ctx.coord());
-      }
+      for (std::uint32_t w = 0; w < elems; ++w) words[w] = offload_pattern_word(spec.id, g, w);
+      mem.write_words(ctx.my_global(kOffloadData), words, ctx.coord());
     }
   }
 }
@@ -177,23 +175,25 @@ std::string verify_offload_output(host::System& sys, host::Workgroup& wg,
   auto& mem = sys.machine().mem();
   const std::uint32_t elems = std::max(1u, spec.block) * std::max(1u, spec.block);
   const std::uint32_t bytes = elems * static_cast<std::uint32_t>(sizeof(float));
+  std::vector<std::uint32_t> got(elems);
   for (unsigned r = 0; r < wg.info().rows; ++r) {
     for (unsigned c = 0; c < wg.info().cols; ++c) {
       auto& ctx = wg.ctx(r, c);
       const unsigned g = r * wg.info().cols + c;
-      const Addr base = shm_base + static_cast<Addr>(g) * bytes;
+      // Hook-invisible readback: validation is not traffic.
+      std::memcpy(got.data(),
+                  mem.resolve(shm_base + static_cast<Addr>(g) * bytes, bytes, {0, 0}).data(),
+                  bytes);
       for (std::uint32_t b = 0; b < bytes; b += 4) {
         // Mirror the kernel's chunked copy: chunk at `off` reads the
         // scratchpad at kOffloadData + off % 0x3000.
         const std::uint32_t off = b / 2048 * 2048;
         const std::uint32_t src_word = (off % 0x3000 + (b - off)) / 4;
         const std::uint32_t want = offload_pattern_word(spec.id, g, src_word);
-        std::uint32_t got;  // hook-invisible readback: validation is not traffic
-        std::memcpy(&got, mem.resolve(base + b, sizeof got, {0, 0}).data(), sizeof got);
-        if (got != want) {
+        if (got[b / 4] != want) {
           return util::format(
               "offload stripe of core (%u,%u) word %u: got 0x%08x want 0x%08x",
-              ctx.coord().row, ctx.coord().col, b / 4, got, want);
+              ctx.coord().row, ctx.coord().col, b / 4, got[b / 4], want);
         }
       }
     }

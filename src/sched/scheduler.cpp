@@ -808,30 +808,32 @@ bool Scheduler::launch(Pending& p, sim::Cycles now) {
 std::size_t Scheduler::try_place(sim::Cycles now) {
   if (pending_.empty()) return kNoBlock;
   // Order candidates by aged priority (descending), admission order as the
-  // tie-break. Indices, not Pending copies: launch() mutates retry state.
-  std::vector<std::size_t> order(pending_.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return effective_priority(pending_[a], now) >
-           effective_priority(pending_[b], now);
+  // tie-break. Each key is computed once per pass; indices, not Pending
+  // copies: launch() mutates retry state.
+  std::vector<std::pair<double, std::size_t>> keyed(pending_.size());
+  for (std::size_t i = 0; i < keyed.size(); ++i) {
+    keyed[i] = {effective_priority(pending_[i], now), i};
+  }
+  std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
   });
 
   std::vector<std::size_t> launched;
   std::size_t blocked = kNoBlock;
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    Pending& p = pending_[order[k]];
+  for (std::size_t k = 0; k < keyed.size(); ++k) {
+    Pending& p = pending_[keyed[k].second];
     JobRecord& rec = records_[p.rec];
     if (p.retry_at > now) continue;  // still backing off
     if (!dag_launchable(p.rec)) continue;  // producers not finished yet
     if (launch(p, now)) {
-      launched.push_back(order[k]);
+      launched.push_back(keyed[k].second);
       continue;
     }
     if (rec.started == 0 && p.retry_at <= now && k == 0 &&
         now >= p.enqueued + cfg_.head_block_wait) {
       // The highest-priority waiter is starving for space: stop backfilling
       // smaller jobs behind it, or a stream of 1x1s would starve an 8x8.
-      blocked = order[k];
+      blocked = keyed[k].second;
       log_head_block(p, now);
       break;
     }

@@ -1,7 +1,8 @@
 #include "shmem/shmem.hpp"
 
-#include <bit>
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <new>
 #include <stdexcept>
 
@@ -93,14 +94,13 @@ Group::Group(machine::Machine& m, device::GroupInfo info, Config cfg)
 
 void Group::reset_runtime_words() {
   auto& mem = m_->mem();
+  static constexpr std::array<std::uint32_t, (kRuntimeEnd - kRuntimeBase) / 4> kZero{};
   for (unsigned pe = 0; pe < n_pes(); ++pe) {
     const arch::CoreCoord c = coord_of(pe);
-    for (Addr a = kRuntimeBase; a < kRuntimeEnd; a += 4) {
-      // Issued as the core's own write: a scrub is initialisation, not
-      // cross-core traffic, so the sanitizer treats later local reads as
-      // reads of the core's own data.
-      mem.write_value<std::uint32_t>(mem.map().global(c, a), 0, c);
-    }
+    // Issued as the core's own write: a scrub is initialisation, not
+    // cross-core traffic, so the sanitizer treats later local reads as
+    // reads of the core's own data.
+    mem.write_words(mem.map().global(c, kRuntimeBase), kZero, c);
   }
 }
 

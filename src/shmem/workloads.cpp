@@ -1,7 +1,10 @@
 #include "shmem/workloads.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <span>
+#include <vector>
 
 #include "core/matmul_schedule.hpp"
 #include "mem/memory_system.hpp"
@@ -23,28 +26,24 @@ using arch::Addr;
   return x;
 }
 
-/// Host write issued as the owning core's own store (initialisation, not
-/// cross-core traffic, to the sanitizer's eyes).
-void host_word(machine::Machine& m, arch::CoreCoord c, Addr offset, std::uint32_t v) {
+/// Host store of `w` at `offset` in core `c`'s scratchpad, issued as the
+/// owning core's own write (initialisation, not cross-core traffic, to the
+/// sanitizer's eyes).
+void host_words(machine::Machine& m, arch::CoreCoord c, Addr offset,
+                std::span<const std::uint32_t> w) {
   auto& mem = m.mem();
-  mem.write_value<std::uint32_t>(mem.map().global(c, offset), v, c);
+  mem.write_words(mem.map().global(c, offset), w, c);
 }
 
-[[nodiscard]] float read_float(machine::Machine& m, arch::CoreCoord c, Addr offset) {
+/// Hook-invisible readback of `n` elements at `offset` in core `c`'s
+/// scratchpad: validation is not traffic.
+template <typename T>
+void read_back(machine::Machine& m, arch::CoreCoord c, Addr offset, std::vector<T>& out,
+               std::size_t n) {
   auto& mem = m.mem();
-  float f;  // hook-invisible readback: validation is not traffic
-  std::memcpy(&f, mem.resolve(mem.map().global(c, offset), sizeof f, {0, 0}).data(),
-              sizeof f);
-  return f;
-}
-
-[[nodiscard]] std::uint32_t read_word(machine::Machine& m, arch::CoreCoord c,
-                                      Addr offset) {
-  auto& mem = m.mem();
-  std::uint32_t w;
-  std::memcpy(&w, mem.resolve(mem.map().global(c, offset), sizeof w, {0, 0}).data(),
-              sizeof w);
-  return w;
+  out.resize(n);
+  std::memcpy(out.data(), mem.resolve(mem.map().global(c, offset), n * sizeof(T), c).data(),
+              n * sizeof(T));
 }
 
 [[nodiscard]] arch::CoreCoord member(const device::GroupInfo& info, unsigned r,
@@ -84,22 +83,26 @@ void fill_cannon_inputs(machine::Machine& m, const device::GroupInfo& info,
                         const CannonPlan& plan, std::uint32_t seed) {
   const unsigned p = plan.p;
   const unsigned b = plan.block;
+  std::vector<std::uint32_t> a(b * b), bb(b * b);
+  const std::vector<std::uint32_t> zero(b * b, 0);
+  const std::uint32_t flag = 0;
   for (unsigned i = 0; i < p; ++i) {
     for (unsigned j = 0; j < p; ++j) {
       const arch::CoreCoord c = member(info, i, j);
       const unsigned skew = (i + j) % p;  // Cannon's initial alignment
       for (unsigned r = 0; r < b; ++r) {
         for (unsigned col = 0; col < b; ++col) {
-          const Addr off = 4 * (r * b + col);
-          const float av = cannon_input(seed, 0, i * b + r, skew * b + col);
-          const float bv = cannon_input(seed, 1, skew * b + r, j * b + col);
-          host_word(m, c, plan.a + off, std::bit_cast<std::uint32_t>(av));
-          host_word(m, c, plan.b + off, std::bit_cast<std::uint32_t>(bv));
-          host_word(m, c, plan.c + off, 0);
+          a[r * b + col] =
+              std::bit_cast<std::uint32_t>(cannon_input(seed, 0, i * b + r, skew * b + col));
+          bb[r * b + col] =
+              std::bit_cast<std::uint32_t>(cannon_input(seed, 1, skew * b + r, j * b + col));
         }
       }
-      host_word(m, c, plan.sig_a, 0);
-      host_word(m, c, plan.sig_b, 0);
+      host_words(m, c, plan.a, a);
+      host_words(m, c, plan.b, bb);
+      host_words(m, c, plan.c, zero);
+      host_words(m, c, plan.sig_a, {&flag, 1});
+      host_words(m, c, plan.sig_b, {&flag, 1});
     }
   }
 }
@@ -109,23 +112,39 @@ std::string verify_cannon_output(machine::Machine& m, const device::GroupInfo& i
   const unsigned p = plan.p;
   const unsigned b = plan.block;
   const unsigned n = p * b;
+  // The global operands once per job, then the reference product C = A x B
+  // in (r, k, j) order: each element still accumulates in k order.
+  std::vector<float> a(std::size_t{n} * n), bm(std::size_t{n} * n);
+  for (unsigned r = 0; r < n; ++r) {
+    for (unsigned c = 0; c < n; ++c) {
+      a[r * n + c] = cannon_input(seed, 0, r, c);
+      bm[r * n + c] = cannon_input(seed, 1, r, c);
+    }
+  }
+  std::vector<float> want(std::size_t{n} * n, 0.0f);
+  for (unsigned r = 0; r < n; ++r) {
+    float* __restrict row = want.data() + std::size_t{r} * n;
+    for (unsigned k = 0; k < n; ++k) {
+      const float x = a[r * n + k];
+      const float* __restrict brow = bm.data() + std::size_t{k} * n;
+      for (unsigned j = 0; j < n; ++j) row[j] += x * brow[j];
+    }
+  }
+  for (float& w : want) w *= static_cast<float>(plan.iters);
+
+  std::vector<float> got;
   for (unsigned i = 0; i < p; ++i) {
     for (unsigned j = 0; j < p; ++j) {
       const arch::CoreCoord c = member(info, i, j);
+      read_back(m, c, plan.c, got, std::size_t{b} * b);
       for (unsigned r = 0; r < b; ++r) {
         for (unsigned col = 0; col < b; ++col) {
-          float want = 0.0f;
-          for (unsigned k = 0; k < n; ++k) {
-            want += cannon_input(seed, 0, i * b + r, k) *
-                    cannon_input(seed, 1, k, j * b + col);
-          }
-          want *= static_cast<float>(plan.iters);
-          const float got = read_float(m, c, plan.c + 4 * (r * b + col));
-          if (got != want) {
+          const float g = got[r * b + col];
+          const float w = want[(i * b + r) * n + j * b + col];
+          if (g != w) {
             return util::format(
                 "cannon C block of core (%u,%u) element (%u,%u): got %g want %g",
-                c.row, c.col, r, col, static_cast<double>(got),
-                static_cast<double>(want));
+                c.row, c.col, r, col, static_cast<double>(g), static_cast<double>(w));
           }
         }
       }
@@ -212,33 +231,33 @@ std::uint32_t transpose_word(std::uint32_t seed, unsigned src, unsigned dst,
 void fill_transpose_inputs(machine::Machine& m, const device::GroupInfo& info,
                            const TransposePlan& plan, std::uint32_t seed) {
   const std::uint32_t block_bytes = plan.elems * 4;
+  std::vector<std::uint32_t> block(plan.elems);
+  const std::uint32_t flag = 0;
   for (unsigned pe = 0; pe < plan.n; ++pe) {
     const arch::CoreCoord c = member(info, pe / info.cols, pe % info.cols);
     for (unsigned dst = 0; dst < plan.n; ++dst) {
-      for (unsigned e = 0; e < plan.elems; ++e) {
-        host_word(m, c, plan.send + dst * block_bytes + 4 * e,
-                  transpose_word(seed, pe, dst, e));
-      }
-      host_word(m, c, plan.sig + 4 * dst, 0);
+      for (unsigned e = 0; e < plan.elems; ++e) block[e] = transpose_word(seed, pe, dst, e);
+      host_words(m, c, plan.send + dst * block_bytes, block);
+      host_words(m, c, plan.sig + 4 * dst, {&flag, 1});
     }
   }
 }
 
 std::string verify_transpose_output(machine::Machine& m, const device::GroupInfo& info,
                                     const TransposePlan& plan, std::uint32_t seed) {
-  const std::uint32_t block_bytes = plan.elems * 4;
+  std::vector<std::uint32_t> got;
   for (unsigned pe = 0; pe < plan.n; ++pe) {
     const arch::CoreCoord c = member(info, pe / info.cols, pe % info.cols);
+    read_back(m, c, plan.recv, got, std::size_t{plan.n} * plan.elems);
     for (unsigned src = 0; src < plan.n; ++src) {
       for (unsigned e = 0; e < plan.elems; ++e) {
         const std::uint32_t want = transpose_word(seed, src, pe, e);
-        const std::uint32_t got =
-            read_word(m, c, plan.recv + src * block_bytes + 4 * e);
-        if (got != want) {
+        const std::uint32_t g = got[src * plan.elems + e];
+        if (g != want) {
           return util::format(
               "transpose recv slot %u word %u on core (%u,%u): got 0x%08x "
               "want 0x%08x",
-              src, e, c.row, c.col, got, want);
+              src, e, c.row, c.col, g, want);
         }
       }
     }

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <tuple>
+#include <vector>
 
 #include "mem/memory_system.hpp"
 #include "sim/task.hpp"
@@ -209,6 +211,109 @@ TEST_F(MemorySystemTest, UnmappedAddressNamesTheAddress) {
     EXPECT_NE(what.find("unmapped global address 0x"), std::string::npos) << what;
     EXPECT_NE(what.find("40000000"), std::string::npos) << what;
   }
+}
+
+// ---- write_words: the bulk owner store ------------------------------------
+
+/// Records every hook callback, in order.
+struct RecordingHook : mem::MemoryHook {
+  std::vector<std::tuple<char, Addr, std::size_t, unsigned, unsigned, sim::Cycles>> calls;
+  void on_write(Addr a, std::size_t n, CoreCoord c, sim::Cycles now) override {
+    calls.emplace_back('w', a, n, c.row, c.col, now);
+  }
+  void on_read(Addr a, std::size_t n, CoreCoord c, sim::Cycles now) override {
+    calls.emplace_back('r', a, n, c.row, c.col, now);
+  }
+  void on_sync(CoreCoord c, sim::Cycles now) override {
+    calls.emplace_back('s', 0, 0, c.row, c.col, now);
+  }
+};
+
+struct StoreTrace {
+  std::vector<std::byte> bytes;  // the range plus 8 bytes either side
+  decltype(RecordingHook::calls) calls;
+  std::vector<int> wakes;        // watcher ids in resumption order
+};
+
+/// Store `words` at `a` (as `issuer`) at cycle 10, either with one
+/// write_words call or with the equivalent ascending write_value loop, while
+/// three watchers wait: one inside the range, one on its first word and one
+/// 3 bytes before it (spawned in that order, so wake order is not spawn
+/// order).
+StoreTrace store_trace(Addr a, CoreCoord issuer, const std::vector<std::uint32_t>& words,
+                       bool bulk) {
+  sim::Engine engine;
+  mem::MemorySystem mem{arch::MeshDims{4, 4}, engine};
+  RecordingHook hook;
+  mem.add_hook(&hook);
+  StoreTrace out;
+  const std::vector<Addr> watched = {a + 8, a, a - 3};
+  for (int id = 0; id < 3; ++id) {
+    sim::spawn(engine, [](mem::MemorySystem& m, Addr f, CoreCoord c, int me,
+                          std::vector<int>& log) -> sim::Op<void> {
+      co_await m.wait_u32(f, c, [](std::uint32_t v) { return v != 0; });
+      log.push_back(me);
+    }(mem, watched[id], issuer, id, out.wakes));
+  }
+  engine.call_at(10, [&] {
+    if (bulk) {
+      mem.write_words(a, words, issuer);
+    } else {
+      for (std::size_t i = 0; i < words.size(); ++i) {
+        mem.write_value<std::uint32_t>(a + static_cast<Addr>(4 * i), words[i], issuer);
+      }
+    }
+  });
+  engine.run();
+  const auto span = mem.resolve(a - 8, 4 * words.size() + 16, issuer);
+  out.bytes.assign(span.begin(), span.end());
+  out.calls = hook.calls;
+  return out;
+}
+
+TEST(MemoryWriteWords, MatchesPerWordStores) {
+  const std::vector<std::uint32_t> words = {0x11223344, 0x55667788, 0x99AABBCC,
+                                            0xDDEEFF11, 0x12345678};
+  const CoreCoord issuer{1, 2};
+  const auto map = arch::AddressMap::make(arch::MeshDims{4, 4});
+  const Addr scratch = map.global(issuer, 0x2F00);
+  const Addr dram = map.external_base + 0x1000;
+  for (const Addr a : {scratch, Addr{0x2F00} /* local alias */, dram}) {
+    SCOPED_TRACE(a);
+    const StoreTrace bulk = store_trace(a, issuer, words, true);
+    const StoreTrace loop = store_trace(a, issuer, words, false);
+    EXPECT_EQ(bulk.bytes, loop.bytes);
+    EXPECT_EQ(bulk.calls, loop.calls);
+    EXPECT_EQ(bulk.wakes, loop.wakes);
+    // One per-word on_write per word (never one range call), canonical
+    // addresses, then the three acquires.
+    ASSERT_EQ(bulk.calls.size(), words.size() + 3);
+    const Addr ca = a == 0x2F00 ? scratch : a;
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      EXPECT_EQ(bulk.calls[i], std::make_tuple('w', ca + static_cast<Addr>(4 * i),
+                                               std::size_t{4}, 1u, 2u, sim::Cycles{10}));
+    }
+    EXPECT_EQ(bulk.wakes, (std::vector<int>{2, 1, 0}));  // ascending address
+  }
+}
+
+TEST(MemoryWriteWords, RangePastTheEndThrowsBeforeWriting) {
+  sim::Engine engine;
+  mem::MemorySystem mem{arch::MeshDims{4, 4}, engine};
+  RecordingHook hook;
+  mem.add_hook(&hook);
+  const CoreCoord c{2, 3};
+  const std::vector<std::uint32_t> words(4, 0xFFFFFFFFu);
+  const Addr scratch_end = mem.map().global(c, arch::AddressMap::kLocalMemBytes);
+  const Addr dram_end = mem.map().external_base + arch::AddressMap::kExternalBytes;
+  for (const Addr end : {scratch_end, dram_end}) {
+    // Two words fit, two do not: nothing may be written.
+    EXPECT_THROW(mem.write_words(end - 8, words, c), std::out_of_range);
+    std::uint64_t tail = 1;
+    std::memcpy(&tail, mem.resolve(end - 8, 8, c).data(), sizeof tail);
+    EXPECT_EQ(tail, 0u);
+  }
+  EXPECT_TRUE(hook.calls.empty());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <iterator>
 #include <sstream>
 #include <vector>
@@ -12,10 +13,12 @@
 #include "offload/queue.hpp"
 #include "sched/allocator.hpp"
 #include "sched/dag.hpp"
+#include "sched/kernels.hpp"
 #include "sched/report.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/workload.hpp"
 #include "sim/random.hpp"
+#include "util/fmt.hpp"
 
 namespace {
 
@@ -282,6 +285,34 @@ TEST(Scheduler, MixedSeededWorkloadIsDeterministic) {
   EXPECT_EQ(log1, log2);   // bit-identical scheduler event order
   EXPECT_EQ(rep1, rep2);   // byte-identical report
   EXPECT_FALSE(log1.empty());
+}
+
+// ---- offload result validation ------------------------------------------
+
+TEST(OffloadValidation, VerifierNamesTheLastPesCorruptWord) {
+  host::System sys;
+  auto wg = sys.open(2, 1, 2, 2);
+  sched::JobSpec spec;
+  spec.id = 17;
+  spec.kind = sched::JobKind::Offload;
+  spec.rows = spec.cols = 2;
+  spec.block = 32;  // 4 KB stripes: two 2 KB chunks per core
+  const arch::Addr shm = sys.shm_alloc(sched::job_shm_bytes(spec));
+  sched::fill_offload_input(sys, wg, spec);
+  wg.load(sched::prepare_job(sys, wg, spec, shm));
+  wg.run();
+  ASSERT_EQ(sched::verify_offload_output(sys, wg, spec, shm), "");
+
+  // Last PE (group index 3, core (3,2)), last word of its stripe.
+  const std::uint32_t stripe = 32 * 32 * 4;
+  std::byte* word = sys.machine().mem().resolve(shm + 4 * stripe - 4, 4, {0, 0}).data();
+  std::uint32_t want;
+  std::memcpy(&want, word, sizeof want);
+  const std::uint32_t bad = want ^ 0x80000000u;
+  std::memcpy(word, &bad, sizeof bad);
+  EXPECT_EQ(sched::verify_offload_output(sys, wg, spec, shm),
+            util::format("offload stripe of core (3,2) word 1023: got 0x%08x want 0x%08x",
+                         bad, want));
 }
 
 // ---- workload spec round-trip ---------------------------------------------

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <string>
@@ -18,6 +19,7 @@
 #include "lint/sanitizer.hpp"
 #include "shmem/shmem.hpp"
 #include "shmem/workloads.hpp"
+#include "util/fmt.hpp"
 
 namespace {
 
@@ -419,6 +421,64 @@ TEST(ShmemWorkloads, TransposeMatchesHostReference) {
   wg.run();
   EXPECT_EQ(shmem::verify_transpose_output(sys.machine(), wg.info(), plan, 42), "");
   EXPECT_TRUE(san.findings().empty()) << dump(san);
+}
+
+// The verifiers must inspect every PE, the last one included: after a
+// correct run, corrupt the last element of the last PE's output (a raw,
+// hook-invisible store) and expect the mismatch to be named.
+
+/// The word at `offset` in core `c`'s scratchpad, as raw storage.
+std::byte* scratch_word(host::System& sys, arch::CoreCoord c, Addr offset) {
+  auto& mem = sys.machine().mem();
+  return mem.resolve(mem.map().global(c, offset), 4, c).data();
+}
+
+TEST(ShmemWorkloads, CannonVerifierNamesTheLastPesCorruptElement) {
+  host::System sys;
+  auto wg = sys.open(1, 1, 3, 3);
+  auto group = std::make_shared<shmem::Group>(sys.machine(), wg.info());
+  const unsigned b = 4;
+  const auto plan = shmem::plan_cannon(group->heap(), wg.info(), b, /*iters=*/1);
+  shmem::fill_cannon_inputs(sys.machine(), wg.info(), plan, /*seed=*/5);
+  wg.load([group, plan](device::CoreCtx& ctx) -> sim::Op<void> {
+    return shmem::cannon_kernel(ctx, group, plan);
+  });
+  wg.run();
+  ASSERT_EQ(shmem::verify_cannon_output(sys.machine(), wg.info(), plan, 5), "");
+
+  const arch::CoreCoord last{3, 3};
+  std::byte* word = scratch_word(sys, last, plan.c + 4 * (b * b - 1));
+  float want;
+  std::memcpy(&want, word, sizeof want);
+  const float bad = want + 1.0f;
+  std::memcpy(word, &bad, sizeof bad);
+  EXPECT_EQ(shmem::verify_cannon_output(sys.machine(), wg.info(), plan, 5),
+            util::format("cannon C block of core (3,3) element (3,3): got %g want %g",
+                         static_cast<double>(bad), static_cast<double>(want)));
+}
+
+TEST(ShmemWorkloads, TransposeVerifierNamesTheLastPesCorruptWord) {
+  host::System sys;
+  auto wg = sys.open(0, 1, 2, 3);
+  auto group = std::make_shared<shmem::Group>(sys.machine(), wg.info());
+  const unsigned elems = 5;
+  const auto plan = shmem::plan_transpose(group->heap(), wg.info(), elems, /*iters=*/1);
+  shmem::fill_transpose_inputs(sys.machine(), wg.info(), plan, /*seed=*/9);
+  wg.load([group, plan](device::CoreCtx& ctx) -> sim::Op<void> {
+    return shmem::transpose_kernel(ctx, group, plan);
+  });
+  wg.run();
+  ASSERT_EQ(shmem::verify_transpose_output(sys.machine(), wg.info(), plan, 9), "");
+
+  // Last PE (index 5, core (1,3)), last slot, last word.
+  const std::uint32_t want = shmem::transpose_word(9, 5, 5, elems - 1);
+  const std::uint32_t bad = want ^ 1u;
+  std::memcpy(scratch_word(sys, {1, 3}, plan.recv + 5 * elems * 4 + 4 * (elems - 1)),
+              &bad, sizeof bad);
+  EXPECT_EQ(shmem::verify_transpose_output(sys.machine(), wg.info(), plan, 9),
+            util::format("transpose recv slot 5 word 4 on core (1,3): got 0x%08x "
+                         "want 0x%08x",
+                         bad, want));
 }
 
 }  // namespace
