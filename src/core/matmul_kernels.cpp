@@ -91,22 +91,6 @@ void load_block(device::CoreCtx& ctx, BlockAddrs a, unsigned rows, unsigned cols
   std::copy(h1.begin(), h1.end(), out.begin() + h0.size());
 }
 
-/// C += A * B functionally, accumulating in the reference's k-major order.
-/// The (r, p, j) loop streams rows of B and C; every C element still sums its
-/// products in p order, so the result is bit-identical to the (r, j, p) dot
-/// products (epi_core builds with -ffp-contract=off: no FMA contraction).
-void mac_block(std::span<const float> a, std::span<const float> b, std::span<float> c,
-               unsigned m, unsigned n, unsigned k) {
-  for (unsigned r = 0; r < m; ++r) {
-    float* __restrict crow = c.data() + static_cast<std::size_t>(r) * k;
-    for (unsigned p = 0; p < n; ++p) {
-      const float x = a[r * n + p];
-      const float* __restrict brow = b.data() + static_cast<std::size_t>(p) * k;
-      for (unsigned j = 0; j < k; ++j) crow[j] += x * brow[j];
-    }
-  }
-}
-
 struct CannonCounters {
   Cycles compute = 0;
   Cycles comm = 0;
@@ -126,7 +110,7 @@ sim::Op<void> compute_step(device::CoreCtx& ctx, const CannonCfg& cfg, unsigned 
              cfg.n, cfg.k, bbuf);
   auto c = ctx.local_array<float>(MatmulLayout::kC,
                                   static_cast<std::size_t>(cfg.m) * cfg.k);
-  mac_block(abuf, bbuf, c, cfg.m, cfg.n, cfg.k);
+  util::mac_block(abuf, bbuf, c, cfg.m, cfg.n, cfg.k);
   cnt.compute += ctx.now() - t0;
 }
 

@@ -9,8 +9,10 @@
 // host-side setup (e.g. "does not include the time taken to transfer the
 // initial operand matrices") from device GFLOPS.
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -240,18 +242,66 @@ public:
     return Workgroup(machine_, info);
   }
 
-  // ---- shared external memory (bump allocator over the 32 MB window) ----
+  // ---- shared external memory (allocator over the 32 MB window) ----
+  // A bump allocator while the tail has room. Ranges returned by shm_free are
+  // reused, first fit by address, only for a request the tail cannot fit, so
+  // every address matches the plain bump allocator until the window first
+  // fills.
   [[nodiscard]] arch::Addr shm_alloc(std::size_t bytes, std::size_t align = 8) {
-    shm_brk_ = (shm_brk_ + align - 1) / align * align;
+    shm_brk_ = align_up(shm_brk_, align);
     const auto& map = machine_.mem().map();
-    if (shm_brk_ + bytes > map.external_bytes) {
-      throw std::bad_alloc();
+    if (shm_brk_ + bytes <= map.external_bytes) {
+      const arch::Addr a = map.external_base + static_cast<arch::Addr>(shm_brk_);
+      shm_brk_ += bytes;
+      return a;
     }
-    const arch::Addr a = map.external_base + static_cast<arch::Addr>(shm_brk_);
-    shm_brk_ += bytes;
-    return a;
+    for (auto it = shm_holes_.begin(); it != shm_holes_.end(); ++it) {
+      const auto [start, len] = *it;
+      const std::size_t at = align_up(start, align);
+      if (at - start + bytes > len) continue;
+      it = shm_holes_.erase(it);
+      if (at + bytes < start + len) {
+        it = shm_holes_.insert(it, {at + bytes, start + len - at - bytes});
+      }
+      if (at > start) shm_holes_.insert(it, {start, at - start});
+      return map.external_base + static_cast<arch::Addr>(at);
+    }
+    throw std::bad_alloc();
   }
-  void shm_reset() noexcept { shm_brk_ = 0; }
+  /// Give back [addr, addr + bytes) of an earlier shm_alloc; adjacent free
+  /// ranges merge. A range outside the allocated window, or one overlapping
+  /// a range already freed, throws std::invalid_argument.
+  void shm_free(arch::Addr addr, std::size_t bytes) {
+    const auto& map = machine_.mem().map();
+    const std::size_t off = addr - map.external_base;
+    if (addr < map.external_base || off + bytes > shm_brk_) {
+      throw std::invalid_argument("shm_free: range outside the allocated window");
+    }
+    const auto next = std::lower_bound(
+        shm_holes_.begin(), shm_holes_.end(), off,
+        [](const auto& h, std::size_t o) { return h.first < o; });
+    const auto prev = next == shm_holes_.begin() ? shm_holes_.end() : std::prev(next);
+    const std::size_t prev_end = prev == shm_holes_.end() ? 0 : prev->first + prev->second;
+    if (prev_end > off || (next != shm_holes_.end() && next->first < off + bytes)) {
+      throw std::invalid_argument("shm_free: range already free");
+    }
+    const bool joins_prev = prev != shm_holes_.end() && prev_end == off;
+    const bool joins_next = next != shm_holes_.end() && next->first == off + bytes;
+    if (joins_prev && joins_next) {
+      prev->second += bytes + next->second;
+      shm_holes_.erase(next);
+    } else if (joins_prev) {
+      prev->second += bytes;
+    } else if (joins_next) {
+      *next = {off, bytes + next->second};
+    } else {
+      shm_holes_.insert(next, {off, bytes});
+    }
+  }
+  void shm_reset() noexcept {
+    shm_brk_ = 0;
+    shm_holes_.clear();
+  }
 
   // ---- host <-> device data movement (functional; host time untimed) ----
   void write(arch::Addr global, std::span<const std::byte> src) {
@@ -275,8 +325,16 @@ public:
   }
 
 private:
+  [[nodiscard]] static std::size_t align_up(std::size_t v, std::size_t align) noexcept {
+    return (v + align - 1) / align * align;
+  }
+
   machine::Machine machine_;
   std::size_t shm_brk_ = 0;
+  // Freed ranges as (offset, bytes), ascending and never adjacent. A sorted
+  // vector, not a map: a serve frees a buffer per job, and a node allocation
+  // per free fragments the heap the decision log grows in.
+  std::vector<std::pair<std::size_t, std::size_t>> shm_holes_;
 };
 
 }  // namespace epi::host

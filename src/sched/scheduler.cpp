@@ -1,8 +1,10 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <limits>
 #include <optional>
+#include <string_view>
 #include <stdexcept>
 #include <utility>
 
@@ -302,6 +304,11 @@ bool Scheduler::reap_completed(sim::Cycles now) {
     }
     run.wg.reset();  // release the core reservation before freeing the rect
     alloc_.free(run.placement);
+    // The offload buffer goes back once its result was checked; a re-run
+    // takes a fresh one at launch.
+    if (const std::size_t shm = job_shm_bytes(rec.spec); shm > 0) {
+      sys_->shm_free(run.shm_base, shm);
+    }
     if (fault_failure || !corrupt.empty()) {
       const char* kind = fault_failure ? "transfer" : "corrupt-result";
       report_fault(now, rec.finished, rec, kind,
@@ -750,6 +757,7 @@ bool Scheduler::launch(Pending& p, sim::Cycles now) {
     // must fail this one job, not escape and take the serving loop down.
     wg.reset();  // release the reservation before the rect goes back
     alloc_.free(*placement);
+    if (shm_base != 0) sys_->shm_free(shm_base, job_shm_bytes(spec));
     resolve(rec, Verdict::Failed, now, std::string("launch error: ") + e.what());
     log_event(util::format("@%llu fail job=%u reason=launch-error",
                         static_cast<unsigned long long>(now), spec.id));
@@ -848,11 +856,31 @@ std::size_t Scheduler::try_place(sim::Cycles now) {
   return blocked;
 }
 
+std::string head_block_line(sim::Cycles now, std::uint32_t job,
+                            sim::Cycles waited) {
+  constexpr std::string_view kMid = " head-block job=";
+  constexpr std::string_view kTail = " waited=";
+  const auto digits = [](char* buf, std::size_t size, auto v) {
+    return std::string_view(buf, static_cast<std::size_t>(
+                                     std::to_chars(buf, buf + size, v).ptr - buf));
+  };
+  char now_s[20], job_s[10], waited_s[20];  // the most digits of each type
+  const std::string_view n = digits(now_s, sizeof now_s, now);
+  const std::string_view j = digits(job_s, sizeof job_s, job);
+  const std::string_view w = digits(waited_s, sizeof waited_s, waited);
+  std::string line;
+  line.reserve(1 + n.size() + kMid.size() + j.size() + kTail.size() + w.size());
+  line += '@';
+  line += n;
+  line += kMid;
+  line += j;
+  line += kTail;
+  line += w;
+  return line;
+}
+
 void Scheduler::log_head_block(const Pending& p, sim::Cycles now) {
-  log_event(util::format("@%llu head-block job=%u waited=%llu",
-                         static_cast<unsigned long long>(now),
-                         records_[p.rec].spec.id,
-                         static_cast<unsigned long long>(now - p.enqueued)));
+  log_event(head_block_line(now, records_[p.rec].spec.id, now - p.enqueued));
 }
 
 /// Earliest cycle after `now` at which the host has work: the next arrival,

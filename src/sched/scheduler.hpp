@@ -93,6 +93,13 @@ struct SchedConfig {
                                  // abl_dag baseline
 };
 
+/// The decision log's `@<now> head-block job=<id> waited=<waited>` line,
+/// byte-identical to util::format("@%llu head-block job=%u waited=%llu", ...)
+/// but built with std::to_chars: a starving head logs one per policy pass,
+/// which makes it nearly every line of an overloaded serve.
+[[nodiscard]] std::string head_block_line(sim::Cycles now, std::uint32_t job,
+                                          sim::Cycles waited);
+
 class Scheduler {
 public:
   explicit Scheduler(host::System& sys, SchedConfig cfg = {});

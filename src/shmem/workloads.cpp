@@ -9,6 +9,7 @@
 #include "core/matmul_schedule.hpp"
 #include "mem/memory_system.hpp"
 #include "util/fmt.hpp"
+#include "util/reference.hpp"
 
 namespace epi::shmem {
 
@@ -122,14 +123,7 @@ std::string verify_cannon_output(machine::Machine& m, const device::GroupInfo& i
     }
   }
   std::vector<float> want(std::size_t{n} * n, 0.0f);
-  for (unsigned r = 0; r < n; ++r) {
-    float* __restrict row = want.data() + std::size_t{r} * n;
-    for (unsigned k = 0; k < n; ++k) {
-      const float x = a[r * n + k];
-      const float* __restrict brow = bm.data() + std::size_t{k} * n;
-      for (unsigned j = 0; j < n; ++j) row[j] += x * brow[j];
-    }
-  }
+  util::mac_block(a, bm, want, n, n, n);
   for (float& w : want) w *= static_cast<float>(plan.iters);
 
   std::vector<float> got;
@@ -175,12 +169,7 @@ sim::Op<void> cannon_kernel(device::CoreCtx& ctx, std::shared_ptr<Group> group,
           auto A = ctx.local_array<float>(plan.a, bytes / 4);
           auto B = ctx.local_array<float>(plan.b, bytes / 4);
           auto C = ctx.local_array<float>(plan.c, bytes / 4);
-          for (unsigned r = 0; r < b; ++r) {
-            for (unsigned k = 0; k < b; ++k) {
-              const float a = A[r * b + k];
-              for (unsigned q = 0; q < b; ++q) C[r * b + q] += a * B[k * b + q];
-            }
-          }
+          util::mac_block(A, B, C, b, b, b);
         }
         if (p > 1) {
           ++gen;

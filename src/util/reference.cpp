@@ -82,6 +82,18 @@ void matmul_reference(std::span<const float> a, std::span<const float> b, std::s
   }
 }
 
+void mac_block(std::span<const float> a, std::span<const float> b, std::span<float> c,
+               std::size_t m, std::size_t n, std::size_t k) {
+  for (std::size_t r = 0; r < m; ++r) {
+    float* __restrict crow = c.data() + r * k;
+    for (std::size_t p = 0; p < n; ++p) {
+      const float x = a[r * n + p];
+      const float* __restrict brow = b.data() + p * k;
+      for (std::size_t j = 0; j < k; ++j) crow[j] += x * brow[j];
+    }
+  }
+}
+
 float max_abs_diff(std::span<const float> x, std::span<const float> y) {
   float m = 0.0f;
   const std::size_t n = x.size() < y.size() ? x.size() : y.size();

@@ -45,6 +45,15 @@ void stencil9_reference(std::span<const float> in, std::span<float> out, std::si
 void matmul_reference(std::span<const float> a, std::span<const float> b, std::span<float> c,
                       std::size_t m, std::size_t n, std::size_t k);
 
+/// C += A * B with A (m x n), B (n x k), C (m x k), all row-major and not
+/// overlapping. The (r, p, j) loop streams rows of B and C; every C element
+/// still sums its products in p order, so the result is bit-identical to the
+/// (r, j, p) dot products (epi_core builds with -ffp-contract=off: no FMA
+/// contraction). The one block multiply-accumulate: the matmul kernels, the
+/// shmem Cannon kernel and its verifier all call it.
+void mac_block(std::span<const float> a, std::span<const float> b, std::span<float> c,
+               std::size_t m, std::size_t n, std::size_t k);
+
 /// Max absolute elementwise difference.
 [[nodiscard]] float max_abs_diff(std::span<const float> x, std::span<const float> y);
 

@@ -306,6 +306,33 @@ TEST(HostIO, SharedMemoryAllocatorAlignsAndBounds) {
   EXPECT_EQ(sys.shm_alloc(16), a);
 }
 
+TEST(HostIO, SharedMemoryReusesFreedRangesOnlyOnceTheTailIsFull) {
+  host::System sys;
+  const std::size_t window = sys.machine().mem().map().external_bytes;
+  const Addr a = sys.shm_alloc(4096);
+  const Addr b = sys.shm_alloc(4096);
+  const Addr c = sys.shm_alloc(4096);
+  sys.shm_free(a, 4096);
+  // The tail still has room: freeing changes no later address.
+  const Addr d = sys.shm_alloc(64);
+  EXPECT_EQ(d, c + 4096);
+  // Fill the window to its last byte; the next request reuses the hole at a.
+  (void)sys.shm_alloc(window - (d + 64 - a));
+  EXPECT_EQ(sys.shm_alloc(1024, 64), a);
+  EXPECT_EQ(sys.shm_alloc(3072), a + 1024);
+  EXPECT_THROW((void)sys.shm_alloc(8), std::bad_alloc);
+  // Adjacent frees merge into one range that fits a request neither did.
+  sys.shm_free(b, 4096);
+  sys.shm_free(c, 4096);
+  EXPECT_EQ(sys.shm_alloc(8192), b);
+  // Double frees and ranges outside the allocated window are refused.
+  sys.shm_free(d, 64);
+  EXPECT_THROW(sys.shm_free(d, 64), std::invalid_argument);
+  EXPECT_THROW(sys.shm_free(a - 8, 8), std::invalid_argument);
+  sys.shm_reset();
+  EXPECT_EQ(sys.shm_alloc(16), a);
+}
+
 TEST(HostIO, HostReadsKernelResults) {
   host::System sys;
   auto wg = sys.open(0, 0, 2, 2);

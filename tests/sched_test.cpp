@@ -179,6 +179,23 @@ sched::JobSpec make_job(std::uint32_t id, unsigned rows, unsigned cols,
   return s;
 }
 
+TEST(Scheduler, HeadBlockLineMatchesItsPrintfFormat) {
+  constexpr std::uint64_t kMax64 = UINT64_MAX;
+  constexpr std::uint32_t kMax32 = UINT32_MAX;
+  const auto printf_line = [](std::uint64_t now, std::uint32_t job,
+                              std::uint64_t waited) {
+    return util::format("@%llu head-block job=%u waited=%llu",
+                        static_cast<unsigned long long>(now), job,
+                        static_cast<unsigned long long>(waited));
+  };
+  EXPECT_EQ(sched::head_block_line(0, 0, 0), "@0 head-block job=0 waited=0");
+  EXPECT_EQ(sched::head_block_line(0, 0, 0), printf_line(0, 0, 0));
+  EXPECT_EQ(sched::head_block_line(kMax64, kMax32, kMax64),
+            printf_line(kMax64, kMax32, kMax64));
+  EXPECT_EQ(sched::head_block_line(32940721, 1234, 500000),
+            printf_line(32940721, 1234, 500000));
+}
+
 TEST(Scheduler, RunsConcurrentWorkgroupsAndResolvesEverything) {
   host::System sys;
   sched::Scheduler sc(sys);
