@@ -11,23 +11,17 @@
 // of the offered stream, recovery volume (re-forwards, quarantines, home-
 // side dedups, CRC rejects), and the chips lost.
 //
-// Results go to BENCH_cluster_faults.json; the committed copy at the
-// repository root is a byte-exact golden (ctest cluster_faults_bench_golden).
-// Every level is replayed once on a fresh cluster and the run exits non-zero
-// if the observable cluster bytes (report + decision/fault/notice logs)
-// diverge.
+// Results go to BENCH_cluster_faults.json, a byte-exact golden (ctest
+// cluster_faults_bench_golden); bench/sweep.hpp replays every level.
 //
 // Usage: abl_cluster_faults [--metrics=FILE] [--no-metrics]
 
-#include <cstdio>
-#include <iostream>
 #include <string>
-#include <vector>
 
 #include "fault/plan.hpp"
 #include "sched/cluster.hpp"
 #include "sched/report.hpp"
-#include "util/bench_report.hpp"
+#include "sweep.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -49,11 +43,13 @@ constexpr Level kLevels[] = {
     {"crash", 1, 1, 2, 2, 2},
 };
 
-sched::ClusterConfig config_for(const Level& lv, unsigned jobs) {
+constexpr unsigned kJobs = 20;
+
+sched::ClusterConfig config_for(const Level& lv) {
   sched::ClusterConfig cc;
   cc.chip_rows = 2;
   cc.chip_cols = 2;
-  cc.traffic.jobs = jobs;
+  cc.traffic.jobs = kJobs;
   cc.traffic.seed = 42;
   cc.traffic.mean_interarrival = 40'000;
   cc.traffic.pipeline_frac = 0.3;
@@ -75,109 +71,70 @@ sched::ClusterConfig config_for(const Level& lv, unsigned jobs) {
   return cc;
 }
 
-struct LevelResult {
-  sched::ClusterStats cstats;
-  unsigned jobs_offered = 0;
-  unsigned completed = 0;
-  unsigned failed = 0;
-  unsigned timed_out = 0;
-  std::string bytes;  // report + per-chip logs, the determinism surface
-};
+// The cluster builds its own chips, so the run asks the harness for no machine.
+std::string run_level(const Level& lv, bench::Run& r) {
+  sched::ClusterScheduler cluster(config_for(lv));
+  cluster.run();
 
-LevelResult run_level(const Level& lv, unsigned jobs) {
-  sched::ClusterScheduler cs(config_for(lv, jobs));
-  cs.run();
-
-  LevelResult lr;
-  lr.cstats = cs.stats();
-  lr.bytes = cs.report();
-  for (unsigned c = 0; c < cs.stats().chips; ++c) {
-    const sched::RunStats rs = sched::summarise(cs.chip_sched(c));
-    lr.jobs_offered += rs.jobs;
-    lr.completed += rs.completed;
-    lr.failed += rs.failed;
-    lr.timed_out += rs.timed_out;
-    for (const auto& line : cs.chip_sched(c).event_log()) {
-      lr.bytes += line + "\n";
-    }
-    for (const auto& r : cs.chip_sched(c).fault_log()) {
-      lr.bytes += fault::to_line(r) + "\n";
-    }
-    for (const auto& line : cs.notices(c)) lr.bytes += line + "\n";
+  unsigned offered = 0, completed = 0, failed = 0, timed_out = 0;
+  for (unsigned c = 0; c < cluster.stats().chips; ++c) {
+    const sched::RunStats rs = sched::summarise(cluster.chip_sched(c));
+    offered += rs.jobs;
+    completed += rs.completed;
+    failed += rs.failed;
+    timed_out += rs.timed_out;
   }
-  return lr;
-}
+  const sched::ClusterStats& cs = cluster.stats();
+  const double goodput =
+      cs.makespan == 0 ? 0.0
+                       : static_cast<double>(completed) /
+                             (static_cast<double>(cs.makespan) / 1e6);
 
-double goodput(const LevelResult& lr) {
-  if (lr.cstats.makespan == 0) return 0.0;
-  return static_cast<double>(lr.completed) /
-         (static_cast<double>(lr.cstats.makespan) / 1e6);
+  r.row({lv.name, std::to_string(completed), std::to_string(failed),
+         std::to_string(timed_out), util::fmt(goodput, 3),
+         std::to_string(cs.reforwarded), std::to_string(cs.quarantines),
+         std::to_string(cs.dup_dropped), std::to_string(cs.crc_rejects),
+         std::to_string(cs.dead_chips), std::to_string(cs.abandoned_jobs)});
+
+  const std::string pfx = std::string("f_") + lv.name + "_";
+  r.metric(pfx + "goodput_jobs_per_mcycle", goodput);
+  // Goodput alone can *rise* when a crash abandons slow jobs (the
+  // makespan denominator shrinks faster than the completed numerator), so
+  // the served fraction of the offered stream is the headline figure.
+  r.metric(pfx + "completed_fraction",
+           offered > 0 ? static_cast<double>(completed) / offered : 0.0);
+  r.metric(pfx + "completed", completed);
+  r.metric(pfx + "failed", failed);
+  r.metric(pfx + "timed_out", timed_out);
+  r.metric(pfx + "makespan_mcycles", static_cast<double>(cs.makespan) / 1e6);
+  r.metric(pfx + "forwards", cs.forwards);
+  r.metric(pfx + "notices", cs.notices);
+  r.metric(pfx + "reforwarded", cs.reforwarded);
+  r.metric(pfx + "quarantines", cs.quarantines);
+  r.metric(pfx + "abandoned_forwards", cs.abandoned);
+  r.metric(pfx + "dup_dropped", cs.dup_dropped);
+  r.metric(pfx + "crc_rejects", cs.crc_rejects);
+  r.metric(pfx + "dead_chips", cs.dead_chips);
+  r.metric(pfx + "abandoned_jobs", cs.abandoned_jobs);
+  return sched::transcript(cluster);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = util::BenchArgs::parse(argc, argv, "abl_cluster_faults",
-                                           "BENCH_cluster_faults.json");
-  if (args.reject_positional()) return 2;
-  constexpr unsigned jobs = 20;
-
-  std::cout << "epi-serve cluster fault sweep: 2x2 chips, " << jobs
-            << " jobs/chip/level, traffic seed 42, watchdog 400000 cycles\n\n";
-  util::Table t({"faults", "done", "fail", "to", "goodput", "refwd", "quar",
-                 "dup", "crc", "dead", "abandoned"});
-
-  util::BenchReport report("abl_cluster_faults");
-  bool ok = true;
+  bench::Sweep s;
+  s.bench = "abl_cluster_faults";
+  s.title = "epi-serve cluster fault sweep: 2x2 chips, " + std::to_string(kJobs) +
+            " jobs/chip/level, traffic seed 42, watchdog 400000 cycles";
+  s.columns = {"faults", "done", "fail", "to", "goodput", "refwd", "quar",
+               "dup", "crc", "dead", "abandoned"};
+  s.note = "(goodput = completed jobs per Mcycle of cluster makespan; "
+           "refwd/quar/dup/crc = failover\n re-forwards, peer "
+           "quarantines, home-side dedups, rejected notices; cycles at "
+           "600 MHz)";
   for (const Level& lv : kLevels) {
-    const LevelResult lr = run_level(lv, jobs);
-    // Replay is the cluster determinism contract: a second run on a fresh
-    // cluster must produce the very same observable bytes.
-    if (run_level(lv, jobs).bytes != lr.bytes) {
-      std::fprintf(stderr,
-                   "abl_cluster_faults: FAIL: level %s diverged on replay\n",
-                   lv.name);
-      ok = false;
-    }
-    const sched::ClusterStats& cs = lr.cstats;
-    t.add_row({lv.name, std::to_string(lr.completed),
-               std::to_string(lr.failed), std::to_string(lr.timed_out),
-               util::fmt(goodput(lr), 3), std::to_string(cs.reforwarded),
-               std::to_string(cs.quarantines), std::to_string(cs.dup_dropped),
-               std::to_string(cs.crc_rejects), std::to_string(cs.dead_chips),
-               std::to_string(cs.abandoned_jobs)});
-
-    const std::string pfx = std::string("f_") + lv.name + "_";
-    report.metric(pfx + "goodput_jobs_per_mcycle", goodput(lr));
-    // Goodput alone can *rise* when a crash abandons slow jobs (the
-    // makespan denominator shrinks faster than the completed numerator), so
-    // the served fraction of the offered stream is the headline figure.
-    report.metric(pfx + "completed_fraction",
-                  lr.jobs_offered > 0
-                      ? static_cast<double>(lr.completed) / lr.jobs_offered
-                      : 0.0);
-    report.metric(pfx + "completed", lr.completed);
-    report.metric(pfx + "failed", lr.failed);
-    report.metric(pfx + "timed_out", lr.timed_out);
-    report.metric(pfx + "makespan_mcycles",
-                  static_cast<double>(cs.makespan) / 1e6);
-    report.metric(pfx + "forwards", cs.forwards);
-    report.metric(pfx + "notices", cs.notices);
-    report.metric(pfx + "reforwarded", cs.reforwarded);
-    report.metric(pfx + "quarantines", cs.quarantines);
-    report.metric(pfx + "abandoned_forwards", cs.abandoned);
-    report.metric(pfx + "dup_dropped", cs.dup_dropped);
-    report.metric(pfx + "crc_rejects", cs.crc_rejects);
-    report.metric(pfx + "dead_chips", cs.dead_chips);
-    report.metric(pfx + "abandoned_jobs", cs.abandoned_jobs);
+    s.points.push_back({std::string("level ") + lv.name,
+                        [&lv](bench::Run& r) { return run_level(lv, r); }});
   }
-  t.print(std::cout);
-  std::cout << "\n(goodput = completed jobs per Mcycle of cluster makespan; "
-               "refwd/quar/dup/crc = failover\n re-forwards, peer "
-               "quarantines, home-side dedups, rejected notices; cycles at "
-               "600 MHz)\n";
-
-  util::finish_bench(args, nullptr, report);
-
-  return ok ? 0 : 1;
+  return bench::run_sweep(s, argc, argv);
 }

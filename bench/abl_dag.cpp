@@ -15,24 +15,20 @@
 // (what stage pipelining buys), and piped vs dram on e2e latency (what the
 // scratchpad handoff path buys when co-placement makes stages adjacent).
 //
-// Results go to BENCH_dag.json; the committed copy at the repository root is
-// a byte-exact golden (ctest dag_bench_golden). Every policy is replayed once
-// on a fresh machine and the run exits non-zero if the scheduler's decision
-// log diverges or either headline ordering below fails.
+// Results go to BENCH_dag.json, a byte-exact golden (ctest dag_bench_golden);
+// bench/sweep.hpp replays every policy. The run also fails if a policy leaves
+// a graph unfinished or either headline ordering below fails.
 //
 // Usage: abl_dag [--trace=FILE] [--csv=FILE] [--metrics=FILE] [--no-metrics]
 
 #include <cstdio>
-#include <iostream>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "host/system.hpp"
 #include "sched/report.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/workload.hpp"
-#include "util/bench_report.hpp"
+#include "sweep.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -51,14 +47,11 @@ constexpr Policy kPolicies[] = {
     {"dram", true, false},
 };
 
-struct PointResult {
-  sched::RunStats stats;
-  std::vector<std::string> event_log;
-};
+constexpr unsigned kJobs = 60;
 
-PointResult run_policy(host::System& sys, const Policy& p, unsigned jobs) {
+std::string run_policy(const Policy& p, bench::Run& r) {
   sched::TrafficConfig tc;
-  tc.jobs = jobs;
+  tc.jobs = kJobs;
   tc.seed = 42;
   tc.mean_interarrival = 20'000;
   tc.pipeline_frac = 1.0;  // every request is a 2-3 stage graph
@@ -69,111 +62,72 @@ PointResult run_policy(host::System& sys, const Policy& p, unsigned jobs) {
   cfg.pipeline_overlap = p.overlap;
   cfg.scratch_handoff = p.scratch;
 
-  sched::Scheduler sc(sys, cfg);
+  sched::Scheduler sc(r.machine(), cfg);
   for (auto& spec : sched::generate(tc)) sc.submit(std::move(spec));
   sc.run();
 
-  PointResult pr;
-  pr.stats = sched::summarise(sc);
-  pr.event_log = sc.event_log();
-  return pr;
+  const sched::RunStats rs = sched::summarise(sc);
+  r.row({p.name, std::to_string(rs.graphs), std::to_string(rs.graphs_completed),
+         util::fmt(rs.graph_throughput, 3), std::to_string(rs.graph_e2e_p50),
+         std::to_string(rs.graph_e2e_p99), util::fmt(rs.stage_overlap, 2),
+         std::to_string(rs.handoff_scratch_bytes),
+         std::to_string(rs.handoff_dram_bytes), util::fmt(100 * rs.utilisation, 1)});
+
+  const std::string pfx = std::string(p.name) + "_";
+  r.metric(pfx + "graphs", rs.graphs);
+  r.metric(pfx + "graphs_completed", rs.graphs_completed);
+  r.metric(pfx + "graph_throughput_per_mcycle", rs.graph_throughput);
+  r.metric(pfx + "e2e_p50_cycles", static_cast<double>(rs.graph_e2e_p50));
+  r.metric(pfx + "e2e_p99_cycles", static_cast<double>(rs.graph_e2e_p99));
+  r.metric(pfx + "stage_overlap", rs.stage_overlap);
+  r.metric(pfx + "handoff_scratch_bytes", static_cast<double>(rs.handoff_scratch_bytes));
+  r.metric(pfx + "handoff_dram_bytes", static_cast<double>(rs.handoff_dram_bytes));
+  r.metric(pfx + "makespan_cycles", static_cast<double>(rs.makespan));
+  r.metric(pfx + "utilisation", rs.utilisation);
+  return sched::transcript(sc);
+}
+
+// Every policy finishes every graph, and the two claims of record hold:
+// overlap buys end-to-end throughput, and the scratchpad handoff path buys
+// latency over the DRAM spill. Checked here so that re-recording the golden
+// cannot paper over a policy regression.
+bool check_claims(const bench::BenchReport& m) {
+  bool ok = true;
+  const auto claim = [&ok](bool holds, const std::string& what) {
+    if (!holds) std::fprintf(stderr, "abl_dag: FAIL: %s\n", what.c_str());
+    ok = ok && holds;
+  };
+  for (const Policy& p : kPolicies) {
+    const std::string pfx = std::string(p.name) + "_";
+    claim(m.value(pfx + "graphs_completed") == m.value(pfx + "graphs"),
+          "policy " + std::string(p.name) + " left graphs unfinished");
+  }
+  claim(m.value("piped_graph_throughput_per_mcycle") >
+            m.value("serial_graph_throughput_per_mcycle"),
+        "pipelined graph throughput does not beat serialized");
+  claim(m.value("piped_e2e_p50_cycles") < m.value("dram_e2e_p50_cycles"),
+        "scratchpad-handoff e2e p50 does not beat DRAM-handoff");
+  return ok;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args =
-      util::BenchArgs::parse(argc, argv, "abl_dag", "BENCH_dag.json");
-  if (args.reject_positional()) return 2;
-  constexpr unsigned jobs = 60;
-
-  std::cout << "epi-dag policy ablation: " << jobs
-            << " stage-jobs/point, seed 42, all-pipeline traffic\n\n";
-  util::Table t({"policy", "graphs", "done", "g/Mcyc", "e2e p50", "e2e p99",
-                 "overlap", "scratch B", "dram B", "util %"});
-
-  util::BenchReport report("abl_dag");
-  bool ok = true;
-  std::unique_ptr<host::System> traced_sys;  // kept alive for finish_bench
-  double serial_tput = 0.0, piped_tput = 0.0;
-  sim::Cycles piped_p50 = 0, dram_p50 = 0;
+  bench::Sweep s;
+  s.bench = "abl_dag";
+  s.title = "epi-dag policy ablation: " + std::to_string(kJobs) +
+            " stage-jobs/point, seed 42, all-pipeline traffic";
+  s.columns = {"policy", "graphs", "done", "g/Mcyc", "e2e p50", "e2e p99",
+               "overlap", "scratch B", "dram B", "util %"};
+  s.note = "(e2e = first stage arrival -> last stage finish per graph; "
+           "cycles at 600 MHz)";
   for (const Policy& p : kPolicies) {
-    // Tracing is only attached to the fully-enabled policy: one timeline of
-    // the regime of record, instead of three files overwriting one another.
-    const bool trace_this = args.tracing() && std::string(p.name) == "piped";
-    auto sys = std::make_unique<host::System>();
-    if (trace_this) sys->machine().enable_tracing();
-    PointResult pr = run_policy(*sys, p, jobs);
-    if (trace_this) traced_sys = std::move(sys);
-    host::System replay;
-    if (run_policy(replay, p, jobs).event_log != pr.event_log) {
-      std::fprintf(stderr,
-                   "abl_dag: FAIL: scheduler event order diverged between "
-                   "two identical runs under policy %s\n",
-                   p.name);
-      ok = false;
-    }
-    const sched::RunStats& rs = pr.stats;
-    t.add_row({p.name, std::to_string(rs.graphs),
-               std::to_string(rs.graphs_completed),
-               util::fmt(rs.graph_throughput, 3),
-               std::to_string(rs.graph_e2e_p50),
-               std::to_string(rs.graph_e2e_p99), util::fmt(rs.stage_overlap, 2),
-               std::to_string(rs.handoff_scratch_bytes),
-               std::to_string(rs.handoff_dram_bytes),
-               util::fmt(100 * rs.utilisation, 1)});
-
-    const std::string pfx = std::string(p.name) + "_";
-    report.metric(pfx + "graphs", rs.graphs);
-    report.metric(pfx + "graphs_completed", rs.graphs_completed);
-    report.metric(pfx + "graph_throughput_per_mcycle", rs.graph_throughput);
-    report.metric(pfx + "e2e_p50_cycles", static_cast<double>(rs.graph_e2e_p50));
-    report.metric(pfx + "e2e_p99_cycles", static_cast<double>(rs.graph_e2e_p99));
-    report.metric(pfx + "stage_overlap", rs.stage_overlap);
-    report.metric(pfx + "handoff_scratch_bytes",
-                  static_cast<double>(rs.handoff_scratch_bytes));
-    report.metric(pfx + "handoff_dram_bytes",
-                  static_cast<double>(rs.handoff_dram_bytes));
-    report.metric(pfx + "makespan_cycles", static_cast<double>(rs.makespan));
-    report.metric(pfx + "utilisation", rs.utilisation);
-
-    if (std::string(p.name) == "serial") serial_tput = rs.graph_throughput;
-    if (std::string(p.name) == "piped") {
-      piped_tput = rs.graph_throughput;
-      piped_p50 = rs.graph_e2e_p50;
-    }
-    if (std::string(p.name) == "dram") dram_p50 = rs.graph_e2e_p50;
-    if (rs.graphs_completed != rs.graphs) {
-      std::fprintf(stderr, "abl_dag: FAIL: policy %s completed %u/%u graphs\n",
-                   p.name, rs.graphs_completed, rs.graphs);
-      ok = false;
-    }
+    s.points.push_back({std::string("policy ") + p.name,
+                        [&p](bench::Run& r) { return run_policy(p, r); }});
   }
-  t.print(std::cout);
-  std::cout << "\n(e2e = first stage arrival -> last stage finish per graph; "
-               "cycles at 600 MHz)\n";
-
-  // The two claims of record: overlap buys end-to-end throughput, and the
-  // scratchpad handoff path buys latency over the DRAM spill. Checked here
-  // so that re-recording the golden cannot paper over a policy regression.
-  if (piped_tput <= serial_tput) {
-    std::fprintf(stderr,
-                 "abl_dag: FAIL: pipelined throughput %.3f g/Mcyc does not "
-                 "beat serialized %.3f\n",
-                 piped_tput, serial_tput);
-    ok = false;
-  }
-  if (piped_p50 >= dram_p50) {
-    std::fprintf(stderr,
-                 "abl_dag: FAIL: scratchpad-handoff e2e p50 %llu does not "
-                 "beat DRAM-handoff %llu\n",
-                 static_cast<unsigned long long>(piped_p50),
-                 static_cast<unsigned long long>(dram_p50));
-    ok = false;
-  }
-
-  util::finish_bench(args, traced_sys ? traced_sys->machine().tracer() : nullptr,
-                     report);
-
-  return ok ? 0 : 1;
+  // Tracing covers the fully-enabled policy only: one timeline of the
+  // regime of record, instead of three files overwriting one another.
+  s.traced = "policy piped";
+  s.check = check_claims;
+  return bench::run_sweep(s, argc, argv);
 }

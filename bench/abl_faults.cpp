@@ -10,17 +10,12 @@
 // FaultReport), retry amplification (kernel executions per completed job),
 // and how much of the mesh ended the run quarantined.
 //
-// Results go to BENCH_faults.json; the committed copy at the repository
-// root is a byte-exact golden (ctest faults_bench_golden). Every level is
-// replayed once and the run exits non-zero if the decision or fault log
-// diverges.
+// Results go to BENCH_faults.json, a byte-exact golden (ctest
+// faults_bench_golden); bench/sweep.hpp replays every level.
 //
 // Usage: abl_faults [--metrics=FILE] [--no-metrics]
 
-#include <cstdio>
-#include <iostream>
 #include <string>
-#include <vector>
 
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
@@ -28,7 +23,7 @@
 #include "sched/report.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/workload.hpp"
-#include "util/bench_report.hpp"
+#include "sweep.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -49,18 +44,11 @@ constexpr Level kLevels[] = {
     {"high", 2, 4, 20, 3, 4, 4},
 };
 
-struct LevelResult {
-  sched::RunStats stats;
-  std::vector<std::string> decision_log;
-  std::vector<std::string> fault_log;
-  double mean_detect_latency = 0.0;  // cycles, fault strike -> report
-  double retry_amplification = 1.0;  // kernel executions per completed job
-  unsigned reexecs = 0;
-};
+constexpr unsigned kJobs = 48;
 
-fault::FaultPlan plan_for(const Level& lv, std::uint64_t seed) {
+fault::FaultPlan plan_for(const Level& lv) {
   fault::ChaosConfig cc;
-  cc.seed = seed;
+  cc.seed = 1000 + static_cast<std::uint64_t>(&lv - kLevels);
   cc.dims = {8, 8};
   cc.horizon = 1'200'000;
   cc.core_kills = lv.kills;
@@ -72,12 +60,12 @@ fault::FaultPlan plan_for(const Level& lv, std::uint64_t seed) {
   return fault::generate(cc);
 }
 
-LevelResult run_level(const Level& lv, unsigned jobs) {
-  host::System sys;
-  sys.machine().enable_faults(plan_for(lv, 1000 + static_cast<std::uint64_t>(&lv - kLevels)));
+std::string run_level(const Level& lv, bench::Run& r) {
+  host::System& sys = r.machine();
+  sys.machine().enable_faults(plan_for(lv));
 
   sched::TrafficConfig tc;
-  tc.jobs = jobs;
+  tc.jobs = kJobs;
   tc.seed = 42;
   tc.mean_interarrival = 30'000;
 
@@ -87,91 +75,69 @@ LevelResult run_level(const Level& lv, unsigned jobs) {
   for (auto& spec : sched::generate(tc)) sc.submit(std::move(spec));
   sc.run();
 
-  LevelResult lr;
-  lr.stats = sched::summarise(sc);
-  lr.decision_log = sc.event_log();
-  for (const auto& r : sc.fault_log()) lr.fault_log.push_back(fault::to_line(r));
-
-  double latency_sum = 0.0;
-  for (const auto& r : sc.fault_log()) {
-    latency_sum += static_cast<double>(r.detected >= r.since ? r.detected - r.since : 0);
+  const sched::RunStats rs = sched::summarise(sc);
+  double mean_detect_latency = 0.0;  // cycles, fault strike -> report
+  for (const auto& f : sc.fault_log()) {
+    mean_detect_latency +=
+        static_cast<double>(f.detected >= f.since ? f.detected - f.since : 0);
   }
   if (!sc.fault_log().empty()) {
-    lr.mean_detect_latency = latency_sum / static_cast<double>(sc.fault_log().size());
+    mean_detect_latency /= static_cast<double>(sc.fault_log().size());
   }
-
-  unsigned executions = 0;
+  unsigned executions = 0, reexecs = 0;
   for (const auto& rec : sc.records()) {
     if (rec.placed_once) executions += 1 + rec.reexecs;
-    lr.reexecs += rec.reexecs;
+    reexecs += rec.reexecs;
   }
-  if (lr.stats.completed > 0) {
-    lr.retry_amplification =
-        static_cast<double>(executions) / static_cast<double>(lr.stats.completed);
-  }
-  return lr;
+  // Kernel executions per completed job.
+  const double retry_amplification =
+      rs.completed > 0
+          ? static_cast<double>(executions) / static_cast<double>(rs.completed)
+          : 1.0;
+
+  r.row({lv.name, std::to_string(rs.completed), std::to_string(rs.failed),
+         std::to_string(rs.timed_out), util::fmt(rs.throughput, 3),
+         std::to_string(rs.faults_detected), util::fmt(mean_detect_latency, 0),
+         util::fmt(retry_amplification, 2), std::to_string(rs.cores_quarantined),
+         util::fmt(100 * rs.utilisation, 1)});
+
+  const std::string pfx = std::string("f_") + lv.name + "_";
+  r.metric(pfx + "goodput_jobs_per_mcycle", rs.throughput);
+  // Jobs/Mcycle alone can *rise* with fault rate (dropping a doomed 8x8
+  // job shortens the makespan denominator more than it costs the
+  // numerator), so the served fraction of the offered stream is the
+  // headline degradation figure.
+  r.metric(pfx + "completed_fraction",
+           rs.jobs > 0 ? static_cast<double>(rs.completed) / rs.jobs : 0.0);
+  r.metric(pfx + "completed", rs.completed);
+  r.metric(pfx + "failed", rs.failed);
+  r.metric(pfx + "timed_out", rs.timed_out);
+  r.metric(pfx + "faults_detected", rs.faults_detected);
+  r.metric(pfx + "mean_detect_latency_cycles", mean_detect_latency);
+  r.metric(pfx + "retry_amplification", retry_amplification);
+  r.metric(pfx + "reexecutions", reexecs);
+  r.metric(pfx + "jobs_retried", rs.retried);
+  r.metric(pfx + "jobs_relocated", rs.relocated);
+  r.metric(pfx + "cores_quarantined", rs.cores_quarantined);
+  r.metric(pfx + "utilisation", rs.utilisation);
+  return sched::transcript(sc);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args =
-      util::BenchArgs::parse(argc, argv, "abl_faults", "BENCH_faults.json");
-  if (args.reject_positional()) return 2;
-  constexpr unsigned jobs = 48;
-
-  std::cout << "epi-serve fault sweep: " << jobs
-            << " jobs/level, traffic seed 42, watchdog 400000 cycles\n\n";
-  util::Table t({"faults", "done", "fail", "to", "goodput", "detected",
-                 "latency", "retry amp", "quarantined", "util %"});
-
-  util::BenchReport report("abl_faults");
-  bool ok = true;
+  bench::Sweep s;
+  s.bench = "abl_faults";
+  s.title = "epi-serve fault sweep: " + std::to_string(kJobs) +
+            " jobs/level, traffic seed 42, watchdog 400000 cycles";
+  s.columns = {"faults", "done", "fail", "to", "goodput", "detected",
+               "latency", "retry amp", "quarantined", "util %"};
+  s.note = "(goodput = completed jobs per Mcycle net of fault losses; "
+           "latency = fault strike -> FaultReport,\n retry amp = kernel "
+           "executions per completed job; cycles at 600 MHz)";
   for (const Level& lv : kLevels) {
-    const LevelResult lr = run_level(lv, jobs);
-    const LevelResult again = run_level(lv, jobs);
-    if (again.decision_log != lr.decision_log || again.fault_log != lr.fault_log) {
-      std::fprintf(stderr,
-                   "abl_faults: FAIL: run diverged between two identical "
-                   "runs at level %s\n",
-                   lv.name);
-      ok = false;
-    }
-    const sched::RunStats& rs = lr.stats;
-    t.add_row({lv.name, std::to_string(rs.completed), std::to_string(rs.failed),
-               std::to_string(rs.timed_out), util::fmt(rs.throughput, 3),
-               std::to_string(rs.faults_detected),
-               util::fmt(lr.mean_detect_latency, 0),
-               util::fmt(lr.retry_amplification, 2),
-               std::to_string(rs.cores_quarantined),
-               util::fmt(100 * rs.utilisation, 1)});
-
-    const std::string pfx = std::string("f_") + lv.name + "_";
-    report.metric(pfx + "goodput_jobs_per_mcycle", rs.throughput);
-    // Jobs/Mcycle alone can *rise* with fault rate (dropping a doomed 8x8
-    // job shortens the makespan denominator more than it costs the
-    // numerator), so the served fraction of the offered stream is the
-    // headline degradation figure.
-    report.metric(pfx + "completed_fraction",
-                  rs.jobs > 0 ? static_cast<double>(rs.completed) / rs.jobs : 0.0);
-    report.metric(pfx + "completed", rs.completed);
-    report.metric(pfx + "failed", rs.failed);
-    report.metric(pfx + "timed_out", rs.timed_out);
-    report.metric(pfx + "faults_detected", rs.faults_detected);
-    report.metric(pfx + "mean_detect_latency_cycles", lr.mean_detect_latency);
-    report.metric(pfx + "retry_amplification", lr.retry_amplification);
-    report.metric(pfx + "reexecutions", lr.reexecs);
-    report.metric(pfx + "jobs_retried", rs.retried);
-    report.metric(pfx + "jobs_relocated", rs.relocated);
-    report.metric(pfx + "cores_quarantined", rs.cores_quarantined);
-    report.metric(pfx + "utilisation", rs.utilisation);
+    s.points.push_back({std::string("level ") + lv.name,
+                        [&lv](bench::Run& r) { return run_level(lv, r); }});
   }
-  t.print(std::cout);
-  std::cout << "\n(goodput = completed jobs per Mcycle net of fault losses; "
-               "latency = fault strike -> FaultReport,\n retry amp = kernel "
-               "executions per completed job; cycles at 600 MHz)\n";
-
-  util::finish_bench(args, nullptr, report);
-
-  return ok ? 0 : 1;
+  return bench::run_sweep(s, argc, argv);
 }

@@ -1,31 +1,19 @@
-#include "util/bench_report.hpp"
+#include "bench_report.hpp"
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
 
+#include "host/system.hpp"
 #include "trace/counters.hpp"
 #include "trace/export.hpp"
 #include "trace/profile.hpp"
 #include "trace/tracer.hpp"
+#include "util/cli.hpp"
 
-namespace epi::util {
-
-namespace {
-
-bool take_value_flag(std::string_view arg, std::string_view flag, std::string& out) {
-  if (arg.size() > flag.size() + 1 && arg.substr(0, flag.size()) == flag &&
-      arg[flag.size()] == '=') {
-    out = std::string(arg.substr(flag.size() + 1));
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
+namespace epi::bench {
 
 BenchArgs BenchArgs::parse(int argc, char** argv, std::string bench,
                            std::string metrics_path) {
@@ -35,9 +23,9 @@ BenchArgs BenchArgs::parse(int argc, char** argv, std::string bench,
       metrics_path.empty() ? a.bench + "_trace.json" : std::move(metrics_path);
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (take_value_flag(arg, "--trace", a.trace_path) ||
-        take_value_flag(arg, "--csv", a.csv_path) ||
-        take_value_flag(arg, "--metrics", a.metrics_path)) {
+    if (cli::value_flag(arg, "--trace", a.trace_path) ||
+        cli::value_flag(arg, "--csv", a.csv_path) ||
+        cli::value_flag(arg, "--metrics", a.metrics_path)) {
       continue;
     }
     if (arg == "--no-metrics") {
@@ -49,16 +37,15 @@ BenchArgs BenchArgs::parse(int argc, char** argv, std::string bench,
   return a;
 }
 
-bool BenchArgs::reject_positional() const {
-  if (positional.empty()) return false;
-  std::cerr << bench << ": unexpected argument '" << positional.front()
-            << "' (accepts --trace=FILE --csv=FILE --metrics=FILE --no-metrics)\n";
-  return true;
-}
-
-double BenchArgs::positional_double(std::size_t i, double fallback) const {
-  if (i >= positional.size()) return fallback;
-  return std::atof(positional[i].c_str());
+std::optional<double> BenchArgs::seconds(std::string_view name,
+                                         double fallback) const {
+  if (positional.empty()) return fallback;
+  try {
+    return cli::seconds(name, positional.front());
+  } catch (const cli::UsageError& e) {
+    std::cerr << bench << ": " << e.what() << "\n";
+    return std::nullopt;
+  }
 }
 
 void BenchReport::metric(std::string name, double value) {
@@ -69,6 +56,13 @@ void BenchReport::metric(std::string name, double value) {
     }
   }
   metrics_.emplace_back(std::move(name), value);
+}
+
+double BenchReport::value(std::string_view name) const {
+  for (const auto& [n, v] : metrics_) {
+    if (n == name) return v;
+  }
+  throw std::out_of_range("no metric named " + std::string(name));
 }
 
 void BenchReport::add_counters(const trace::Counters& counters) {
@@ -93,8 +87,9 @@ void BenchReport::write(const std::string& path) const {
   os << "}}\n";
 }
 
-void finish_bench(const BenchArgs& args, const trace::Tracer* tracer,
-                  BenchReport& report, const trace::ProfileReport* profile) {
+void finish_bench(const BenchArgs& args, host::System* traced, BenchReport& report,
+                  bool profile) {
+  const trace::Tracer* tracer = traced != nullptr ? traced->machine().tracer() : nullptr;
   if (tracer != nullptr) {
     if (!args.trace_path.empty()) {
       std::ofstream os(args.trace_path, std::ios::binary | std::ios::trunc);
@@ -110,9 +105,11 @@ void finish_bench(const BenchArgs& args, const trace::Tracer* tracer,
     }
     report.add_counters(tracer->counters());
     std::cout << "\n";
-    trace::write_summary(std::cout, *tracer, profile);
+    trace::ProfileReport attribution;
+    if (profile) attribution = trace::attribute(*tracer, 0, traced->engine().now());
+    trace::write_summary(std::cout, *tracer, profile ? &attribution : nullptr);
   }
   report.write(args.metrics_path);
 }
 
-}  // namespace epi::util
+}  // namespace epi::bench

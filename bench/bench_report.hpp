@@ -14,17 +14,21 @@
 // terminal tables. The sweeps whose committed `BENCH_<x>.json` is a golden
 // default to that name; the rest default to `<bench>_trace.json`.
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+namespace epi::host {
+class System;
+}  // namespace epi::host
+
 namespace epi::trace {
 class Counters;
-class Tracer;
-struct ProfileReport;
 }  // namespace epi::trace
 
-namespace epi::util {
+namespace epi::bench {
 
 struct BenchArgs {
   std::string bench;         // bench name (e.g. "tab03_elink64")
@@ -39,11 +43,11 @@ struct BenchArgs {
                                        std::string metrics_path = {});
 
   [[nodiscard]] bool tracing() const noexcept { return !trace_path.empty(); }
-  /// For benches that take no positional arguments: when one was given,
-  /// print a usage error naming it and return true (the caller exits 2).
-  [[nodiscard]] bool reject_positional() const;
-  /// Positional argument `i` as a double, or `fallback` when absent.
-  [[nodiscard]] double positional_double(std::size_t i, double fallback) const;
+  /// The first positional argument as simulated seconds (cli::seconds), or
+  /// `fallback` when there is none. A bad value prints a usage error naming
+  /// `name` and yields nullopt (the caller exits 2).
+  [[nodiscard]] std::optional<double> seconds(std::string_view name,
+                                              double fallback) const;
 };
 
 /// Accumulates named metrics and writes them as deterministic JSON.
@@ -52,6 +56,8 @@ public:
   explicit BenchReport(std::string bench) : bench_(std::move(bench)) {}
 
   void metric(std::string name, double value);
+  /// The value recorded under `name`; throws std::out_of_range if none is.
+  [[nodiscard]] double value(std::string_view name) const;
   /// Fold in every machine-wide counter (names containing '@' are per-entity
   /// detail and stay out of the headline report).
   void add_counters(const trace::Counters& counters);
@@ -64,11 +70,12 @@ private:
   std::vector<std::pair<std::string, double>> metrics_;
 };
 
-/// Standard tail of an instrumented bench: when `tracer` is non-null, write
-/// the Perfetto trace / counters CSV named in `args`, fold headline counters
-/// into `report`, and print the terminal summary (with per-core attribution
-/// when `profile` is given); then write the metrics file.
-void finish_bench(const BenchArgs& args, const trace::Tracer* tracer,
-                  BenchReport& report, const trace::ProfileReport* profile = nullptr);
+/// Standard tail of an instrumented bench. When `traced` is a traced
+/// machine, write the Perfetto trace / counters CSV named in `args`, fold
+/// headline counters into `report`, and print the terminal summary (with
+/// per-core attribution over the whole run when `profile` is set); then
+/// write the metrics file.
+void finish_bench(const BenchArgs& args, host::System* traced, BenchReport& report,
+                  bool profile = false);
 
-}  // namespace epi::util
+}  // namespace epi::bench

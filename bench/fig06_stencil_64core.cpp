@@ -12,20 +12,19 @@
 #include <iostream>
 #include <optional>
 
+#include "bench_report.hpp"
 #include "core/stencil.hpp"
-#include "trace/profile.hpp"
-#include "util/bench_report.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace epi;
-  const auto args = util::BenchArgs::parse(argc, argv, "fig06_stencil_64core");
+  const auto args = bench::BenchArgs::parse(argc, argv, "fig06_stencil_64core");
   std::cout << "Figure 6: 64-core stencil performance, with vs without communication\n"
                "(50 iterations, per-core grid shapes, 8x8 workgroup)\n\n";
   const std::pair<unsigned, unsigned> shapes[] = {
       {20, 20}, {40, 20}, {20, 40}, {60, 20}, {80, 20}, {20, 80}, {40, 40}, {60, 60},
   };
-  util::BenchReport report("fig06_stencil_64core");
+  bench::BenchReport report("fig06_stencil_64core");
   util::Table t({"Per-core grid", "GFLOPS (no comm)", "GFLOPS (with comm)", "Comm penalty %"});
   std::optional<host::System> traced_sys;
   for (auto [r, c] : shapes) {
@@ -53,12 +52,7 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper: 72.83 GFLOPS no-comm peak at 80x20/core; 63.6 GFLOPS (82.8% of\n"
                "76.8 peak) with communication.\n";
 
-  if (traced_sys) {
-    const trace::Tracer* tracer = traced_sys->machine().tracer();
-    const auto profile = trace::attribute(*tracer, 0, traced_sys->engine().now());
-    util::finish_bench(args, tracer, report, &profile);
-  } else {
-    util::finish_bench(args, nullptr, report);
-  }
+  bench::finish_bench(args, traced_sys ? &*traced_sys : nullptr, report,
+                      /*profile=*/true);
   return 0;
 }

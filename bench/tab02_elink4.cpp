@@ -4,19 +4,20 @@
 //
 // Usage: tab02_elink4 [window_seconds] [--trace=FILE] [--csv=FILE]
 //                     [--metrics=FILE] [--no-metrics]
-// (default window 0.5; paper used 2.0)
+// (default window 0.5, at most 10; paper used 2.0)
 
 #include <iostream>
 
+#include "bench_report.hpp"
 #include "core/microbench.hpp"
-#include "trace/profile.hpp"
-#include "util/bench_report.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace epi;
-  const auto args = util::BenchArgs::parse(argc, argv, "tab02_elink4");
-  const double window = args.positional_double(0, 0.5);
+  const auto args = bench::BenchArgs::parse(argc, argv, "tab02_elink4");
+  const auto seconds = args.seconds("window_seconds", 0.5);
+  if (!seconds) return 2;
+  const double window = *seconds;
   std::cout << "Table II: 4 mesh nodes writing 2KB blocks to DRAM over "
             << util::fmt(window, 2) << " s (simulated)\n\n";
   host::System sys;
@@ -32,7 +33,7 @@ int main(int argc, char** argv) {
             << " MB/s (paper cap: 150 MB/s, one quarter of the 600 MB/s eLink).\n"
             << "Paper shares: 0,0=0.41  0,1=0.33  1,0=0.17  1,1=0.08\n";
 
-  util::BenchReport report("tab02_elink4");
+  bench::BenchReport report("tab02_elink4");
   report.metric("window_seconds", res.window_seconds);
   report.metric("aggregate_mb_per_s", res.total_mb_per_s);
   for (const auto& n : res.nodes) {
@@ -40,12 +41,6 @@ int main(int argc, char** argv) {
                       std::to_string(n.coord.col),
                   static_cast<double>(n.iterations));
   }
-  const trace::Tracer* tracer = sys.machine().tracer();
-  if (tracer != nullptr) {
-    const auto profile = trace::attribute(*tracer, 0, sys.engine().now());
-    util::finish_bench(args, tracer, report, &profile);
-  } else {
-    util::finish_bench(args, nullptr, report);
-  }
+  bench::finish_bench(args, &sys, report, /*profile=*/true);
   return 0;
 }

@@ -4,7 +4,7 @@
 //
 // Usage: tab03_elink64 [window_seconds] [--trace=FILE] [--csv=FILE]
 //                      [--metrics=FILE] [--no-metrics]
-// (default window 0.25; paper used 2.0)
+// (default window 0.25, at most 10; paper used 2.0)
 //
 // With --trace=FILE the starvation is directly visible in the Perfetto UI:
 // the "eLink write" row shows which core each grant went to, and the starved
@@ -13,15 +13,16 @@
 #include <algorithm>
 #include <iostream>
 
+#include "bench_report.hpp"
 #include "core/microbench.hpp"
-#include "trace/profile.hpp"
-#include "util/bench_report.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace epi;
-  const auto args = util::BenchArgs::parse(argc, argv, "tab03_elink64");
-  const double window = args.positional_double(0, 0.25);
+  const auto args = bench::BenchArgs::parse(argc, argv, "tab03_elink64");
+  const auto seconds = args.seconds("window_seconds", 0.25);
+  if (!seconds) return 2;
+  const double window = *seconds;
   std::cout << "Table III: 64 mesh nodes writing 2KB blocks to DRAM over "
             << util::fmt(window, 2) << " s (simulated)\n\n";
   host::System sys;
@@ -64,17 +65,11 @@ int main(int argc, char** argv) {
             << "depth; the measured near-equal split among the top four column-7\n"
             << "nodes is a burst-timing artefact we do not reproduce.)\n";
 
-  util::BenchReport report("tab03_elink64");
+  bench::BenchReport report("tab03_elink64");
   report.metric("window_seconds", res.window_seconds);
   report.metric("aggregate_mb_per_s", res.total_mb_per_s);
   report.metric("starved_nodes", static_cast<double>(zero));
   report.metric("top_iterations", static_cast<double>(sorted.front().iterations));
-  const trace::Tracer* tracer = sys.machine().tracer();
-  if (tracer != nullptr) {
-    const auto profile = trace::attribute(*tracer, 0, sys.engine().now());
-    util::finish_bench(args, tracer, report, &profile);
-  } else {
-    util::finish_bench(args, nullptr, report);
-  }
+  bench::finish_bench(args, &sys, report, /*profile=*/true);
   return 0;
 }

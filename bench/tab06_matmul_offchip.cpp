@@ -12,21 +12,21 @@
 #include <iostream>
 #include <optional>
 
+#include "bench_report.hpp"
 #include "core/matmul.hpp"
 #include "trace/profile.hpp"
-#include "util/bench_report.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace epi;
-  const auto args = util::BenchArgs::parse(argc, argv, "tab06_matmul_offchip");
+  const auto args = bench::BenchArgs::parse(argc, argv, "tab06_matmul_offchip");
   std::cout << "Table VI: Floating-point performance for larger (off-chip) matrices\n"
                "(8x8 workgroup; paging over the eLink)\n\n";
   struct Case {
     unsigned n, block;
   };
   const Case cases[] = {{512, 32}, {1024, 32}, {1536, 24}};
-  util::BenchReport report("tab06_matmul_offchip");
+  bench::BenchReport report("tab06_matmul_offchip");
   util::Table t({"Matrix C", "Per-core block", "GFLOPS", "% of peak", "% computation",
                  "% shared-mem transfers"});
   std::optional<host::System> traced_sys;
@@ -58,9 +58,8 @@ int main(int argc, char** argv) {
               << util::fmt(100.0 * profile.comm_dma_fraction(), 1)
               << "% of core cycles (paper Table VI: ~87% shared-memory transfers)\n";
     report.metric("profile_comm_dma_fraction_512", profile.comm_dma_fraction());
-    util::finish_bench(args, tracer, report, &profile);
-  } else {
-    util::finish_bench(args, nullptr, report);
   }
+  bench::finish_bench(args, traced_sys ? &*traced_sys : nullptr, report,
+                      /*profile=*/true);
   return 0;
 }

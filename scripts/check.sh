@@ -3,7 +3,8 @@
 # a Debug build with AddressSanitizer/UBSan (-DEPI_SANITIZE=ON) running the
 # same suite. Both suites include the *_bench_golden tests, so every
 # simulated-metric sweep must reproduce its committed BENCH_<x>.json byte for
-# byte in both build modes. Run from the repository root:
+# byte in both build modes, and the trace_export_smoke test, so the Perfetto
+# export must parse as JSON in both. Run from the repository root:
 #
 #     scripts/check.sh [extra ctest args...]
 

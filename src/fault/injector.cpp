@@ -135,7 +135,6 @@ bool FaultInjector::intercept_core_op(arch::CoreCoord c, sim::Cycles d,
       cf.kill_noted = true;
       note("kill", c_kill_, "core=" + arch::to_string(c));
     }
-    ++parked_;
     return true;
   }
 
@@ -168,7 +167,6 @@ bool FaultInjector::park_if_dead(arch::CoreCoord c, std::coroutine_handle<> h) {
     cf.kill_noted = true;
     note("kill", c_kill_, "core=" + arch::to_string(c));
   }
-  ++parked_;
   return true;
 }
 

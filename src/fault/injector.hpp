@@ -116,7 +116,6 @@ public:
     return injections_;
   }
   [[nodiscard]] const trace::Counters& counters() const noexcept { return counters_; }
-  [[nodiscard]] std::size_t parked_processes() const noexcept { return parked_; }
 
   // ---- mem::MemoryHook (MemFlip write corruption) ------------------------
 
@@ -168,7 +167,6 @@ private:
   std::uint32_t mem_flip_budget_ = 0;
 
   std::vector<std::string> injections_;
-  std::size_t parked_ = 0;
   trace::Counters counters_;
   trace::Counters::Id c_kill_, c_stall_, c_reroute_, c_elink_outage_,
       c_elink_flip_, c_mem_flip_, c_retry_;

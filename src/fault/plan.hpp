@@ -131,12 +131,6 @@ struct FaultPlan {
   [[nodiscard]] bool cluster() const noexcept {
     return chip_rows != 0 && chip_cols != 0;
   }
-  [[nodiscard]] bool has_chip_faults() const noexcept {
-    for (const FaultEvent& e : events) {
-      if (is_chip_scoped(e.kind)) return true;
-    }
-    return false;
-  }
 };
 
 /// Parameters for a seeded random plan. Counts are exact (generate() emits

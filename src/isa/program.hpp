@@ -65,11 +65,6 @@ enum class Opcode : std::uint8_t {
 [[nodiscard]] constexpr bool is_branch(Opcode op) noexcept {
   return op == Opcode::B || op == Opcode::Bne || op == Opcode::Beq;
 }
-/// Cross-core synchronisation instructions (WAIT/BAR/TESTSET): the inputs
-/// to the workgroup happens-before analysis in lint/workgroup.hpp.
-[[nodiscard]] constexpr bool is_sync(Opcode op) noexcept {
-  return op == Opcode::Wait || op == Opcode::Bar || op == Opcode::Testset;
-}
 
 struct Instruction {
   Opcode op = Opcode::Halt;

@@ -75,9 +75,6 @@ public:
     }
   }
 
-  [[nodiscard]] bool is_reserved(arch::CoreCoord c) const noexcept {
-    return dims_.contains(c) && owner_[dims_.index_of(c)] != kFree;
-  }
   [[nodiscard]] unsigned reserved_count() const noexcept { return reserved_; }
 
 private:

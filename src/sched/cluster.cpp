@@ -734,11 +734,6 @@ const std::vector<std::string>& ClusterScheduler::notices(unsigned chip) const {
   return chips_.at(chip)->notices;
 }
 
-const std::vector<fault::FaultReport>& ClusterScheduler::cluster_faults(
-    unsigned chip) const {
-  return chips_.at(chip)->cfaults;
-}
-
 void ClusterScheduler::write_trace(std::ostream& os) const {
   if (!cfg_.trace) {
     throw std::logic_error("write_trace needs ClusterConfig::trace");

@@ -125,10 +125,6 @@ public:
 
   /// True when the cluster plan armed the failover stack.
   [[nodiscard]] bool failover_armed() const noexcept { return armed_; }
-  /// Chip-level fault reports raised by `chip` (watchdog trips, forward
-  /// timeouts, CRC rejects), in detection order.
-  [[nodiscard]] const std::vector<fault::FaultReport>& cluster_faults(
-      unsigned chip) const;
 
   /// Chrome/Perfetto trace of the whole cluster run, one process per chip.
   /// Requires ClusterConfig::trace; valid after run().

@@ -117,33 +117,6 @@ std::size_t job_shm_bytes(const JobSpec& spec) {
   return elems * sizeof(float) * spec.rows * spec.cols;
 }
 
-double job_flops(const JobSpec& spec) {
-  const double cores = static_cast<double>(spec.rows) * spec.cols;
-  switch (spec.kind) {
-    case JobKind::Matmul:
-      return cores * spec.iters *
-             core::MatmulSchedule::block_flops(spec.block, spec.block, spec.block);
-    case JobKind::Stencil:
-      return cores * spec.iters *
-             core::StencilSchedule::iteration_flops(spec.block, spec.block);
-    case JobKind::Offload:
-      return cores * 2.0 * spec.block * spec.block;
-    case JobKind::Custom:
-      return 0.0;  // flops come from the programs' own FPU ops, not a model
-    case JobKind::CannonMatmul: {
-      // p^2 active PEs each multiply one block per step, p steps per rotation
-      // (min is invariant under the allocator's shape rotation).
-      const double p = std::min(spec.rows, spec.cols);
-      const unsigned b = cannon_block(spec);
-      return p * p * p * std::max(1u, spec.iters) *
-             core::MatmulSchedule::block_flops(b, b, b);
-    }
-    case JobKind::Transpose:
-      return 0.0;  // pure communication
-  }
-  return 0.0;
-}
-
 std::uint32_t offload_pattern_word(std::uint32_t job, unsigned group_index,
                                    std::uint32_t word) noexcept {
   std::uint32_t x = job * 0x9E3779B9u ^ (group_index * 0x85EBCA6Bu) ^

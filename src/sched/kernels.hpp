@@ -40,10 +40,6 @@ namespace epi::sched {
 [[nodiscard]] device::KernelFn prepare_job(host::System& sys, host::Workgroup& wg,
                                            const JobSpec& spec, arch::Addr shm_base);
 
-/// Rough service-cycle estimate for a job (used only for report context,
-/// never for scheduling decisions -- the simulator provides ground truth).
-[[nodiscard]] double job_flops(const JobSpec& spec);
-
 // ---- fault-recovery result validation (offload jobs) ----------------------
 // With a fault plan armed, the scheduler fills each offload core's source
 // stripe with this deterministic pattern at launch and re-derives the

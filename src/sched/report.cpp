@@ -5,6 +5,8 @@
 #include <limits>
 #include <map>
 
+#include "fault/injector.hpp"
+#include "sched/cluster.hpp"
 #include "util/fmt.hpp"
 
 namespace epi::sched {
@@ -200,6 +202,30 @@ std::string render_report(const Scheduler& sched) {
       out += util::format(" | graph %u stage %u", rec.spec.graph, rec.spec.stage);
     }
     out += "\n";
+  }
+  return out;
+}
+
+namespace {
+
+void append_logs(std::string& out, const Scheduler& sched) {
+  for (const auto& line : sched.event_log()) out += line + "\n";
+  for (const auto& r : sched.fault_log()) out += fault::to_line(r) + "\n";
+}
+
+}  // namespace
+
+std::string transcript(const Scheduler& sched) {
+  std::string out = render_report(sched);
+  append_logs(out, sched);
+  return out;
+}
+
+std::string transcript(const ClusterScheduler& cluster) {
+  std::string out = cluster.report();
+  for (unsigned c = 0; c < cluster.stats().chips; ++c) {
+    append_logs(out, cluster.chip_sched(c));
+    for (const auto& line : cluster.notices(c)) out += line + "\n";
   }
   return out;
 }

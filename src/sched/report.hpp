@@ -1,9 +1,10 @@
 #pragma once
-// Serving-run accounting: percentile summaries, per-tenant aggregation, and
-// the deterministic text report epi_serve prints. Everything here is a pure
-// function of the scheduler's JobRecords (plus makespan/utilisation), so two
-// same-seed runs render byte-identical reports -- the CLI's --selftest and
-// the ctest determinism check compare these bytes directly.
+// Serving-run accounting: percentile summaries, per-tenant aggregation, the
+// deterministic text report epi_serve prints, and the transcript -- the
+// definition of what a serving run outputs. Everything here is a pure
+// function of the finished run, so two same-seed runs render byte-identical
+// reports and transcripts; epi_serve --selftest, the golden sweeps and the
+// determinism goldens compare transcripts directly.
 
 #include <string>
 #include <vector>
@@ -12,6 +13,8 @@
 #include "sched/scheduler.hpp"
 
 namespace epi::sched {
+
+class ClusterScheduler;
 
 /// Nearest-rank percentile (p in [0,100]) of a sample set; 0 when empty.
 /// Sorts a copy: report-time cost, never scheduler-path cost.
@@ -74,5 +77,14 @@ struct RunStats {
 /// per-job verdict listing (every job appears with its verdict -- timeouts
 /// and failures are reported, never silently dropped).
 [[nodiscard]] std::string render_report(const Scheduler& sched);
+
+/// Everything a single-chip serving run outputs: the report, then the
+/// decision log and the fault log, one line per entry. A replay of the same
+/// run must reproduce these bytes exactly.
+[[nodiscard]] std::string transcript(const Scheduler& sched);
+
+/// Everything a cluster run outputs: the cluster report, then for each chip
+/// in id order its decision log, fault log and delivered notices.
+[[nodiscard]] std::string transcript(const ClusterScheduler& cluster);
 
 }  // namespace epi::sched

@@ -59,10 +59,6 @@ public:
 
   [[nodiscard]] static Stats stats() noexcept { return inst().stats_; }
 
-  /// Return every cached block to the global allocator (benchmarks use this
-  /// to measure cold-start allocation cost; stats counters are preserved).
-  static void trim() noexcept { inst().do_trim(); }
-
 private:
   // Frames are bucketed at kGranularity resolution up to kMaxPooled bytes.
   static constexpr std::size_t kHeader = 2 * sizeof(std::max_align_t);

@@ -1,11 +1,13 @@
 #pragma once
-// Command-line parsing shared by epi_serve and epi_fault: `--flag=value`
-// matching plus strict numeric values. A numeric value must be the whole
-// token, carry no sign, and lie in the flag's range; anything else throws
-// UsageError naming the flag, which the tool's main prints as
-// "<tool>: --flag needs ..." before exiting with status 2.
+// Command-line parsing shared by the tools (epi_serve, epi_fault, epi_trace)
+// and the bench binaries: `--flag=value` matching plus strict numeric values.
+// A numeric value must be the whole token, carry no sign, and lie in the
+// flag's range; anything else throws UsageError naming the flag, which the
+// binary's main prints as "<tool>: --flag needs ..." before exiting with
+// status 2.
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -24,6 +26,9 @@ inline constexpr std::uint64_t kMaxSeed = std::numeric_limits<std::uint64_t>::ma
 inline constexpr std::uint64_t kMaxJobs = 100'000;
 inline constexpr std::uint64_t kMaxCycles = 1'000'000'000'000;
 inline constexpr std::uint64_t kMaxFaults = 10'000;
+// A simulated-seconds value is capped at five times the paper's 2.0 s eLink
+// window, so a typo such as 1e9 cannot become a run that never ends.
+inline constexpr double kMaxSeconds = 10.0;
 
 /// True when `arg` is `flag=VALUE` with a non-empty VALUE, copied to `out`.
 inline bool value_flag(std::string_view arg, std::string_view flag,
@@ -42,6 +47,15 @@ inline bool read_uint(std::string_view s, std::uint64_t lo, std::uint64_t hi,
                       std::uint64_t& out) {
   const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
   return ec == std::errc{} && p == s.data() + s.size() && out >= lo && out <= hi;
+}
+
+/// True when all of `s` is a finite decimal number with no sign, no spaces
+/// and no suffix (from_chars alone accepts a leading '-', "nan" and "inf").
+inline bool read_double(std::string_view s, double& out) {
+  const char* end = s.data() + s.size();
+  const auto [p, ec] = std::from_chars(s.data(), end, out);
+  return !s.empty() && s[0] != '-' && ec == std::errc{} && p == end &&
+         std::isfinite(out);
 }
 
 /// `flag=N` with N in [lo, hi] parsed into `out`; false if `arg` is another
@@ -67,14 +81,33 @@ inline bool fraction_flag(std::string_view arg, std::string_view flag,
   std::string val;
   if (!value_flag(arg, flag, val)) return false;
   double v = 0.0;
-  const char* end = val.data() + val.size();
-  const auto [p, ec] = std::from_chars(val.data(), end, v);
-  // from_chars accepts a leading '-' and "nan"; the range test rejects NaN.
-  if (val[0] == '-' || ec != std::errc{} || p != end || !(v >= 0.0 && v <= 1.0)) {
+  if (!read_double(val, v) || v > 1.0) {
     throw UsageError(std::string(flag) + " needs a fraction in [0, 1], got '" +
                      val + "'");
   }
   out = v;
+  return true;
+}
+
+/// `text` as simulated seconds in (0, kMaxSeconds]; anything else throws
+/// UsageError naming `name` (a flag or a positional argument).
+inline double seconds(std::string_view name, std::string_view text) {
+  double v = 0.0;
+  if (!read_double(text, v) || !(v > 0.0 && v <= kMaxSeconds)) {
+    throw UsageError(std::string(name) +
+                     " needs simulated seconds in (0, " +
+                     std::to_string(static_cast<int>(kMaxSeconds)) + "], got '" +
+                     std::string(text) + "'");
+  }
+  return v;
+}
+
+/// `flag=S` with S parsed by seconds() into `out`.
+inline bool seconds_flag(std::string_view arg, std::string_view flag,
+                         double& out) {
+  std::string val;
+  if (!value_flag(arg, flag, val)) return false;
+  out = seconds(flag, val);
   return true;
 }
 

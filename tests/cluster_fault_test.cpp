@@ -15,6 +15,7 @@
 #include "machine/partition.hpp"
 #include "noc/xmesh.hpp"
 #include "sched/cluster.hpp"
+#include "sched/report.hpp"
 
 namespace epi {
 namespace {
@@ -401,7 +402,7 @@ TEST(ClusterFailover, GeneratedChaosPlanRecoversAndReplays) {
 
   sched::ClusterScheduler replay(cfg);
   replay.run();
-  EXPECT_EQ(replay.report(), cs.report());
+  EXPECT_EQ(sched::transcript(replay), sched::transcript(cs));
 }
 
 }  // namespace

@@ -309,9 +309,7 @@ TEST(PipelineTraffic, ServedPipelinedStreamIsDeterministic) {
     sched::Scheduler sc(sys);
     for (auto& spec : sched::generate(tc)) sc.submit(std::move(spec));
     sc.run();
-    std::string all = sched::render_report(sc);
-    for (const auto& line : sc.event_log()) all += line + "\n";
-    return all;
+    return sched::transcript(sc);
   };
   const std::string a = once();
   EXPECT_EQ(a, once());

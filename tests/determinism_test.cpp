@@ -24,7 +24,6 @@
 #include "core/matmul.hpp"
 #include "core/microbench.hpp"
 #include "core/stencil.hpp"
-#include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "host/system.hpp"
 #include "lint/wg_fixtures.hpp"
@@ -205,17 +204,9 @@ std::uint64_t fnv1a(const std::string& s) {
 //
 // The scheduler's decision log is part of its contract: every admit, place,
 // retry, timeout, head-block and fault line, in order. These scenarios pin
-// fnv1a(report + decision log + fault log) for one chip, one per policy
-// path, so a change to when or how the policy passes run cannot move a
-// single decision without failing here.
-
-// Everything observable from a single-chip serving run.
-std::string serve_bytes(const sched::Scheduler& sc) {
-  std::string all = sched::render_report(sc);
-  for (const auto& line : sc.event_log()) all += line + "\n";
-  for (const auto& r : sc.fault_log()) all += fault::to_line(r) + "\n";
-  return all;
-}
+// fnv1a(sched::transcript) -- report + decision log + fault log -- for one
+// chip, one per policy path, so a change to when or how the policy passes
+// run cannot move a single decision without failing here.
 
 std::size_t log_lines_with(const sched::Scheduler& sc, const char* what) {
   std::size_t n = 0;
@@ -242,7 +233,7 @@ TEST(GoldenDeterminism, ServeOverloadAgingAndHeadBlock) {
   sc.run();
   EXPECT_GT(log_lines_with(sc, " head-block "), 0u);
   EXPECT_GT(log_lines_with(sc, " reject "), 0u);
-  EXPECT_EQ(fnv1a(serve_bytes(sc)), 15127138766402273350ull);
+  EXPECT_EQ(fnv1a(sched::transcript(sc)), 15127138766402273350ull);
 }
 
 // The policy sweeps run on state changes and horizons, not once per engine
@@ -276,7 +267,7 @@ TEST(GoldenDeterminism, ServeLaunchRetriesAndTimeouts) {
   sc.run();
   EXPECT_GT(log_lines_with(sc, " launch-fail "), 0u);
   EXPECT_GT(log_lines_with(sc, " timeout "), 0u);
-  EXPECT_EQ(fnv1a(serve_bytes(sc)), 14234782603428984755ull);
+  EXPECT_EQ(fnv1a(sched::transcript(sc)), 14234782603428984755ull);
 }
 
 // Pipelines serialised graph by graph (the abl_dag baseline), with the
@@ -295,7 +286,7 @@ TEST(GoldenDeterminism, ServePipelinesSerialisedWithScratchHandoff) {
   for (auto& spec : sched::generate(tc)) sc.submit(std::move(spec));
   sc.run();
   EXPECT_GT(log_lines_with(sc, " handoff "), 0u);
-  EXPECT_EQ(fnv1a(serve_bytes(sc)), 8146954803341702387ull);
+  EXPECT_EQ(fnv1a(sched::transcript(sc)), 8146954803341702387ull);
 }
 
 // Custom jobs through the admission-time lint gate in warn mode: racy
@@ -325,7 +316,7 @@ TEST(GoldenDeterminism, ServeLintWarnCustomJobs) {
   }
   sc.run();
   EXPECT_GT(log_lines_with(sc, " lint-warn "), 0u);
-  EXPECT_EQ(fnv1a(serve_bytes(sc)), 17764332830629029129ull);
+  EXPECT_EQ(fnv1a(sched::transcript(sc)), 17764332830629029129ull);
 }
 
 // Watchdog armed under a seeded chaos plan: stalls, link outages and memory
@@ -349,7 +340,7 @@ TEST(GoldenDeterminism, ServeWatchdogUnderChaosPlan) {
   for (auto& spec : sched::generate(tc)) sc.submit(std::move(spec));
   sc.run();
   EXPECT_FALSE(sc.fault_log().empty());
-  EXPECT_EQ(fnv1a(serve_bytes(sc)), 10972818334702173703ull);
+  EXPECT_EQ(fnv1a(sched::transcript(sc)), 10972818334702173703ull);
 }
 
 // A silence budget far shorter than any job, so running jobs sit past
@@ -373,7 +364,7 @@ TEST(GoldenDeterminism, ServeWatchdogTripsWreckedGroupInSameCycle) {
   for (auto& spec : sched::generate(tc)) sc.submit(std::move(spec));
   sc.run();
   EXPECT_FALSE(sc.fault_log().empty());
-  EXPECT_EQ(fnv1a(serve_bytes(sc)), 1817491458113101221ull);
+  EXPECT_EQ(fnv1a(sched::transcript(sc)), 1817491458113101221ull);
 }
 
 // ---- multi-chip (PDES) cluster serving -------------------------------------
@@ -384,26 +375,18 @@ TEST(GoldenDeterminism, ServeWatchdogTripsWreckedGroupInSameCycle) {
 // and pins their FNV-1a hash so any drift in the window schedule or merge
 // order fails loudly here.
 
-// Everything observable from a cluster run, concatenated: report bytes,
-// per-chip decision logs, per-chip fault logs, per-chip notice logs.
-std::string cluster_bytes(const sched::ClusterConfig& cfg) {
+// Serve `cfg` on fresh chips; returns the run's transcript (the cluster
+// report, then every chip's decision, fault and notice logs).
+std::string run_cluster(const sched::ClusterConfig& cfg) {
   sched::ClusterScheduler cs(cfg);
   cs.run();
-  std::string all = cs.report();
-  for (unsigned c = 0; c < cs.stats().chips; ++c) {
-    for (const auto& line : cs.chip_sched(c).event_log()) all += line + "\n";
-    for (const auto& r : cs.chip_sched(c).fault_log()) {
-      all += fault::to_line(r) + "\n";
-    }
-    for (const auto& line : cs.notices(c)) all += line + "\n";
-  }
-  return all;
+  return sched::transcript(cs);
 }
 
 void expect_replay_golden(const sched::ClusterConfig& cfg,
                           std::uint64_t golden) {
-  const std::string ref = cluster_bytes(cfg);
-  EXPECT_EQ(cluster_bytes(cfg), ref);
+  const std::string ref = run_cluster(cfg);
+  EXPECT_EQ(run_cluster(cfg), ref);
   EXPECT_EQ(fnv1a(ref), golden);
 }
 
@@ -419,13 +402,13 @@ sched::ClusterConfig small_cluster() {
 }
 
 // Mixed serving traffic (matmul/stencil/offload/shmem kinds), clean chips.
-TEST(GoldenDeterminism, ClusterServeParallelInvariance) {
+TEST(GoldenDeterminism, ClusterServeReplay) {
   expect_replay_golden(small_cluster(), 10252299936465896053ull);
 }
 
 // Comm-bound epi-shmem traffic only (cannon + transpose): the PGAS flag
 // protocols and chained signal DMA all inside PDES windows.
-TEST(GoldenDeterminism, ClusterShmemMixParallelInvariance) {
+TEST(GoldenDeterminism, ClusterShmemMixReplay) {
   sched::ClusterConfig cfg = small_cluster();
   cfg.traffic.matmul_weight = 0;
   cfg.traffic.stencil_weight = 0;
@@ -441,7 +424,7 @@ TEST(GoldenDeterminism, ClusterShmemMixParallelInvariance) {
 // re-executions, and that whole recovery story must still replay byte for
 // byte. Chip c's events are a chaos plan seeded 100+c; the plan seed (100)
 // drives all four chips' injectors.
-TEST(GoldenDeterminism, ClusterServeWithFaultsParallelInvariance) {
+TEST(GoldenDeterminism, ClusterServeWithFaultsReplay) {
   sched::ClusterConfig cfg = small_cluster();
   cfg.sched.watchdog_cycles = 400'000;
   cfg.cluster_plan.seed = 100;
@@ -465,7 +448,7 @@ TEST(GoldenDeterminism, ClusterServeWithFaultsParallelInvariance) {
 // Pipelined (job-graph) traffic: multi-stage requests with per-graph routing,
 // co-placement, tensor handoffs over both transports, and stage overlap --
 // the whole epi-dag story must replay byte for byte too.
-TEST(GoldenDeterminism, ClusterPipelineParallelInvariance) {
+TEST(GoldenDeterminism, ClusterPipelineReplay) {
   sched::ClusterConfig cfg = small_cluster();
   cfg.traffic.jobs = 10;
   cfg.traffic.seed = 13;
@@ -477,11 +460,11 @@ TEST(GoldenDeterminism, ClusterPipelineParallelInvariance) {
 // not arm failover or move a single event: identical bytes to the no-plan
 // run.
 TEST(GoldenDeterminism, ClusterServeEmptyClusterPlanIsFree) {
-  const std::string ref = cluster_bytes(small_cluster());
+  const std::string ref = run_cluster(small_cluster());
   sched::ClusterConfig armed = small_cluster();
   std::istringstream plan("seed 1\nchips 2x2\n");
   armed.cluster_plan = fault::parse(plan, "empty");
-  EXPECT_EQ(cluster_bytes(armed), ref);
+  EXPECT_EQ(run_cluster(armed), ref);
 }
 
 // The failover tentpole: a chip crash mid-run plus a host stall, a flapping
@@ -490,7 +473,7 @@ TEST(GoldenDeterminism, ClusterServeEmptyClusterPlanIsFree) {
 // recovery transcript (report with health footer, recovery decisions,
 // cluster fault lines, per-chip decision/fault/notice logs) must be
 // byte-identical from run to run.
-TEST(GoldenDeterminism, ClusterChipCrashFailoverParallelInvariance) {
+TEST(GoldenDeterminism, ClusterChipCrashFailoverReplay) {
   sched::ClusterConfig cfg = small_cluster();
   cfg.traffic.jobs = 10;
   cfg.traffic.pipeline_frac = 0.4;  // wedge-prone multi-stage graphs

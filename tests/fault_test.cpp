@@ -10,7 +10,6 @@
 #include <span>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "fault/crc.hpp"
@@ -205,10 +204,9 @@ TEST(Watchdog, ZeroDisablesAndStuckGroupStillDeadlocks) {
 // ---- determinism ----------------------------------------------------------
 
 struct ChaosRun {
-  std::string report;
-  std::vector<std::string> log;
-  std::vector<std::string> faults;
+  std::string transcript;
   std::vector<std::string> injections;
+  std::size_t faults = 0;
   unsigned completed = 0, unresolved = 0, quarantined = 0;
 };
 
@@ -227,9 +225,8 @@ ChaosRun run_chaos(const fault::FaultPlan& plan, unsigned jobs = 20,
   for (auto& spec : sched::generate(tc)) sc.submit(std::move(spec));
   sc.run();
   ChaosRun out;
-  out.report = sched::render_report(sc);
-  out.log = sc.event_log();
-  for (const auto& r : sc.fault_log()) out.faults.push_back(fault::to_line(r));
+  out.transcript = sched::transcript(sc);
+  out.faults = sc.fault_log().size();
   out.injections = sys.machine().faults()->injections();
   for (const auto& rec : sc.records()) {
     if (rec.verdict == sched::Verdict::Completed) ++out.completed;
@@ -249,11 +246,7 @@ TEST(FaultDeterminism, SamePlanSameWorkloadIsByteIdentical) {
   cc.elink_flips = 1;
   cc.mem_flips = 1;
   const fault::FaultPlan plan = fault::generate(cc);
-  const ChaosRun a = run_chaos(plan);
-  const ChaosRun b = run_chaos(plan);
-  EXPECT_EQ(a.report, b.report);
-  EXPECT_EQ(a.log, b.log);
-  EXPECT_EQ(a.faults, b.faults);
+  EXPECT_EQ(run_chaos(plan).transcript, run_chaos(plan).transcript);
 }
 
 TEST(FaultDeterminism, EmptyPlanMatchesUninstrumentedRun) {
@@ -273,8 +266,7 @@ TEST(FaultDeterminism, EmptyPlanMatchesUninstrumentedRun) {
       EXPECT_TRUE(sc.fault_log().empty());
       EXPECT_TRUE(sys.machine().faults()->injections().empty());
     }
-    return std::tuple<std::string, std::vector<std::string>, sim::Cycles>(
-        sched::render_report(sc), sc.event_log(), sc.makespan());
+    return sched::transcript(sc);
   };
   EXPECT_EQ(serve(false), serve(true));
 }
@@ -302,12 +294,10 @@ TEST(FaultChaos, CoreKillLinkAndElinkFaultsRecoverAndReplay) {
   EXPECT_EQ(first.unresolved, 0u);
   EXPECT_GT(first.completed, 0u);
   EXPECT_GE(first.quarantined, 1u);
-  EXPECT_FALSE(first.faults.empty());
+  EXPECT_GT(first.faults, 0u);
 
   const ChaosRun second = run_chaos(plan, 40, 7, 30'000, 400'000);
-  EXPECT_EQ(second.report, first.report);
-  EXPECT_EQ(second.log, first.log);
-  EXPECT_EQ(second.faults, first.faults);
+  EXPECT_EQ(second.transcript, first.transcript);
   EXPECT_EQ(second.injections, first.injections);
 }
 

@@ -287,21 +287,15 @@ TEST(Scheduler, MixedSeededWorkloadIsDeterministic) {
   tc.jobs = 30;
   tc.seed = 7;
   tc.mean_interarrival = 20'000;
-  auto run = [&](std::vector<std::string>& log, std::string& report) {
+  auto run = [&] {
     host::System sys;
     sched::Scheduler sc(sys);
     for (auto& spec : sched::generate(tc)) sc.submit(std::move(spec));
     sc.run();
-    log = sc.event_log();
-    report = sched::render_report(sc);
+    EXPECT_FALSE(sc.event_log().empty());
+    return sched::transcript(sc);
   };
-  std::vector<std::string> log1, log2;
-  std::string rep1, rep2;
-  run(log1, rep1);
-  run(log2, rep2);
-  EXPECT_EQ(log1, log2);   // bit-identical scheduler event order
-  EXPECT_EQ(rep1, rep2);   // byte-identical report
-  EXPECT_FALSE(log1.empty());
+  EXPECT_EQ(run(), run());  // byte-identical report and scheduler event order
 }
 
 // ---- offload result validation ------------------------------------------
@@ -583,9 +577,7 @@ TEST(LintGate, RejectionIsDeterministic) {
     sc.submit(custom_job(1, lint::fixtures::listing12(/*racy=*/true)));
     sc.submit(custom_job(2, lint::fixtures::listing12(/*racy=*/false), 5));
     sc.run();
-    std::string all = sc.records()[0].detail + "|" + sc.records()[1].detail;
-    for (const auto& line : sc.event_log()) all += "\n" + line;
-    return all;
+    return sched::transcript(sc);  // the report quotes the rejection detail
   };
   EXPECT_EQ(once(), once());
 }

@@ -24,7 +24,7 @@
 //   epi_fault gen --chaos-seed=11 --out=chaos.plan
 //   epi_serve --plan=chaos.plan --jobs=40 --seed=7 --log
 //
-// Numeric values are parsed strictly (tools/cli.hpp).
+// Numeric values are parsed strictly (src/util/cli.hpp).
 //
 // Exit status: 0 on success, 1 if the plan cannot be written, 2 on a bad
 // command line.
@@ -37,7 +37,7 @@
 #include <string_view>
 
 #include "fault/plan.hpp"
-#include "cli.hpp"
+#include "util/cli.hpp"
 
 int main(int argc, char** argv) {
   using namespace epi;

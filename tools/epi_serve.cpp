@@ -30,8 +30,9 @@
 //                        (default: failures are reported but tolerated --
 //                        a degraded chip keeps serving)
 //     --selftest         run the workload twice on fresh machines and fail
-//                        unless reports and decision logs are byte-identical
-//                        (also asserts >=3 workgroups were resident at once)
+//                        unless the transcripts (sched::transcript: report,
+//                        decision log, fault log) are byte-identical (also
+//                        asserts >=3 workgroups were resident at once)
 //     --lint=MODE        admission-time static verification of custom jobs:
 //                        off (default), warn (log findings, admit anyway), or
 //                        strict (reject jobs with error-severity findings
@@ -57,7 +58,9 @@
 //     --remote-frac=F    fraction of each chip's stream homed off-chip
 //                        (default 0.25)
 //     --selftest         in cluster mode: run the same configuration twice
-//                        and fail unless the reports are byte-identical
+//                        and fail unless the cluster transcripts are
+//                        byte-identical: the report and every chip's
+//                        decision log, fault log and delivered notices
 //     --strict           in cluster mode: exit non-zero if any chip holds a
 //                        Failed job (a job left without a verdict always
 //                        fails the run, as on one chip)
@@ -76,7 +79,7 @@
 // Generated streams mix matmul, stencil, DRAM-window offload, and the
 // epi-shmem cannon/transpose PGAS workloads (see src/sched/workload.hpp).
 //
-// Numeric values are parsed strictly (tools/cli.hpp): a malformed, signed
+// Numeric values are parsed strictly (src/util/cli.hpp): a malformed, signed
 // or out-of-range value exits with status 2 and names the flag.
 
 #include <chrono>
@@ -98,7 +101,7 @@
 #include "sched/workload.hpp"
 #include "trace/export.hpp"
 #include "trace/tracer.hpp"
-#include "cli.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -132,6 +135,7 @@ using cli::value_flag;
 
 struct RunOutput {
   std::string report;
+  std::string transcript;  // what --selftest compares (sched::transcript)
   std::vector<std::string> log;
   std::vector<std::string> fault_log;
   std::vector<std::string> injections;
@@ -161,6 +165,7 @@ RunOutput run_once(const std::vector<sched::JobSpec>& jobs, const Options& opt,
 
   RunOutput out;
   out.report = sched::render_report(sc);
+  out.transcript = sched::transcript(sc);
   out.log = sc.event_log();
   for (const auto& r : sc.fault_log()) out.fault_log.push_back(fault::to_line(r));
   if (auto* inj = sys.machine().faults()) out.injections = inj->injections();
@@ -232,10 +237,10 @@ int verify_selftest() {
     sc.submit(job_of(lint::fixtures::shmem_put_signal(/*racy=*/true), 3));
     sc.submit(job_of(lint::fixtures::shmem_put_signal(/*racy=*/false), 4));
     sc.run();
-    return std::make_pair(sc.records(), sc.event_log());
+    return std::make_pair(sc.records(), sched::transcript(sc));
   };
 
-  const auto [records, log] = run();
+  const auto [records, transcript] = run();
   bool ok = true;
   for (const std::size_t r : {std::size_t{0}, std::size_t{2}}) {
     const auto& racy = records[r];
@@ -262,19 +267,10 @@ int verify_selftest() {
       ok = false;
     }
   }
-  const auto [records2, log2] = run();
-  if (log2 != log) {
-    std::fprintf(stderr, "verify-selftest: FAIL: decision logs differ between "
-                         "two identical runs\n");
+  if (run().second != transcript) {
+    std::fprintf(stderr, "verify-selftest: FAIL: transcripts (verdicts and "
+                         "decision logs) differ between two identical runs\n");
     ok = false;
-  }
-  for (std::size_t i = 0; ok && i < records.size(); ++i) {
-    if (records2[i].verdict != records[i].verdict ||
-        records2[i].detail != records[i].detail) {
-      std::fprintf(stderr, "verify-selftest: FAIL: verdicts differ between two "
-                           "identical runs\n");
-      ok = false;
-    }
   }
   if (ok) {
     std::printf(
@@ -288,7 +284,7 @@ int verify_selftest() {
 /// Cluster mode: serve an RxC chip grid through the conservative PDES
 /// window loop. The exit rules match single-chip mode, summed over chips.
 /// --selftest reruns the same configuration on fresh chips and compares the
-/// report bytes.
+/// transcripts: the report plus every chip's decision, fault and notice logs.
 int run_cluster(const Options& opt) {
   if (!opt.spec_path.empty() || !opt.spec_out.empty() ||
       !opt.asm_files.empty() || opt.print_log) {
@@ -320,6 +316,9 @@ int run_cluster(const Options& opt) {
   cc.trace = !opt.trace_path.empty();
 
   unsigned unresolved = 0, failed = 0;
+  std::string report;
+  // Serves once and returns the transcript; the measured run (`wall_ms`
+  // given) also counts verdicts, keeps the report and exports the trace.
   const auto serve = [&](double* wall_ms) {
     sched::ClusterScheduler cs(cc);
     const auto t0 = std::chrono::steady_clock::now();
@@ -342,15 +341,16 @@ int run_cluster(const Options& opt) {
         }
         cs.write_trace(os);
       }
+      report = cs.report();
     }
-    return cs.report();
+    return sched::transcript(cs);
   };
 
   std::cout << "serving a " << opt.chip_rows << "x" << opt.chip_cols
             << " chip grid: " << opt.jobs << " jobs/chip (seed " << opt.seed
             << "), remote-frac " << opt.remote_frac << "\n\n";
   double wall = 0.0;
-  const std::string report = serve(&wall);
+  const std::string transcript = serve(&wall);
   std::cout << report;
   // Timing is narrative only -- never part of the report bytes.
   std::printf("\nwall-clock: %.1f ms\n", wall);
@@ -369,12 +369,13 @@ int run_cluster(const Options& opt) {
     return 1;
   }
   if (opt.selftest) {
-    const bool ok = serve(nullptr) == report;
+    const bool ok = serve(nullptr) == transcript;
     if (!ok) {
-      std::fprintf(stderr, "epi_serve: FAIL: cluster reports differ between "
+      std::fprintf(stderr, "epi_serve: FAIL: cluster transcripts (report, "
+                           "decision, fault and notice logs) differ between "
                            "two identical runs\n");
     }
-    std::cout << (ok ? "\nselftest: PASS (byte-identical cluster reports "
+    std::cout << (ok ? "\nselftest: PASS (byte-identical cluster transcripts "
                        "across two identical runs)\n"
                      : "\nselftest: FAIL\n");
     return ok ? 0 : 1;
@@ -519,19 +520,10 @@ int main(int argc, char** argv) {
     if (opt.selftest) {
       const RunOutput second = run_once(jobs, opt, false);
       bool ok = true;
-      if (second.report != first.report) {
-        std::fprintf(stderr, "epi_serve: FAIL: reports differ between two "
-                             "identical runs\n");
-        ok = false;
-      }
-      if (second.log != first.log) {
-        std::fprintf(stderr, "epi_serve: FAIL: decision logs differ between "
-                             "two identical runs\n");
-        ok = false;
-      }
-      if (second.fault_log != first.fault_log) {
-        std::fprintf(stderr, "epi_serve: FAIL: fault logs differ between two "
-                             "identical runs\n");
+      if (second.transcript != first.transcript) {
+        std::fprintf(stderr, "epi_serve: FAIL: transcripts (report, decision "
+                             "and fault logs) differ between two identical "
+                             "runs\n");
         ok = false;
       }
       if (first.peak_resident < 3) {

@@ -15,14 +15,18 @@
 // Options:
 //   --trace=FILE   Perfetto/Chrome JSON output (default epi_trace.json)
 //   --csv=FILE     counter registry as CSV
-//   --top=N        rows in the terminal summary tables (default 8)
+//   --top=N        rows in the terminal summary tables, in [1, 10000]
+//                  (default 8)
 //   --profile      print per-core cycle attribution
-//   --window=S     simulated seconds for the elink scenarios (default 0.02)
-//   --bytes=N      message size for dma/direct (default 2048)
-//   --reps=N       repetitions for dma/direct (default 16)
+//   --window=S     simulated seconds for the elink scenarios, in (0, 10]
+//                  (default 0.02)
+//   --bytes=N      message/block size in [1, 8192] (default 2048)
+//   --reps=N       repetitions for dma/direct, in [1, 100000] (default 16)
+//
+// Numeric values are parsed strictly (src/util/cli.hpp): a malformed, signed
+// or out-of-range value exits with status 2 and names the flag.
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -35,7 +39,7 @@
 #include "trace/export.hpp"
 #include "trace/profile.hpp"
 #include "trace/tracer.hpp"
-#include "util/table.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -60,44 +64,35 @@ int usage() {
   return 2;
 }
 
-bool value_of(std::string_view arg, std::string_view flag, std::string& out) {
-  if (arg.size() > flag.size() + 1 && arg.substr(0, flag.size()) == flag &&
-      arg[flag.size()] == '=') {
-    out = std::string(arg.substr(flag.size() + 1));
-    return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
-  std::string v;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (value_of(arg, "--trace", v)) {
-      opt.trace_path = v;
-    } else if (value_of(arg, "--csv", v)) {
-      opt.csv_path = v;
-    } else if (value_of(arg, "--top", v)) {
-      opt.top = static_cast<unsigned>(std::atoi(v.c_str()));
-    } else if (value_of(arg, "--window", v)) {
-      opt.window = std::atof(v.c_str());
-    } else if (value_of(arg, "--bytes", v)) {
-      opt.bytes = static_cast<std::uint32_t>(std::atoi(v.c_str()));
-    } else if (value_of(arg, "--reps", v)) {
-      opt.reps = static_cast<unsigned>(std::atoi(v.c_str()));
-    } else if (arg == "--profile") {
-      opt.profile = true;
-    } else if (arg.substr(0, 2) == "--") {
-      std::fprintf(stderr, "unknown option: %s\n", argv[i]);
-      return usage();
-    } else if (opt.scenario.empty()) {
-      opt.scenario = std::string(arg);
-    } else {
-      return usage();
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string_view arg = argv[i];
+      if (cli::value_flag(arg, "--trace", opt.trace_path) ||
+          cli::value_flag(arg, "--csv", opt.csv_path) ||
+          cli::uint_flag(arg, "--top", opt.top, 1, 10'000) ||
+          cli::seconds_flag(arg, "--window", opt.window) ||
+          cli::uint_flag(arg, "--bytes", opt.bytes, 1, 8192) ||
+          cli::uint_flag(arg, "--reps", opt.reps, 1, 100'000)) {
+        continue;
+      }
+      if (arg == "--profile") {
+        opt.profile = true;
+      } else if (arg.substr(0, 2) == "--") {
+        std::fprintf(stderr, "unknown option: %s\n", argv[i]);
+        return usage();
+      } else if (opt.scenario.empty()) {
+        opt.scenario = std::string(arg);
+      } else {
+        return usage();
+      }
     }
+  } catch (const cli::UsageError& e) {
+    std::fprintf(stderr, "epi_trace: %s\n", e.what());
+    return 2;
   }
   if (opt.scenario.empty()) return usage();
 
