@@ -4,7 +4,10 @@
 # same suite. Both suites include the *_bench_golden tests, so every
 # simulated-metric sweep must reproduce its committed BENCH_<x>.json byte for
 # byte in both build modes, and the trace_export_smoke test, so the Perfetto
-# export must parse as JSON in both. Run from the repository root:
+# export must parse as JSON in both. Both also run layering_check (no
+# #include under src/ reaches a higher library layer; its reversed-order
+# twin must fail) and the example_* tests (every examples/ program exits 0,
+# its result verified). Run from the repository root:
 #
 #     scripts/check.sh [extra ctest args...]
 

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "sim/random.hpp"
+#include "util/cli.hpp"
 #include "util/fmt.hpp"
 
 namespace epi::fault {
@@ -289,9 +290,9 @@ FaultPlan parse(std::istream& in, const std::string& source) {
       std::string val;
       if (!(ls >> val)) throw fail("seed directive needs a value");
       try {
-        plan.seed = std::stoull(val);
-      } catch (const std::exception&) {
-        throw fail("seed value '" + val + "' is not an integer");
+        cli::read_into("field 'seed'", val, plan.seed);
+      } catch (const cli::UsageError& e) {
+        throw fail(e.what());
       }
       continue;
     }
@@ -304,15 +305,13 @@ FaultPlan parse(std::istream& in, const std::string& source) {
       std::string val;
       if (!(ls >> val)) throw fail("chips directive needs RxC (e.g. 2x2)");
       const auto x = val.find('x');
+      if (x == std::string::npos) throw fail("chips value '" + val + "' is not RxC (e.g. 2x2)");
       try {
-        if (x == std::string::npos) throw std::invalid_argument(val);
-        plan.chip_rows = static_cast<unsigned>(std::stoul(val.substr(0, x)));
-        plan.chip_cols = static_cast<unsigned>(std::stoul(val.substr(x + 1)));
-      } catch (const std::exception&) {
-        throw fail("chips value '" + val + "' is not RxC (e.g. 2x2)");
-      }
-      if (plan.chip_rows == 0 || plan.chip_cols == 0) {
-        throw fail("chips grid must be non-empty");
+        const std::string_view v = val;
+        cli::read_into("field 'chips'", v.substr(0, x), plan.chip_rows, 1, cli::kMaxChipExtent);
+        cli::read_into("field 'chips'", v.substr(x + 1), plan.chip_cols, 1, cli::kMaxChipExtent);
+      } catch (const cli::UsageError& e) {
+        throw fail(e.what());
       }
       continue;
     }
@@ -345,15 +344,19 @@ FaultPlan parse(std::istream& in, const std::string& source) {
       if (eq == std::string::npos) throw fail("field '" + word + "' is not key=value");
       const std::string key = word.substr(0, eq);
       const std::string val = word.substr(eq + 1);
-      const auto parse_coord = [&](arch::CoreCoord& out) {
+      const std::string field = "field '" + key + "'";
+      // Core coordinates lie on the largest mesh, chip coordinates on the
+      // largest chip grid (and then on the declared one, check_chip).
+      const auto parse_coord = [&](arch::CoreCoord& out, std::uint64_t extent) {
         const auto comma = val.find(',');
         if (comma == std::string::npos) throw fail("'" + key + "' needs row,col");
-        out.row = static_cast<unsigned>(std::stoul(val.substr(0, comma)));
-        out.col = static_cast<unsigned>(std::stoul(val.substr(comma + 1)));
+        const std::string_view v = val;
+        cli::read_into(field, v.substr(0, comma), out.row, 0, extent - 1);
+        cli::read_into(field, v.substr(comma + 1), out.col, 0, extent - 1);
       };
       try {
         if (key == "core" || key == "router") {
-          parse_coord(e.core);
+          parse_coord(e.core, cli::kMaxMeshExtent);
           have_core = true;
         } else if (key == "chip" || key == "from") {
           if (key == "from" && e.kind != FaultKind::XMeshFail) {
@@ -365,7 +368,7 @@ FaultPlan parse(std::istream& in, const std::string& source) {
           if (!plan.cluster()) {
             throw fail("'" + key + "=' needs a prior 'chips RxC' declaration");
           }
-          parse_coord(e.chip);
+          parse_coord(e.chip, cli::kMaxChipExtent);
           check_chip(e.chip);
           e.has_chip = true;
           have_from = true;
@@ -373,17 +376,17 @@ FaultPlan parse(std::istream& in, const std::string& source) {
           if (e.kind != FaultKind::XMeshFail) {
             throw fail("'to' only applies to xmesh faults");
           }
-          parse_coord(e.chip2);
+          parse_coord(e.chip2, cli::kMaxChipExtent);
           check_chip(e.chip2);
           have_to = true;
         } else if (key == "flap") {
-          e.flap = static_cast<std::uint32_t>(std::stoul(val));
+          cli::read_into(field, val, e.flap);
           have_flap = true;
         } else if (key == "period") {
-          e.period = std::stoull(val);
+          cli::read_into(field, val, e.period, 0, cli::kMaxCycles);
           have_period = true;
         } else if (key == "id") {
-          e.id = static_cast<std::uint32_t>(std::stoul(val));
+          cli::read_into(field, val, e.id);
           if (e.id == 0) throw fail("id must be a positive integer");
           if (!seen_ids.insert(e.id).second) {
             throw fail(util::format("duplicate fault id %u", e.id));
@@ -391,13 +394,13 @@ FaultPlan parse(std::istream& in, const std::string& source) {
         } else if (key == "dir") {
           if (!parse_dir(val, e.dir)) throw fail("unknown direction '" + val + "'");
         } else if (key == "at") {
-          e.at = std::stoull(val);
+          cli::read_into(field, val, e.at, 0, cli::kMaxCycles);
           have_at = true;
         } else if (key == "for") {
-          e.duration = std::stoull(val);
+          cli::read_into(field, val, e.duration, 0, cli::kMaxCycles);
           have_for = true;
         } else if (key == "count") {
-          e.count = static_cast<std::uint32_t>(std::stoul(val));
+          cli::read_into(field, val, e.count);
         } else if (key == "kind") {
           if (val == "write") e.elink = 0;
           else if (val == "read") e.elink = 1;
@@ -411,10 +414,8 @@ FaultPlan parse(std::istream& in, const std::string& source) {
         } else {
           throw fail("unknown field '" + key + "'");
         }
-      } catch (const std::invalid_argument&) {
-        throw fail("field '" + key + "' has non-numeric value '" + val + "'");
-      } catch (const std::out_of_range&) {
-        throw fail("field '" + key + "' value out of range: '" + val + "'");
+      } catch (const cli::UsageError& e) {
+        throw fail(e.what());  // a number outside its field's range
       }
     }
 

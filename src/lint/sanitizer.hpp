@@ -27,12 +27,19 @@
 #include <vector>
 
 #include "lint/finding.hpp"
-#include "mem/hook.hpp"
+#include "mem/memory_system.hpp"
 
 namespace epi::lint {
 
 class MemSanitizer final : public mem::MemoryHook {
 public:
+  /// Attaches to `mem` for the sanitizer's whole lifetime, after any hook
+  /// already there; the destructor detaches it before the shadow dies.
+  explicit MemSanitizer(mem::MemorySystem& mem) : mem_(mem) { mem_.add_hook(this); }
+  ~MemSanitizer() override { mem_.remove_hook(this); }
+  MemSanitizer(const MemSanitizer&) = delete;
+  MemSanitizer& operator=(const MemSanitizer&) = delete;
+
   void on_write(arch::Addr a, std::size_t n, arch::CoreCoord issuer,
                 sim::Cycles now) override;
   void on_read(arch::Addr a, std::size_t n, arch::CoreCoord issuer,
@@ -66,6 +73,7 @@ private:
 
   void report(int pass, arch::Addr a, std::uint32_t reader, std::string msg);
 
+  mem::MemorySystem& mem_;
   std::unordered_map<arch::Addr, Word> shadow_;  // keyed by word index a>>2
   std::unordered_map<std::uint32_t, sim::Cycles> last_sync_;  // per core key
   std::set<std::tuple<int, arch::Addr, std::uint32_t>> reported_;

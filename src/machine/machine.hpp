@@ -13,8 +13,6 @@
 #include "arch/timing.hpp"
 #include "dma/channel.hpp"
 #include "fault/injector.hpp"
-#include "fault/plan.hpp"
-#include "lint/sanitizer.hpp"
 #include "machine/reservation.hpp"
 #include "mem/memory_system.hpp"
 #include "noc/elink.hpp"
@@ -104,26 +102,10 @@ public:
   /// keep concurrently resident jobs from clobbering each other).
   [[nodiscard]] CoreReservations& reservations() noexcept { return reservations_; }
 
-  // ---- runtime sanitizer --------------------------------------------------
-  /// Attach an epi-lint MemSanitizer to the memory system. Idempotent;
-  /// returns the (owned) sanitizer so callers can inspect findings.
-  lint::MemSanitizer& enable_sanitizer() {
-    if (!sanitizer_) {
-      sanitizer_ = std::make_unique<lint::MemSanitizer>();
-      mem_.add_hook(sanitizer_.get());
-    }
-    return *sanitizer_;
-  }
-  void disable_sanitizer() noexcept {
-    mem_.remove_hook(sanitizer_.get());
-    sanitizer_.reset();
-  }
-  [[nodiscard]] lint::MemSanitizer* sanitizer() noexcept { return sanitizer_.get(); }
-
   // ---- tracing -------------------------------------------------------------
   /// Attach an epi-trace Tracer to every instrumented layer (memory hooks,
   /// mesh links, both eLinks, all DMA channels, core phase spans). Idempotent;
-  /// composes with the sanitizer. Returns the (owned) tracer.
+  /// composes with any other memory hook. Returns the (owned) tracer.
   trace::Tracer& enable_tracing() {
     if (!tracer_) {
       tracer_ = std::make_unique<trace::Tracer>(cfg_.dims);
@@ -174,18 +156,6 @@ public:
     }
     return *faults_;
   }
-  void disable_faults() noexcept {
-    if (!faults_) return;
-    mem_.remove_hook(faults_.get());
-    mesh_.set_faults(nullptr);
-    elink_write_.set_faults(nullptr, 0);
-    elink_read_.set_faults(nullptr, 1);
-    for (auto& core : cores_) {
-      core.dma[0].set_faults(nullptr);
-      core.dma[1].set_faults(nullptr);
-    }
-    faults_.reset();
-  }
   [[nodiscard]] fault::FaultInjector* faults() noexcept { return faults_.get(); }
 
 private:
@@ -197,7 +167,6 @@ private:
   noc::ELink elink_read_;
   CoreReservations reservations_;
   std::deque<Core> cores_;  // deque: Core is immovable (owns DmaChannels)
-  std::unique_ptr<lint::MemSanitizer> sanitizer_;
   std::unique_ptr<trace::Tracer> tracer_;
   std::unique_ptr<fault::FaultInjector> faults_;
 };

@@ -2,9 +2,9 @@
 // Observation interface for MemorySystem traffic. A hook sees every
 // functional read/write (with the issuing core and the *canonical* global
 // address) plus synchronisation events, without perturbing functional
-// behaviour or timing. The runtime sanitizer (lint/sanitizer.hpp) is the
-// one implementation; keeping the interface here keeps the dependency
-// arrow lint -> mem, never the reverse.
+// behaviour or timing. The tracer, the fault injector and the runtime
+// sanitizer (lint/sanitizer.hpp) implement it; keeping the interface here
+// keeps every dependency arrow pointing into mem, never out of it.
 
 #include <cstddef>
 

@@ -8,11 +8,17 @@
 
 #include "sched/dag.hpp"
 #include "sim/random.hpp"
+#include "util/cli.hpp"
 #include "util/fmt.hpp"
 
 namespace epi::sched {
 
 namespace {
+
+// Spec fields outside these caps are rejected: a job's chip tags index the
+// largest chip grid, and its work stays bounded (generated streams use 1-3).
+constexpr std::uint64_t kMaxChip = cli::kMaxChipExtent * cli::kMaxChipExtent - 1;
+constexpr std::uint64_t kMaxIters = 1'000;
 
 // Workgroup shapes a serving job may request, with draw weights biased
 // toward small groups (the realistic mix: many small tenants, occasional
@@ -179,8 +185,9 @@ std::vector<JobSpec> load(std::istream& in, const std::string& source) {
       if (eq == std::string::npos) throw fail("field '" + word + "' is not key=value");
       const std::string key = word.substr(0, eq);
       const std::string val = word.substr(eq + 1);
+      const std::string field = "field '" + key + "'";
       try {
-        if (key == "id") s.id = static_cast<std::uint32_t>(std::stoul(val));
+        if (key == "id") cli::read_into(field, val, s.id);
         else if (key == "tenant") s.tenant = val;
         else if (key == "kind") {
           if (!parse_kind(val, s.kind)) throw fail("unknown kind '" + val + "'");
@@ -191,20 +198,20 @@ std::vector<JobSpec> load(std::istream& in, const std::string& source) {
                 "epi_serve --asm");
           }
         }
-        else if (key == "rows") s.rows = static_cast<unsigned>(std::stoul(val));
-        else if (key == "cols") s.cols = static_cast<unsigned>(std::stoul(val));
-        else if (key == "prio") s.priority = static_cast<unsigned>(std::stoul(val));
-        else if (key == "arrival") s.arrival = std::stoull(val);
-        else if (key == "deadline") s.deadline = std::stoull(val);
-        else if (key == "timeout") s.timeout = std::stoull(val);
-        else if (key == "iters") s.iters = static_cast<unsigned>(std::stoul(val));
-        else if (key == "block") s.block = static_cast<unsigned>(std::stoul(val));
-        else if (key == "failures") s.launch_failures = static_cast<unsigned>(std::stoul(val));
-        else if (key == "home") s.home_chip = static_cast<unsigned>(std::stoul(val));
-        else if (key == "origin") s.origin_chip = static_cast<unsigned>(std::stoul(val));
-        else if (key == "graph") s.graph = static_cast<std::uint32_t>(std::stoul(val));
-        else if (key == "stage") s.stage = static_cast<unsigned>(std::stoul(val));
-        else if (key == "stages") s.graph_stages = static_cast<unsigned>(std::stoul(val));
+        else if (key == "rows") cli::read_into(field, val, s.rows, 0, cli::kMaxMeshExtent);
+        else if (key == "cols") cli::read_into(field, val, s.cols, 0, cli::kMaxMeshExtent);
+        else if (key == "prio") cli::read_into(field, val, s.priority);
+        else if (key == "arrival") cli::read_into(field, val, s.arrival, 0, cli::kMaxCycles);
+        else if (key == "deadline") cli::read_into(field, val, s.deadline, 0, cli::kMaxCycles);
+        else if (key == "timeout") cli::read_into(field, val, s.timeout, 0, cli::kMaxCycles);
+        else if (key == "iters") cli::read_into(field, val, s.iters, 0, kMaxIters);
+        else if (key == "block") cli::read_into(field, val, s.block);
+        else if (key == "failures") cli::read_into(field, val, s.launch_failures);
+        else if (key == "home") cli::read_into(field, val, s.home_chip, 0, kMaxChip);
+        else if (key == "origin") cli::read_into(field, val, s.origin_chip, 0, kMaxChip);
+        else if (key == "graph") cli::read_into(field, val, s.graph);
+        else if (key == "stage") cli::read_into(field, val, s.stage);
+        else if (key == "stages") cli::read_into(field, val, s.graph_stages);
         else if (key == "deps") {
           // id:bytes pairs, comma-separated: deps=12:2048,13:4096
           std::size_t pos = 0;
@@ -216,18 +223,16 @@ std::vector<JobSpec> load(std::istream& in, const std::string& source) {
             if (colon == std::string::npos || colon == 0 || colon + 1 >= pair.size()) {
               throw fail("dep '" + pair + "' is not id:bytes");
             }
-            s.deps.emplace_back(
-                static_cast<std::uint32_t>(std::stoul(pair.substr(0, colon))),
-                static_cast<std::uint32_t>(std::stoul(pair.substr(colon + 1))));
+            auto& [id, bytes] = s.deps.emplace_back();
+            cli::read_into(field, pair.substr(0, colon), id);
+            cli::read_into(field, pair.substr(colon + 1), bytes);
             if (comma == std::string::npos) break;
             pos = comma + 1;
           }
         }
         else throw fail("unknown field '" + key + "'");
-      } catch (const std::invalid_argument&) {
-        throw fail("field '" + key + "' has non-numeric value '" + val + "'");
-      } catch (const std::out_of_range&) {
-        throw fail("field '" + key + "' value out of range: '" + val + "'");
+      } catch (const cli::UsageError& e) {
+        throw fail(e.what());  // a number outside its field's range
       }
     }
     if (s.rows == 0 || s.cols == 0) throw fail("job shape must be at least 1x1");

@@ -4,7 +4,7 @@
 // A numeric value must be the whole token, carry no sign, and lie in the
 // flag's range; anything else throws UsageError naming the flag, which the
 // binary's main prints as "<tool>: --flag needs ..." before exiting with
-// status 2.
+// status 2. Workload specs and fault plans read their numbers the same way.
 
 #include <charconv>
 #include <cmath>
@@ -26,6 +26,10 @@ inline constexpr std::uint64_t kMaxSeed = std::numeric_limits<std::uint64_t>::ma
 inline constexpr std::uint64_t kMaxJobs = 100'000;
 inline constexpr std::uint64_t kMaxCycles = 1'000'000'000'000;
 inline constexpr std::uint64_t kMaxFaults = 10'000;
+// Mesh extents stop where 32-bit addressing does (arch::AddressMap); a
+// cluster's chip grid is at most 8x8.
+inline constexpr unsigned kMaxMeshExtent = 63;
+inline constexpr unsigned kMaxChipExtent = 8;
 // A simulated-seconds value is capped at five times the paper's 2.0 s eLink
 // window, so a typo such as 1e9 cannot become a run that never ends.
 inline constexpr double kMaxSeconds = 10.0;
@@ -58,6 +62,22 @@ inline bool read_double(std::string_view s, double& out) {
          std::isfinite(out);
 }
 
+/// All of `text` as an integer in [lo, hi] (hi defaults to T's maximum)
+/// parsed into `out`; anything else throws UsageError "<what> needs an
+/// integer in [lo, hi], got '<text>'".
+template <typename T>
+void read_into(std::string_view what, std::string_view text, T& out,
+               std::uint64_t lo = 0,
+               std::uint64_t hi = std::numeric_limits<T>::max()) {
+  std::uint64_t v = 0;
+  if (!read_uint(text, lo, hi, v) || v > std::numeric_limits<T>::max()) {
+    throw UsageError(std::string(what) + " needs an integer in [" +
+                     std::to_string(lo) + ", " + std::to_string(hi) +
+                     "], got '" + std::string(text) + "'");
+  }
+  out = static_cast<T>(v);
+}
+
 /// `flag=N` with N in [lo, hi] parsed into `out`; false if `arg` is another
 /// flag.
 template <typename T>
@@ -65,13 +85,7 @@ bool uint_flag(std::string_view arg, std::string_view flag, T& out,
                std::uint64_t lo, std::uint64_t hi) {
   std::string val;
   if (!value_flag(arg, flag, val)) return false;
-  std::uint64_t v = 0;
-  if (!read_uint(val, lo, hi, v) || v > std::numeric_limits<T>::max()) {
-    throw UsageError(std::string(flag) + " needs an integer in [" +
-                     std::to_string(lo) + ", " + std::to_string(hi) +
-                     "], got '" + val + "'");
-  }
-  out = static_cast<T>(v);
+  read_into(flag, val, out, lo, hi);
   return true;
 }
 

@@ -257,6 +257,9 @@ TEST(ClusterPlanParser, RejectsDuplicateIdsAndBadCoords) {
       "chips 2x2\n"
       "chips 2x2\n",
       "duplicate 'chips'");
+  // Grid extents are read strictly, never truncated to a smaller grid.
+  expect_parse_error("chips 4294967298x4294967298\n",
+                     "field 'chips' needs an integer in [1, 8], got '4294967298'");
 }
 
 // ---------------------------------------------------------------------------

@@ -59,11 +59,25 @@ TEST(FaultPlanParser, ErrorsCarrySourceAndLine) {
             std::string::npos);
   EXPECT_NE(parse_error("mem-flip region=rom at=0\n").find("'dram' or 'scratch'"),
             std::string::npos);
-  EXPECT_NE(parse_error("kill core=1,1 at=soon\n").find("non-numeric"),
+  EXPECT_NE(parse_error("kill core=1,1 at=soon\n").find("needs an integer"),
             std::string::npos);
   EXPECT_EQ(parse_error("link router=4 dir=east at=5 for=0\n").substr(0, 7),
             "plan:1:");
   EXPECT_EQ(parse_error("seed banana\n").substr(0, 7), "plan:1:");
+  // Numbers are read strictly: no sign, no trailing junk, no silent
+  // truncation to the field's type.
+  EXPECT_EQ(parse_error("kill core=4294967298,3 at=0\n"),
+            "plan:1: field 'core' needs an integer in [0, 62], got '4294967298'");
+  EXPECT_EQ(parse_error("kill core=2x,3 at=0\n"),
+            "plan:1: field 'core' needs an integer in [0, 62], got '2x'");
+  EXPECT_EQ(parse_error("kill core=1,1 at=-1\n"),
+            "plan:1: field 'at' needs an integer in [0, 1000000000000], got '-1'");
+  EXPECT_EQ(parse_error("seed -7\n"),
+            "plan:1: field 'seed' needs an integer in [0, 18446744073709551615], "
+            "got '-7'");
+  EXPECT_EQ(parse_error("stall core=1,1 at=5 for=90000junk\n"),
+            "plan:1: field 'for' needs an integer in [0, 1000000000000], got "
+            "'90000junk'");
 }
 
 TEST(FaultPlanParser, RoundTripsThroughText) {
@@ -123,8 +137,28 @@ TEST(WorkloadParser, ErrorsCarrySourceAndLine) {
                 .find("at least 1x1"),
             std::string::npos);
   EXPECT_NE(err("job id=zero kind=matmul rows=1 cols=1 arrival=0\n")
-                .find("non-numeric"),
+                .find("needs an integer"),
             std::string::npos);
+  // Numbers are read strictly: no sign, no trailing junk, no silent
+  // truncation to the field's type, and cycle counts and work bounded.
+  EXPECT_EQ(err("job id=0 kind=matmul rows=1junk cols=1\n"),
+            "wl:1: field 'rows' needs an integer in [0, 63], got '1junk'");
+  EXPECT_EQ(err("job id=0 kind=matmul rows=4294967297 cols=1\n"),
+            "wl:1: field 'rows' needs an integer in [0, 63], got '4294967297'");
+  EXPECT_EQ(err("job id=0 kind=matmul prio=-1\n"),
+            "wl:1: field 'prio' needs an integer in [0, 4294967295], got '-1'");
+  EXPECT_EQ(err("job id=0 kind=matmul arrival=-5\n"),
+            "wl:1: field 'arrival' needs an integer in [0, 1000000000000], got "
+            "'-5'");
+  EXPECT_EQ(err("job id=0 kind=matmul arrival=18446744073709551615 "
+                "timeout=18446744073709551615\n"),
+            "wl:1: field 'arrival' needs an integer in [0, 1000000000000], got "
+            "'18446744073709551615'");
+  EXPECT_EQ(err("job id=0 kind=matmul timeout=18446744073709551615\n"),
+            "wl:1: field 'timeout' needs an integer in [0, 1000000000000], got "
+            "'18446744073709551615'");
+  EXPECT_EQ(err("job id=0 kind=stencil iters=4000000000\n"),
+            "wl:1: field 'iters' needs an integer in [0, 1000], got '4000000000'");
 }
 
 // ---- watchdog semantics ---------------------------------------------------

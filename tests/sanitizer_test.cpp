@@ -31,7 +31,7 @@ std::string dump(const lint::MemSanitizer& san) {
 
 TEST(Sanitizer, FlagsUninitializedRead) {
   host::System sys;
-  auto& san = sys.machine().enable_sanitizer();
+  lint::MemSanitizer san(sys.machine().mem());
   auto wg = sys.open(0, 0, 1, 1);
   wg.load([](device::CoreCtx& ctx) -> sim::Op<void> {
     return [](device::CoreCtx& c) -> sim::Op<void> {
@@ -45,7 +45,7 @@ TEST(Sanitizer, FlagsUninitializedRead) {
 
 TEST(Sanitizer, HostPreloadIsInitialization) {
   host::System sys;
-  auto& san = sys.machine().enable_sanitizer();
+  lint::MemSanitizer san(sys.machine().mem());
   auto wg = sys.open(0, 0, 1, 1);
   const std::uint32_t seed = 0xC0FFEEu;
   sys.write(sys.machine().mem().map().global({0, 0}, kData),
@@ -67,7 +67,7 @@ TEST(Sanitizer, HostPreloadIsInitialization) {
 std::vector<lint::Finding> producer_consumer(bool consumer_waits,
                                              std::uint32_t& value_out) {
   host::System sys;
-  auto& san = sys.machine().enable_sanitizer();
+  lint::MemSanitizer san(sys.machine().mem());
   auto wg = sys.open(0, 0, 1, 2);
   wg.load([consumer_waits, &value_out](device::CoreCtx& ctx) -> sim::Op<void> {
     return [](device::CoreCtx& c, bool waits, std::uint32_t& out) -> sim::Op<void> {
@@ -113,7 +113,7 @@ TEST(Sanitizer, FlagWaitOrdersTheRead) {
 
 TEST(Sanitizer, BarrierSynchronisesTheGroup) {
   host::System sys;
-  auto& san = sys.machine().enable_sanitizer();
+  lint::MemSanitizer san(sys.machine().mem());
   auto wg = sys.open(0, 0, 2, 2);
   std::vector<std::uint32_t> got(4, 0);
   wg.load([&got](device::CoreCtx& ctx) -> sim::Op<void> {
@@ -138,7 +138,7 @@ TEST(Sanitizer, BarrierSynchronisesTheGroup) {
 
 TEST(Sanitizer, MutexProtectedCounterIsClean) {
   host::System sys;
-  auto& san = sys.machine().enable_sanitizer();
+  lint::MemSanitizer san(sys.machine().mem());
   auto wg = sys.open(0, 0, 2, 1);
   const Addr mutex_at = sys.machine().mem().map().global({0, 0}, kFlag);
   const Addr counter_at = sys.machine().mem().map().global({0, 0}, kData);
@@ -163,7 +163,7 @@ TEST(Sanitizer, MutexProtectedCounterIsClean) {
 
 TEST(Sanitizer, HostReadbackAfterWaitIsOrdered) {
   host::System sys;
-  auto& san = sys.machine().enable_sanitizer();
+  lint::MemSanitizer san(sys.machine().mem());
   auto wg = sys.open(2, 3, 1, 1);
   wg.load([](device::CoreCtx& ctx) -> sim::Op<void> {
     return [](device::CoreCtx& c) -> sim::Op<void> {
@@ -180,7 +180,7 @@ TEST(Sanitizer, HostReadbackAfterWaitIsOrdered) {
 
 TEST(Sanitizer, RepeatedRacingReadsReportOnce) {
   host::System sys;
-  auto& san = sys.machine().enable_sanitizer();
+  lint::MemSanitizer san(sys.machine().mem());
   auto wg = sys.open(0, 0, 1, 2);
   wg.load([](device::CoreCtx& ctx) -> sim::Op<void> {
     return [](device::CoreCtx& c) -> sim::Op<void> {
@@ -200,11 +200,11 @@ TEST(Sanitizer, RepeatedRacingReadsReportOnce) {
 
 TEST(Sanitizer, DisableDetaches) {
   host::System sys;
-  sys.machine().enable_sanitizer();
-  EXPECT_EQ(sys.machine().mem().hooks().size(), 1u);
-  sys.machine().disable_sanitizer();
+  {
+    lint::MemSanitizer san(sys.machine().mem());
+    EXPECT_EQ(sys.machine().mem().hooks().size(), 1u);
+  }
   EXPECT_TRUE(sys.machine().mem().hooks().empty());
-  EXPECT_EQ(sys.machine().sanitizer(), nullptr);
 }
 
 }  // namespace

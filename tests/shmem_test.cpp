@@ -76,7 +76,7 @@ TEST(ShmemHeap, ExhaustionAndBadArgumentsThrow) {
 /// landing zones afterwards; with the sanitizer armed the run must be clean.
 TEST(Shmem, PutSmallAndLargeWithSignal) {
   host::System sys;
-  auto& san = sys.machine().enable_sanitizer();
+  lint::MemSanitizer san(sys.machine().mem());
   auto wg = sys.open(0, 0, 1, 2);
   auto group = std::make_shared<shmem::Group>(sys.machine(), wg.info());
   const std::uint32_t small_bytes = 16;    // <= dma_threshold: direct stores
@@ -134,7 +134,7 @@ TEST(Shmem, PutSmallAndLargeWithSignal) {
 /// PE 1 pulls host-preloaded data out of PE 0 on both get paths.
 TEST(Shmem, GetSmallAndLarge) {
   host::System sys;
-  auto& san = sys.machine().enable_sanitizer();
+  lint::MemSanitizer san(sys.machine().mem());
   auto wg = sys.open(2, 1, 1, 2);  // off-origin group: addressing is relative
   auto group = std::make_shared<shmem::Group>(sys.machine(), wg.info());
   const std::uint32_t small_bytes = 32;
@@ -187,7 +187,7 @@ TEST(Shmem, GetSmallAndLarge) {
 /// token check (and the sanitizer) would catch the stale read.
 TEST(Shmem, BarrierAllHoldsForStraggler) {
   host::System sys;
-  auto& san = sys.machine().enable_sanitizer();
+  lint::MemSanitizer san(sys.machine().mem());
   auto wg = sys.open(1, 3, 2, 2);
   auto group = std::make_shared<shmem::Group>(sys.machine(), wg.info());
   const unsigned n = group->n_pes();
@@ -229,7 +229,7 @@ TEST(Shmem, BarrierAllHoldsForStraggler) {
 
 TEST(Shmem, AllreduceMatchesHostReference) {
   host::System sys;
-  auto& san = sys.machine().enable_sanitizer();
+  lint::MemSanitizer san(sys.machine().mem());
   auto wg = sys.open(0, 0, 2, 3);  // 6 PEs: a non-power-of-two tree
   auto group = std::make_shared<shmem::Group>(sys.machine(), wg.info());
   const unsigned n = group->n_pes();
@@ -290,7 +290,7 @@ TEST(Shmem, AllreduceMatchesHostReference) {
 
 TEST(Shmem, BroadcastDeliversRootBlockToEveryPe) {
   host::System sys;
-  auto& san = sys.machine().enable_sanitizer();
+  lint::MemSanitizer san(sys.machine().mem());
   auto wg = sys.open(0, 0, 1, 5);  // non-power-of-two chain
   auto group = std::make_shared<shmem::Group>(sys.machine(), wg.info());
   const unsigned n = group->n_pes();
@@ -333,7 +333,7 @@ TEST(Shmem, BroadcastDeliversRootBlockToEveryPe) {
 /// clean twin (wait first) must verify empty.
 std::vector<lint::Finding> get_before_signal(bool consumer_waits) {
   host::System sys;
-  auto& san = sys.machine().enable_sanitizer();
+  lint::MemSanitizer san(sys.machine().mem());
   auto wg = sys.open(0, 0, 1, 2);
   auto group = std::make_shared<shmem::Group>(sys.machine(), wg.info());
   const std::uint32_t bytes = 512;  // DMA path
@@ -379,7 +379,7 @@ TEST(Shmem, WaitSignalGeOrdersTheConsumer) {
 
 TEST(ShmemWorkloads, CannonMatchesHostReference) {
   host::System sys;
-  auto& san = sys.machine().enable_sanitizer();
+  lint::MemSanitizer san(sys.machine().mem());
   auto wg = sys.open(1, 1, 2, 2);
   auto group = std::make_shared<shmem::Group>(sys.machine(), wg.info());
   const auto plan = shmem::plan_cannon(group->heap(), wg.info(), /*block=*/8,
@@ -409,7 +409,7 @@ TEST(ShmemWorkloads, CannonOnNonSquareGroupUsesActiveSquare) {
 
 TEST(ShmemWorkloads, TransposeMatchesHostReference) {
   host::System sys;
-  auto& san = sys.machine().enable_sanitizer();
+  lint::MemSanitizer san(sys.machine().mem());
   auto wg = sys.open(3, 2, 2, 3);
   auto group = std::make_shared<shmem::Group>(sys.machine(), wg.info());
   const auto plan =

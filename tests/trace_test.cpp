@@ -16,6 +16,7 @@
 #include "core/matmul.hpp"
 #include "core/microbench.hpp"
 #include "host/system.hpp"
+#include "lint/sanitizer.hpp"
 #include "trace/counters.hpp"
 #include "trace/export.hpp"
 #include "trace/profile.hpp"
@@ -205,7 +206,7 @@ TEST(Trace, WindowClippingChargesOpenSpans) {
 
 TEST(Trace, SanitizerAndTracerCompose) {
   host::System sys;
-  auto& san = sys.machine().enable_sanitizer();
+  lint::MemSanitizer san(sys.machine().mem());
   trace::Tracer& t = sys.machine().enable_tracing();
   EXPECT_EQ(sys.machine().mem().hooks().size(), 2u);
 

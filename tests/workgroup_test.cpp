@@ -325,7 +325,7 @@ TEST(Workgroup, FindingFormatNamesTheCore) {
 std::size_t dynamic_race_count(bool consumer_waits) {
   constexpr arch::Addr kData = 0x4000, kFlag = 0x5000;
   host::System sys;
-  auto& san = sys.machine().enable_sanitizer();
+  lint::MemSanitizer san(sys.machine().mem());
   auto wg = sys.open(0, 0, 1, 2);
   wg.load([consumer_waits](device::CoreCtx& ctx) -> sim::Op<void> {
     return [](device::CoreCtx& c, bool waits) -> sim::Op<void> {

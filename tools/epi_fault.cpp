@@ -67,7 +67,8 @@ int main(int argc, char** argv) {
           cli::uint_flag(arg, "--elink-flips", cc.elink_flips, 0,
                          cli::kMaxFaults) ||
           cli::uint_flag(arg, "--mem-flips", cc.mem_flips, 0, cli::kMaxFaults) ||
-          cli::grid_flag(arg, "--chips", cc.chip_rows, cc.chip_cols, 8) ||
+          cli::grid_flag(arg, "--chips", cc.chip_rows, cc.chip_cols,
+                         cli::kMaxChipExtent) ||
           cli::uint_flag(arg, "--chip-crashes", cc.chip_crashes, 0,
                          cli::kMaxFaults) ||
           cli::uint_flag(arg, "--chip-stalls", cc.chip_stalls, 0,

@@ -404,7 +404,8 @@ int main(int argc, char** argv) {
           cli::uint_flag(arg, "--queue", opt.queue, 1, cli::kMaxJobs) ||
           cli::fraction_flag(arg, "--remote-frac", opt.remote_frac) ||
           cli::fraction_flag(arg, "--pipelines", opt.pipelines) ||
-          cli::grid_flag(arg, "--chips", opt.chip_rows, opt.chip_cols, 8) ||
+          cli::grid_flag(arg, "--chips", opt.chip_rows, opt.chip_cols,
+                         cli::kMaxChipExtent) ||
           cli::grid_flag(arg, "--asm-shape", opt.asm_rows, opt.asm_cols, 8)) {
         continue;
       }
