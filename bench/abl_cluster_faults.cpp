@@ -11,10 +11,11 @@
 // of the offered stream, recovery volume (re-forwards, quarantines, home-
 // side dedups, CRC rejects), and the chips lost.
 //
-// Results go to BENCH_cluster_faults.json, a byte-exact golden (ctest
-// cluster_faults_bench_golden); bench/sweep.hpp replays every level.
+// --metrics=FILE writes the results; the committed BENCH_cluster_faults.json
+// is that file, a byte-exact golden (ctest cluster_faults_bench_golden;
+// scripts/bench.sh regenerates it). bench/sweep.hpp replays every level.
 //
-// Usage: abl_cluster_faults [--metrics=FILE] [--no-metrics]
+// Usage: abl_cluster_faults [--metrics=FILE]
 
 #include <string>
 

@@ -15,11 +15,13 @@
 // (what stage pipelining buys), and piped vs dram on e2e latency (what the
 // scratchpad handoff path buys when co-placement makes stages adjacent).
 //
-// Results go to BENCH_dag.json, a byte-exact golden (ctest dag_bench_golden);
-// bench/sweep.hpp replays every policy. The run also fails if a policy leaves
-// a graph unfinished or either headline ordering below fails.
+// --metrics=FILE writes the results; the committed BENCH_dag.json is that
+// file, a byte-exact golden (ctest dag_bench_golden; scripts/bench.sh
+// regenerates it). bench/sweep.hpp replays every policy. The run also fails
+// if a policy leaves a graph unfinished or either headline ordering below
+// fails.
 //
-// Usage: abl_dag [--trace=FILE] [--csv=FILE] [--metrics=FILE] [--no-metrics]
+// Usage: abl_dag [--trace=FILE] [--csv=FILE] [--metrics=FILE]
 
 #include <cstdio>
 #include <string>

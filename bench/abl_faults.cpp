@@ -10,10 +10,11 @@
 // FaultReport), retry amplification (kernel executions per completed job),
 // and how much of the mesh ended the run quarantined.
 //
-// Results go to BENCH_faults.json, a byte-exact golden (ctest
-// faults_bench_golden); bench/sweep.hpp replays every level.
+// --metrics=FILE writes the results; the committed BENCH_faults.json is that
+// file, a byte-exact golden (ctest faults_bench_golden; scripts/bench.sh
+// regenerates it). bench/sweep.hpp replays every level.
 //
-// Usage: abl_faults [--metrics=FILE] [--no-metrics]
+// Usage: abl_faults [--metrics=FILE]
 
 #include <string>
 

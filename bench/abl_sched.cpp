@@ -5,11 +5,13 @@
 // genuinely shared -- queueing delay and contention, not kernel time alone,
 // set the latency distribution.
 //
-// Results go to BENCH_sched.json (throughput, p50/p99 queue wait and
-// turnaround, utilisation, deadline hit-rate per load point), a byte-exact
-// golden (ctest sched_bench_golden); bench/sweep.hpp replays every point.
+// --metrics=FILE writes the results (throughput, p50/p99 queue wait and
+// turnaround, utilisation, deadline hit-rate per load point); the committed
+// BENCH_sched.json is that file, a byte-exact golden (ctest
+// sched_bench_golden; scripts/bench.sh regenerates it). bench/sweep.hpp
+// replays every point.
 //
-// Usage: abl_sched [--trace=FILE] [--csv=FILE] [--metrics=FILE] [--no-metrics]
+// Usage: abl_sched [--trace=FILE] [--csv=FILE] [--metrics=FILE]
 
 #include <string>
 

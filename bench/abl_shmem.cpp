@@ -9,10 +9,11 @@
 // separates the per-op protocol cost from the per-byte streaming cost --
 // the Ross & Richie crossover the runtime's threshold encodes.
 //
-// Results go to BENCH_shmem.json, a byte-exact golden (ctest
-// shmem_bench_golden); bench/sweep.hpp replays every shape.
+// --metrics=FILE writes the results; the committed BENCH_shmem.json is that
+// file, a byte-exact golden (ctest shmem_bench_golden; scripts/bench.sh
+// regenerates it). bench/sweep.hpp replays every shape.
 //
-// Usage: abl_shmem [--trace=FILE] [--csv=FILE] [--metrics=FILE] [--no-metrics]
+// Usage: abl_shmem [--trace=FILE] [--csv=FILE] [--metrics=FILE]
 
 #include <cstdint>
 #include <memory>

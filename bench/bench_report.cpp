@@ -15,21 +15,14 @@
 
 namespace epi::bench {
 
-BenchArgs BenchArgs::parse(int argc, char** argv, std::string bench,
-                           std::string metrics_path) {
+BenchArgs BenchArgs::parse(int argc, char** argv, std::string bench) {
   BenchArgs a;
   a.bench = std::move(bench);
-  a.metrics_path =
-      metrics_path.empty() ? a.bench + "_trace.json" : std::move(metrics_path);
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (cli::value_flag(arg, "--trace", a.trace_path) ||
         cli::value_flag(arg, "--csv", a.csv_path) ||
         cli::value_flag(arg, "--metrics", a.metrics_path)) {
-      continue;
-    }
-    if (arg == "--no-metrics") {
-      a.metrics_path.clear();
       continue;
     }
     a.positional.emplace_back(arg);

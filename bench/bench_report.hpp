@@ -5,14 +5,12 @@
 // Every instrumented bench accepts, in addition to its positional arguments:
 //   --trace=FILE     enable epi-trace and write a Chrome/Perfetto trace
 //   --csv=FILE       also dump the counter registry as CSV
-//   --metrics=FILE   override the default metrics path
-//   --no-metrics     suppress the metrics file entirely
+//   --metrics=FILE   write the metrics file
 //
-// The metrics file (written next to wherever the bench runs; the default
-// name is given to `parse`) carries per-bench GFLOPS/bandwidth figures plus
-// headline counters, so results are compared as data instead of eyeballed
-// terminal tables. The sweeps whose committed `BENCH_<x>.json` is a golden
-// default to that name; the rest default to `<bench>_trace.json`.
+// A bench writes no file that no flag names. The metrics file carries
+// per-bench GFLOPS/bandwidth figures plus headline counters, so results are
+// compared as data instead of eyeballed terminal tables; the golden sweeps'
+// committed `BENCH_<x>.json` files are such metrics files.
 
 #include <optional>
 #include <string>
@@ -34,13 +32,11 @@ struct BenchArgs {
   std::string bench;         // bench name (e.g. "tab03_elink64")
   std::string trace_path;    // empty = tracing off
   std::string csv_path;      // empty = no CSV dump
-  std::string metrics_path;  // empty = metrics suppressed
+  std::string metrics_path;  // empty = no metrics file
   std::vector<std::string> positional;
 
   /// Parse argv, stripping the flags above; anything else stays positional.
-  /// `metrics_path` is the default metrics file (empty: `<bench>_trace.json`).
-  [[nodiscard]] static BenchArgs parse(int argc, char** argv, std::string bench,
-                                       std::string metrics_path = {});
+  [[nodiscard]] static BenchArgs parse(int argc, char** argv, std::string bench);
 
   [[nodiscard]] bool tracing() const noexcept { return !trace_path.empty(); }
   /// The first positional argument as simulated seconds (cli::seconds), or

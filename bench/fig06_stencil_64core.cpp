@@ -5,7 +5,6 @@
 // with computation.
 //
 // Usage: fig06_stencil_64core [--trace=FILE] [--csv=FILE] [--metrics=FILE]
-//                             [--no-metrics]
 // Tracing instruments the with-communication run of the paper's peak shape
 // (80x20), so the boundary-exchange phases are visible per core.
 
@@ -44,7 +43,10 @@ int main(int argc, char** argv) {
     t.add_row({std::to_string(r) + " x " + std::to_string(c),
                util::fmt(nc.result.gflops, 2), util::fmt(wc.result.gflops, 2),
                util::fmt(100.0 * (1.0 - wc.result.gflops / nc.result.gflops), 1)});
-    const std::string suffix = "_" + std::to_string(r) + "x" + std::to_string(c);
+    std::string suffix = "_";
+    suffix += std::to_string(r);
+    suffix += 'x';
+    suffix += std::to_string(c);
     report.metric("gflops_nocomm" + suffix, nc.result.gflops);
     report.metric("gflops_comm" + suffix, wc.result.gflops);
   }

@@ -18,12 +18,10 @@ host::System& Run::machine(bool traceable) {
 }
 
 int run_sweep(const Sweep& sweep, int argc, char** argv) {
-  const auto args = BenchArgs::parse(
-      argc, argv, sweep.bench,
-      "BENCH_" + sweep.bench.substr(sweep.bench.find('_') + 1) + ".json");
+  const auto args = BenchArgs::parse(argc, argv, sweep.bench);
   if (!args.positional.empty()) {
     std::cerr << sweep.bench << ": unexpected argument '" << args.positional.front()
-              << "' (accepts --trace=FILE --csv=FILE --metrics=FILE --no-metrics)\n";
+              << "' (accepts --trace=FILE --csv=FILE --metrics=FILE)\n";
     return 2;
   }
 

@@ -5,8 +5,9 @@
 // (sched::transcript for a serving run). The harness parses the BenchArgs
 // flags (a positional argument exits 2), runs every point twice on fresh
 // machines and exits 1 naming any point whose replay transcript differs,
-// prints the table, writes the metrics (abl_<x> defaults to BENCH_<x>.json)
-// and traces the one point the sweep names.
+// prints the table, writes the metrics file when --metrics names one
+// (scripts/bench.sh names BENCH_<x>.json) and traces the one point the sweep
+// names.
 //
 // Adding a golden sweep takes one abl_<x>.cpp that calls run_sweep, plus its
 // name in bench/CMakeLists.txt and scripts/bench.sh.

@@ -3,7 +3,7 @@
 // Paper: 0.41 / 0.33 / 0.17 / 0.08 -- highly position-dependent.
 //
 // Usage: tab02_elink4 [window_seconds] [--trace=FILE] [--csv=FILE]
-//                     [--metrics=FILE] [--no-metrics]
+//                     [--metrics=FILE]
 // (default window 0.5, at most 10; paper used 2.0)
 
 #include <iostream>

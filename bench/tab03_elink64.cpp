@@ -3,7 +3,7 @@
 // iterations ("the effects of starvation are clearly evident").
 //
 // Usage: tab03_elink64 [window_seconds] [--trace=FILE] [--csv=FILE]
-//                      [--metrics=FILE] [--no-metrics]
+//                      [--metrics=FILE]
 // (default window 0.25, at most 10; paper used 2.0)
 //
 // With --trace=FILE the starvation is directly visible in the Perfetto UI:

@@ -4,7 +4,6 @@
 // to block DMA transfers over the 150 MB/s shared-memory path.
 //
 // Usage: tab06_matmul_offchip [--trace=FILE] [--csv=FILE] [--metrics=FILE]
-//                             [--no-metrics]
 // Tracing instruments the 512x512 case (each case runs on a fresh System)
 // and prints the epi-trace per-core cycle attribution, whose comm+DMA-wait
 // share is the profiler's view of the paper's ~87% transfer fraction.
@@ -42,7 +41,8 @@ int main(int argc, char** argv) {
                util::fmt(r.gflops, 2), util::fmt(100.0 * r.gflops / 76.8, 1),
                util::fmt(100.0 * r.compute_fraction, 1),
                util::fmt(100.0 * r.transfer_fraction, 1)});
-    const std::string suffix = "_" + std::to_string(c.n);
+    std::string suffix = "_";
+    suffix += std::to_string(c.n);
     report.metric("gflops" + suffix, r.gflops);
     report.metric("compute_fraction" + suffix, r.compute_fraction);
     report.metric("transfer_fraction" + suffix, r.transfer_fraction);

@@ -23,7 +23,12 @@ struct CoreCoord {
 };
 
 [[nodiscard]] inline std::string to_string(const CoreCoord& c) {
-  return "(" + std::to_string(c.row) + "," + std::to_string(c.col) + ")";
+  std::string s = "(";
+  s += std::to_string(c.row);
+  s += ',';
+  s += std::to_string(c.col);
+  s += ')';
+  return s;
 }
 
 /// Number of mesh hops between two cores under dimension-ordered routing.

@@ -51,6 +51,15 @@ sim::Cycles draw_duration(sim::Rng& rng, sim::Cycles mean) {
   return mean / 2 + rng.next_below(mean) + 1;
 }
 
+// Mean durations (cycles) of the chaos generator's timed faults, and the
+// chance that an xmesh outage flaps rather than opening a single window.
+constexpr sim::Cycles kStallCycles = 200'000;
+constexpr sim::Cycles kLinkOutageCycles = 100'000;
+constexpr sim::Cycles kElinkOutageCycles = 20'000;
+constexpr sim::Cycles kChipStallCycles = 300'000;
+constexpr sim::Cycles kXmeshOutageCycles = 120'000;
+constexpr double kXmeshFlapProb = 0.5;
+
 arch::CoreCoord draw_core(sim::Rng& rng, arch::MeshDims dims) {
   return dims.coord_of(static_cast<unsigned>(rng.next_below(dims.core_count())));
 }
@@ -75,7 +84,7 @@ FaultPlan generate(const ChaosConfig& cfg) {
     e.kind = FaultKind::StallCore;
     e.core = draw_core(rng, cfg.dims);
     e.at = draw_time(rng, cfg.horizon);
-    e.duration = draw_duration(rng, cfg.stall_cycles);
+    e.duration = draw_duration(rng, kStallCycles);
     add(e);
   }
   for (unsigned i = 0; i < cfg.link_faults; ++i) {
@@ -90,7 +99,7 @@ FaultPlan generate(const ChaosConfig& cfg) {
     } while (!cfg.dims.neighbour(e.core, e.dir, nb));
     e.at = draw_time(rng, cfg.horizon);
     e.duration = rng.next_float() < cfg.transient_link_prob
-                     ? draw_duration(rng, cfg.link_outage_cycles)
+                     ? draw_duration(rng, kLinkOutageCycles)
                      : 0;
     add(e);
   }
@@ -99,7 +108,7 @@ FaultPlan generate(const ChaosConfig& cfg) {
     e.kind = FaultKind::ElinkFail;
     e.elink = static_cast<std::uint8_t>(rng.next_below(2));
     e.at = draw_time(rng, cfg.horizon);
-    e.duration = draw_duration(rng, cfg.elink_outage_cycles);
+    e.duration = draw_duration(rng, kElinkOutageCycles);
     add(e);
   }
   for (unsigned i = 0; i < cfg.elink_flips; ++i) {
@@ -146,7 +155,7 @@ FaultPlan generate(const ChaosConfig& cfg) {
       e.kind = FaultKind::ChipStall;
       e.chip = draw_core(rng, grid);
       e.at = draw_time(rng, cfg.horizon);
-      e.duration = draw_duration(rng, cfg.chip_stall_cycles);
+      e.duration = draw_duration(rng, kChipStallCycles);
       add(e);
     }
     for (unsigned i = 0; i < cfg.xmesh_faults; ++i) {
@@ -157,10 +166,10 @@ FaultPlan generate(const ChaosConfig& cfg) {
         e.chip2 = draw_core(rng, grid);
       } while (grid.core_count() > 1 && e.chip2 == e.chip);
       e.at = draw_time(rng, cfg.horizon);
-      e.duration = draw_duration(rng, cfg.xmesh_outage_cycles);
-      if (rng.next_float() < cfg.xmesh_flap_prob) {
+      e.duration = draw_duration(rng, kXmeshOutageCycles);
+      if (rng.next_float() < kXmeshFlapProb) {
         e.flap = 2 + static_cast<std::uint32_t>(rng.next_below(3));
-        e.period = e.duration * 2 + draw_duration(rng, cfg.xmesh_outage_cycles);
+        e.period = e.duration * 2 + draw_duration(rng, kXmeshOutageCycles);
       }
       add(e);
     }

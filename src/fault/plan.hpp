@@ -135,19 +135,17 @@ struct FaultPlan {
 
 /// Parameters for a seeded random plan. Counts are exact (generate() emits
 /// precisely that many events of each kind); only the *placement* in space
-/// and time is random.
+/// and time is random, and timed faults draw their durations around fixed
+/// per-kind means.
 struct ChaosConfig {
   std::uint64_t seed = 1;
   arch::MeshDims dims{};
   sim::Cycles horizon = 1'000'000;  // faults injected in [0, horizon)
   unsigned core_kills = 0;
   unsigned core_stalls = 0;
-  sim::Cycles stall_cycles = 200'000;  // mean stall duration
   unsigned link_faults = 0;
   double transient_link_prob = 0.75;   // rest are permanent
-  sim::Cycles link_outage_cycles = 100'000;  // mean transient outage
   unsigned elink_outages = 0;          // transient whole-eLink outages
-  sim::Cycles elink_outage_cycles = 20'000;
   unsigned elink_flips = 0;  // single-corruption flip events on the eLink
   unsigned mem_flips = 0;    // single-corruption DRAM write flips
   // ---- cluster chaos (chip-scoped events; needs a chip grid) -------------
@@ -155,10 +153,7 @@ struct ChaosConfig {
   unsigned chip_cols = 0;
   unsigned chip_crashes = 0;
   unsigned chip_stalls = 0;
-  sim::Cycles chip_stall_cycles = 300'000;   // mean host-freeze duration
   unsigned xmesh_faults = 0;                 // directed bridge-link outages
-  double xmesh_flap_prob = 0.5;              // rest are single windows
-  sim::Cycles xmesh_outage_cycles = 120'000; // mean outage duration
   unsigned notice_drops = 0;                 // lost completion notices
   unsigned notice_flips = 0;                 // CRC-corrupted notices
 };

@@ -21,7 +21,11 @@ constexpr unsigned kRegs = isa::RegFile::kCount;
 constexpr unsigned kZ = kRegs;  // pseudo-register index for the Z flag
 using Bits = std::bitset<kRegs + 1>;
 
-inline std::string reg_name(unsigned r) { return "r" + std::to_string(r); }
+inline std::string reg_name(unsigned r) {
+  std::string s = "r";
+  s += std::to_string(r);
+  return s;
+}
 
 inline std::string hex(std::int64_t v) {
   char buf[24];

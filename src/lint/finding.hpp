@@ -36,14 +36,17 @@ struct Finding {
   /// fall back to the instruction index as "file:<instr#i>:" rather than
   /// printing a misleading "file:0:"; with neither, just "file:".
   [[nodiscard]] std::string format(const std::string& file) const {
-    std::string at;
+    std::string out = file;
     if (line > 0) {
-      at = ":" + std::to_string(line);
+      out += ':';
+      out += std::to_string(line);
     } else if (instr != kNoInstr) {
-      at = ":<instr#" + std::to_string(instr) + ">";
+      out += ":<instr#";
+      out += std::to_string(instr);
+      out += '>';
     }
-    return file + at + ": " + severity_name(severity) + ": " + message + " [" +
-           pass + "]";
+    return out + ": " + severity_name(severity) + ": " + message + " [" + pass +
+           "]";
   }
 };
 

@@ -71,12 +71,6 @@ void MemSanitizer::on_sync(arch::CoreCoord issuer, sim::Cycles now) {
   if (now > t) t = now;
 }
 
-void MemSanitizer::mark_initialized(arch::Addr a, std::size_t n) {
-  for (arch::Addr b = a; b < a + n; ++b) {
-    word(b).init_mask |= static_cast<std::uint8_t>(1u << (b & 3u));
-  }
-}
-
 void MemSanitizer::report(int pass, arch::Addr a, std::uint32_t reader,
                           std::string msg) {
   // One finding per (pass, word, reader): spin-heavy programs would
@@ -95,13 +89,6 @@ std::size_t MemSanitizer::count(const char* pass) const {
     if (f.pass == pass) ++n;
   }
   return n;
-}
-
-void MemSanitizer::clear() {
-  shadow_.clear();
-  last_sync_.clear();
-  reported_.clear();
-  findings_.clear();
 }
 
 }  // namespace epi::lint

@@ -46,17 +46,11 @@ public:
                sim::Cycles now) override;
   void on_sync(arch::CoreCoord issuer, sim::Cycles now) override;
 
-  /// Declare a range initialised without attributing it to a writer
-  /// (e.g. buffers the test harness poked directly into backing storage).
-  void mark_initialized(arch::Addr a, std::size_t n);
-
   [[nodiscard]] const std::vector<Finding>& findings() const noexcept {
     return findings_;
   }
   /// Number of findings from the given pass ("uninit-read" or "race").
   [[nodiscard]] std::size_t count(const char* pass) const;
-
-  void clear();
 
 private:
   struct Word {

@@ -2,12 +2,11 @@
 // Spatial partition map for multi-chip xMesh clusters.
 //
 // The PDES domain boundary follows the hardware: one chip (a Machine with
-// its own engine, memory, mesh and eLinks) is one domain. The partition
-// map is the single source of truth for which domain owns a global core,
-// how far apart two domains sit on the chip grid (the xMesh hop count that
-// prices a forward), and whether a pair of endpoints crosses a domain
-// boundary at all -- on-chip mesh/DMA/eLink traffic never does, which is
-// why it needs no synchronisation with other domains.
+// its own engine, memory, mesh and eLinks) is one domain, so on-chip
+// mesh/DMA/eLink traffic never crosses a domain boundary and needs no
+// synchronisation with other domains. The partition map is the single
+// source of truth for the chip grid, how far apart two domains sit on it
+// (the xMesh hop count that prices a forward) and each chip's health.
 
 #include <cstdint>
 #include <vector>
@@ -38,26 +37,12 @@ struct PartitionMap {
   arch::MeshDims chip{};  // per-chip core grid (8x8 for the E64G401)
 
   [[nodiscard]] unsigned chips() const noexcept { return chip_rows * chip_cols; }
-  [[nodiscard]] unsigned cores() const noexcept {
-    return chips() * chip.core_count();
-  }
 
-  [[nodiscard]] sim::DomainId domain_of_chip(unsigned chip_row,
-                                             unsigned chip_col) const noexcept {
-    return chip_row * chip_cols + chip_col;
-  }
   [[nodiscard]] unsigned chip_row(sim::DomainId d) const noexcept {
     return d / chip_cols;
   }
   [[nodiscard]] unsigned chip_col(sim::DomainId d) const noexcept {
     return d % chip_cols;
-  }
-
-  /// Owning domain of a core addressed in global cluster coordinates
-  /// (row-major tiling of chip_rows x chip_cols chips).
-  [[nodiscard]] sim::DomainId domain_of_core(unsigned global_row,
-                                             unsigned global_col) const noexcept {
-    return domain_of_chip(global_row / chip.rows, global_col / chip.cols);
   }
 
   /// Manhattan distance on the chip grid; the xMesh flight-hop count for a
@@ -68,12 +53,6 @@ struct PartitionMap {
     const unsigned dc = chip_col(a) > chip_col(b) ? chip_col(a) - chip_col(b)
                                                   : chip_col(b) - chip_col(a);
     return dr + dc;
-  }
-
-  /// Does traffic between these global cores cross a domain boundary?
-  [[nodiscard]] bool crossing(unsigned a_row, unsigned a_col, unsigned b_row,
-                              unsigned b_col) const noexcept {
-    return domain_of_core(a_row, a_col) != domain_of_core(b_row, b_col);
   }
 
   /// Is (chip_row, chip_col) a chip of this grid? Fault-plan and forward

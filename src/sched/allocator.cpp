@@ -54,8 +54,7 @@ void MeshAllocator::stamp(unsigned r0, unsigned c0, unsigned rows, unsigned cols
   }
 }
 
-std::optional<Placement> MeshAllocator::place(unsigned rows, unsigned cols,
-                                              bool allow_rotate) {
+std::optional<Placement> MeshAllocator::place(unsigned rows, unsigned cols) {
   if (rows == 0 || cols == 0) return std::nullopt;
   const auto try_shape = [&](unsigned pr, unsigned pc,
                              bool rotated) -> std::optional<Placement> {
@@ -72,16 +71,13 @@ std::optional<Placement> MeshAllocator::place(unsigned rows, unsigned cols,
     return std::nullopt;
   };
   if (auto p = try_shape(rows, cols, false)) return p;
-  if (allow_rotate && rows != cols) {
-    if (auto p = try_shape(cols, rows, true)) return p;
-  }
+  if (rows != cols) return try_shape(cols, rows, true);
   return std::nullopt;
 }
 
 std::optional<Placement> MeshAllocator::place_near(
-    unsigned rows, unsigned cols, bool allow_rotate,
-    const std::vector<Placement>& anchors) {
-  if (anchors.empty()) return place(rows, cols, allow_rotate);
+    unsigned rows, unsigned cols, const std::vector<Placement>& anchors) {
+  if (anchors.empty()) return place(rows, cols);
   if (rows == 0 || cols == 0) return std::nullopt;
   // Scored exhaustive scan per orientation. Centres are doubled so the score
   // stays integral (a rect's centre sits on half-grid coordinates).
@@ -114,9 +110,7 @@ std::optional<Placement> MeshAllocator::place_near(
     return Placement{{br, bc}, pr, pc, rotated};
   };
   if (auto p = try_shape(rows, cols, false)) return p;
-  if (allow_rotate && rows != cols) {
-    if (auto p = try_shape(cols, rows, true)) return p;
-  }
+  if (rows != cols) return try_shape(cols, rows, true);
   return std::nullopt;
 }
 
@@ -156,8 +150,7 @@ bool MeshAllocator::rect_healthy(unsigned r0, unsigned c0, unsigned rows,
   return true;
 }
 
-bool MeshAllocator::fits_ever(unsigned rows, unsigned cols,
-                              bool allow_rotate) const noexcept {
+bool MeshAllocator::fits_ever(unsigned rows, unsigned cols) const noexcept {
   if (rows == 0 || cols == 0) return false;
   const auto shape_fits = [&](unsigned pr, unsigned pc) noexcept {
     if (pr > dims_.rows || pc > dims_.cols) return false;
@@ -170,7 +163,7 @@ bool MeshAllocator::fits_ever(unsigned rows, unsigned cols,
     return false;
   };
   if (shape_fits(rows, cols)) return true;
-  return allow_rotate && rows != cols && shape_fits(cols, rows);
+  return rows != cols && shape_fits(cols, rows);
 }
 
 unsigned MeshAllocator::largest_free_rect() const noexcept {

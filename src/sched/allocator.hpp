@@ -4,8 +4,8 @@
 // Placement is policy; enforcement is machine::CoreReservations. The
 // allocator answers "where should this rows x cols group go?" by first-fit
 // scan over row-major origins (deterministic: same request stream, same
-// placements), optionally trying the transposed shape when the requested
-// orientation does not fit. It also keeps the fragmentation picture the
+// placements), trying the transposed shape when the requested orientation
+// does not fit. It also keeps the fragmentation picture the
 // scheduler's metrics report: how many cores are free, and how large a
 // rectangle could still be placed -- the gap between the two is external
 // fragmentation, the classic cost of first-fit on a torus-less mesh.
@@ -37,10 +37,9 @@ public:
   explicit MeshAllocator(arch::MeshDims dims);
 
   /// First-fit placement of a rows x cols rectangle (row-major origin scan).
-  /// When `allow_rotate` and the shape is not square, the transposed shape
-  /// is tried after the requested one. Empty when nothing fits right now.
-  [[nodiscard]] std::optional<Placement> place(unsigned rows, unsigned cols,
-                                               bool allow_rotate = true);
+  /// When the shape is not square, the transposed shape is tried after the
+  /// requested one. Empty when nothing fits right now.
+  [[nodiscard]] std::optional<Placement> place(unsigned rows, unsigned cols);
 
   /// Locality-aware variant for pipeline co-placement: among every origin
   /// where the shape fits, pick the one minimising the summed Manhattan
@@ -51,8 +50,7 @@ public:
   /// co-placement can never deadlock an admission plain first-fit would
   /// serve. Empty `anchors` delegates to place() verbatim.
   [[nodiscard]] std::optional<Placement> place_near(
-      unsigned rows, unsigned cols, bool allow_rotate,
-      const std::vector<Placement>& anchors);
+      unsigned rows, unsigned cols, const std::vector<Placement>& anchors);
 
   /// Return a placement's cores to the free pool. Double-free (or freeing
   /// cells never placed) is a logic error and throws.
@@ -67,9 +65,9 @@ public:
 
   /// Whether the shape could fit an *empty* mesh at all (admission check).
   /// With quarantined cores, "empty" means every transient occupant gone but
-  /// the dead cells still dead: the shape must clear a quarantine-free rect.
-  [[nodiscard]] bool fits_ever(unsigned rows, unsigned cols,
-                               bool allow_rotate = true) const noexcept;
+  /// the dead cells still dead: the shape (or its transpose) must clear a
+  /// quarantine-free rect.
+  [[nodiscard]] bool fits_ever(unsigned rows, unsigned cols) const noexcept;
 
   [[nodiscard]] arch::MeshDims dims() const noexcept { return dims_; }
   [[nodiscard]] unsigned free_cores() const noexcept { return free_; }

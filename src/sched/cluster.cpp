@@ -30,6 +30,8 @@ constexpr std::size_t kNoticeBytes = 64;
 constexpr std::uint64_t kHeartbeatKey = std::uint64_t{1} << 32;
 // Forward-unit key space: a whole graph fails over as one unit.
 constexpr std::uint64_t kGraphKey = std::uint64_t{1} << 40;
+// Total homes tried per forward before it is abandoned.
+constexpr unsigned kMaxForwardAttempts = 3;
 
 std::uint32_t payload_crc(const std::string& payload) {
   return fault::crc32(std::as_bytes(std::span(payload.data(), payload.size())));
@@ -519,9 +521,9 @@ void ClusterScheduler::reforward(unsigned chip, std::uint64_t key,
       static_cast<std::uint32_t>(graph ? key & (kGraphKey - 1) : key);
   const char* unit = graph ? "graph" : "job";
 
-  if (fwd.attempts >= cfg_.failover.max_forward_attempts ||
+  if (fwd.attempts >= kMaxForwardAttempts ||
       (fwd.deadline != 0 && now >= fwd.deadline)) {
-    const bool out_of_time = fwd.attempts < cfg_.failover.max_forward_attempts;
+    const bool out_of_time = fwd.attempts < kMaxForwardAttempts;
     ch.cfaults.push_back(fault::FaultReport{
         now, fwd.last_send,
         fwd.stages.size() == 1 ? fwd.stages[0].id : ~std::uint32_t{0},

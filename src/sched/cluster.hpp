@@ -53,7 +53,6 @@ struct FailoverConfig {
   sim::Cycles heartbeat_period = 150'000;  // per-chip heartbeat interval
   unsigned miss_budget = 4;                // stale after this many periods
   sim::Cycles forward_timeout = 2'000'000; // per-forward completion budget
-  unsigned max_forward_attempts = 3;       // total homes tried per forward
   sim::Cycles forward_backoff = 50'000;    // re-forward delay; doubles per try
 };
 

@@ -99,10 +99,10 @@ unsigned cannon_block(const JobSpec& spec) {
 }
 
 /// Transpose words per PE pair: requested block^2, clamped so both n-slot
-/// buffers plus the signal array fit the default symmetric heap.
+/// buffers plus the signal array fit the symmetric heap.
 unsigned transpose_elems(const JobSpec& spec, unsigned n_pes) {
   const std::uint32_t capacity =
-      shmem::kDefaultHeapEnd - shmem::kDefaultHeapBase - 64;  // alignment slack
+      shmem::kHeapEnd - shmem::kHeapBase - 64;  // alignment slack
   const std::uint32_t per_elem = 8 * std::max(1u, n_pes);  // send + recv word
   const std::uint32_t max_elems = (capacity - 4 * n_pes) / per_elem;
   const unsigned want = std::max(1u, spec.block) * std::max(1u, spec.block);
@@ -178,7 +178,7 @@ std::string verify_shmem_output(host::System& sys, host::Workgroup& wg,
                                 const JobSpec& spec) {
   // Re-derive the plan the launcher built: the symmetric bump allocator is
   // deterministic, so identical clamps yield identical offsets.
-  shmem::SymmetricHeap heap(shmem::kDefaultHeapBase, shmem::kDefaultHeapEnd);
+  shmem::SymmetricHeap heap(shmem::kHeapBase, shmem::kHeapEnd);
   switch (spec.kind) {
     case JobKind::CannonMatmul: {
       const auto plan =

@@ -18,6 +18,9 @@ namespace epi::sched {
 
 namespace {
 constexpr sim::Cycles kNever = std::numeric_limits<sim::Cycles>::max();
+constexpr unsigned kMaxLaunchAttempts = 4;    // launch attempts before Failed
+constexpr unsigned kMaxReexecutions = 2;      // full re-runs after a detected fault
+constexpr sim::Cycles kRetryBackoff = 25'000; // first retry delay; doubles per attempt
 }  // namespace
 
 Scheduler::Scheduler(host::System& sys, SchedConfig cfg)
@@ -26,7 +29,6 @@ Scheduler::Scheduler(host::System& sys, SchedConfig cfg)
     throw std::invalid_argument("SchedConfig::queue_capacity must be at least 1");
   }
   if (cfg_.aging_quantum == 0) cfg_.aging_quantum = 1;
-  if (cfg_.max_attempts == 0) cfg_.max_attempts = 1;
   // When the machine traces, scheduler metrics live in the tracer's registry
   // so queue depth / cores busy land on the Perfetto timeline next to the
   // cores' own spans; otherwise keep a private registry.
@@ -181,7 +183,7 @@ bool Scheduler::admit_arrivals(sim::Cycles now) {
                         static_cast<unsigned long long>(now), spec.id,
                         spec.tenant.c_str(), to_string(spec.kind), spec.rows,
                         spec.cols, spec.priority));
-    if (!alloc_.fits_ever(spec.rows, spec.cols, cfg_.allow_rotate)) {
+    if (!alloc_.fits_ever(spec.rows, spec.cols)) {
       resolve(rec, Verdict::Rejected, now,
               util::format("shape %ux%u cannot fit the %ux%u mesh", spec.rows,
                         spec.cols, alloc_.dims().rows, alloc_.dims().cols));
@@ -383,14 +385,13 @@ void Scheduler::requeue_or_fail(std::uint32_t rec_idx, sim::Cycles now,
                         static_cast<unsigned long long>(now), rec.spec.id, why));
     return;
   }
-  if (rec.reexecs < cfg_.max_reexecutions &&
-      alloc_.fits_ever(rec.spec.rows, rec.spec.cols, cfg_.allow_rotate)) {
+  if (rec.reexecs < kMaxReexecutions &&
+      alloc_.fits_ever(rec.spec.rows, rec.spec.cols)) {
     ++rec.reexecs;
     rec.started = 0;
     rec.finished = 0;
     bump(c_reexecs_, 1.0);
-    const sim::Cycles backoff = cfg_.retry_backoff
-                                << std::min(rec.reexecs - 1, 20u);
+    const sim::Cycles backoff = kRetryBackoff << std::min(rec.reexecs - 1, 20u);
     pending_.push_back(Pending{rec_idx, now, now + backoff});
     ++epoch_;
     gauge(g_queue_depth_, static_cast<double>(pending_.size()));
@@ -413,7 +414,7 @@ void Scheduler::requeue_or_fail(std::uint32_t rec_idx, sim::Cycles now,
 void Scheduler::drop_unsatisfiable(sim::Cycles now) {
   for (std::size_t i = 0; i < pending_.size();) {
     JobRecord& rec = records_[pending_[i].rec];
-    if (alloc_.fits_ever(rec.spec.rows, rec.spec.cols, cfg_.allow_rotate)) {
+    if (alloc_.fits_ever(rec.spec.rows, rec.spec.cols)) {
       ++i;
       continue;
     }
@@ -662,8 +663,7 @@ bool Scheduler::launch(Pending& p, sim::Cycles now) {
       }
     }
   }
-  auto placement =
-      alloc_.place_near(spec.rows, spec.cols, cfg_.allow_rotate, anchors);
+  auto placement = alloc_.place_near(spec.rows, spec.cols, anchors);
   if (!placement) return false;
   const std::uint64_t myseq = alloc_.last_place_seq();
 
@@ -674,7 +674,7 @@ bool Scheduler::launch(Pending& p, sim::Cycles now) {
     // the job backs off exponentially before its next attempt.
     alloc_.free(*placement);
     bump(c_launch_failures_, 1.0);
-    if (rec.attempts >= cfg_.max_attempts) {
+    if (rec.attempts >= kMaxLaunchAttempts) {
       resolve(rec, Verdict::Failed, now,
               util::format("launch failed %u times", rec.attempts));
       log_event(util::format("@%llu fail job=%u reason=launch-failed attempts=%u",
@@ -682,8 +682,7 @@ bool Scheduler::launch(Pending& p, sim::Cycles now) {
                           rec.attempts));
       return true;  // terminal: caller removes the job from pending_
     }
-    const sim::Cycles backoff = cfg_.retry_backoff
-                                << std::min(rec.attempts - 1, 20u);
+    const sim::Cycles backoff = kRetryBackoff << std::min(rec.attempts - 1, 20u);
     p.retry_at = now + backoff;
     ++epoch_;
     bump(c_retries_, 1.0);

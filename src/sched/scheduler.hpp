@@ -68,17 +68,13 @@ enum class LintMode : std::uint8_t { Off, Warn, Strict };
 struct SchedConfig {
   std::size_t queue_capacity = 64;     // pending jobs; beyond this, reject
   sim::Cycles aging_quantum = 100'000; // +1 effective priority per quantum waited
-  unsigned max_attempts = 4;           // launch attempts before Failed
-  sim::Cycles retry_backoff = 25'000;  // first retry delay; doubles per attempt
   sim::Cycles head_block_wait = 500'000;  // starved-head threshold: stop
                                           // backfilling smaller jobs past a
                                           // head that has waited this long
-  bool allow_rotate = true;            // try the transposed shape when placing
   sim::Cycles watchdog_cycles = 0;     // per-job silence budget after start;
                                        // 0 disables the watchdog (a stuck
                                        // group then raises DeadlockError, the
                                        // pre-fault-tolerance behaviour)
-  unsigned max_reexecutions = 2;       // full re-runs after a detected fault
   LintMode lint = LintMode::Off;       // admission-time verification of
                                        // Custom jobs' programs
   // ---- pipeline (job-graph) policy, sched/dag.hpp --------------------------

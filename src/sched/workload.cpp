@@ -3,6 +3,7 @@
 #include <fstream>
 #include <istream>
 #include <iterator>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -19,6 +20,9 @@ namespace {
 // largest chip grid, and its work stays bounded (generated streams use 1-3).
 constexpr std::uint64_t kMaxChip = cli::kMaxChipExtent * cli::kMaxChipExtent - 1;
 constexpr std::uint64_t kMaxIters = 1'000;
+
+// Chance a generated job (or a whole pipeline) carries a completion deadline.
+constexpr double kDeadlineProb = 0.25;
 
 // Workgroup shapes a serving job may request, with draw weights biased
 // toward small groups (the realistic mix: many small tenants, occasional
@@ -78,7 +82,7 @@ std::vector<JobSpec> generate(const TrafficConfig& cfg) {
         t += cfg.mean_interarrival / 2 + rng.next_below(cfg.mean_interarrival);
       }
       g.arrival = t;
-      if (rng.next_float() < cfg.deadline_prob) {
+      if (rng.next_float() < kDeadlineProb) {
         // Whole-chain SLO: the budget scales with the stage count, since the
         // stages run back to back at best.
         g.deadline = t + 2'000'000ull * g.stages.size() + rng.next_below(2'000'000);
@@ -123,7 +127,7 @@ std::vector<JobSpec> generate(const TrafficConfig& cfg) {
     if (rng.next_float() < cfg.fail_prob) {
       s.launch_failures = 1 + static_cast<unsigned>(rng.next_below(2));
     }
-    if (rng.next_float() < cfg.deadline_prob) {
+    if (rng.next_float() < kDeadlineProb) {
       s.deadline = s.arrival + 2'000'000 + rng.next_below(2'000'000);
     }
     s.timeout = cfg.timeout;
@@ -167,14 +171,16 @@ std::string save(const std::vector<JobSpec>& jobs) {
 
 std::vector<JobSpec> load(std::istream& in, const std::string& source) {
   std::vector<JobSpec> jobs;
+  std::vector<unsigned> job_lines;  // source line of each job
   std::string line;
   unsigned lineno = 0;
+  const auto fail_at = [&](unsigned at, const std::string& why) {
+    return std::runtime_error(
+        util::format("%s:%u: %s", source.c_str(), at, why.c_str()));
+  };
   while (std::getline(in, line)) {
     ++lineno;
-    const auto fail = [&](const std::string& why) -> std::runtime_error {
-      return std::runtime_error(
-          util::format("%s:%u: %s", source.c_str(), lineno, why.c_str()));
-    };
+    const auto fail = [&](const std::string& why) { return fail_at(lineno, why); };
     std::istringstream ls(line);
     std::string word;
     if (!(ls >> word) || word[0] == '#') continue;  // blank or comment
@@ -245,6 +251,44 @@ std::vector<JobSpec> load(std::istream& in, const std::string& source) {
       throw fail("deps require a nonzero graph id");
     }
     jobs.push_back(std::move(s));
+    job_lines.push_back(lineno);
+  }
+  // Whole-file graph checks: a graph short of its stages never wires, and a
+  // dep on anything but an earlier stage of its own graph (another graph's
+  // job, a missing id, itself, a cycle) never resolves; either would leave
+  // the scheduler waiting on the graph forever. Ids name graph jobs uniquely,
+  // since deps refer to them by id.
+  std::map<std::uint32_t, unsigned> graph_jobs;  // graph -> job count
+  std::map<std::uint32_t, const JobSpec*> by_id;  // graph job id -> job
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const JobSpec& s = jobs[i];
+    if (s.graph == 0) continue;
+    ++graph_jobs[s.graph];
+    if (!by_id.emplace(s.id, &s).second) {
+      throw fail_at(job_lines[i],
+                    util::format("job %u: id already names a graph job", s.id));
+    }
+  }
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const JobSpec& s = jobs[i];
+    if (s.graph == 0) continue;
+    if (graph_jobs[s.graph] != s.graph_stages) {
+      throw fail_at(job_lines[i],
+                    util::format("job %u: graph %u has %u jobs but stages=%u",
+                                 s.id, s.graph, graph_jobs[s.graph],
+                                 s.graph_stages));
+    }
+    for (const auto& [dep, bytes] : s.deps) {
+      (void)bytes;
+      const auto it = by_id.find(dep);
+      if (it == by_id.end() || it->second->graph != s.graph ||
+          it->second->stage >= s.stage) {
+        throw fail_at(job_lines[i],
+                      util::format("job %u: dep %u is not an earlier stage of "
+                                   "graph %u",
+                                   s.id, dep, s.graph));
+      }
+    }
   }
   return jobs;
 }

@@ -41,7 +41,6 @@ struct TrafficConfig {
   unsigned cannon_weight = 1;
   unsigned transpose_weight = 1;
   double fail_prob = 0.10;       // chance a job gets 1-2 injected launch failures
-  double deadline_prob = 0.25;   // chance a job carries a completion deadline
   sim::Cycles timeout = 3'000'000;  // queue timeout applied to every job; 0=none
   /// Fraction of requests drawn as multi-kernel pipelines (sched/dag.hpp)
   /// instead of standalone jobs. 0 keeps the stream byte-identical to the

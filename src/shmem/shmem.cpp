@@ -75,7 +75,7 @@ Addr SymmetricHeap::alloc(std::uint32_t bytes, std::uint32_t align) {
 // ---- Group ----------------------------------------------------------------
 
 Group::Group(machine::Machine& m, device::GroupInfo info, Config cfg)
-    : m_(&m), info_(info), cfg_(cfg), heap_(cfg.heap_base, cfg.heap_end) {
+    : m_(&m), info_(info), cfg_(cfg), heap_(kHeapBase, kHeapEnd) {
   if (auto* tr = m_->tracer()) {
     counters_ = &tr->counters();
   } else {

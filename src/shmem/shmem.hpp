@@ -40,8 +40,8 @@ namespace epi::shmem {
 // ---- scratchpad layout ----------------------------------------------------
 // The shmem runtime claims the 256 bytes right above the device runtime's
 // reserved words (CoreCtx barrier slots / status) for its own flag words and
-// staging slots; the symmetric heap spans bank 1 upward by default, leaving
-// bank 0 as the conventional code bank.
+// staging slots; the symmetric heap spans bank 1 upward, leaving bank 0 as
+// the conventional code bank.
 inline constexpr arch::Addr kRuntimeBase = 0x0200;
 inline constexpr unsigned kMaxRounds = 8;  // ceil(log2(64)) = 6 rounds + slack
 inline constexpr arch::Addr kBarrierFlags = 0x0200;   // kMaxRounds x 4 B
@@ -53,12 +53,10 @@ inline constexpr arch::Addr kResultSlot = 0x0288;     // 8 B reduced value
 inline constexpr arch::Addr kSignalStage = 0x0290;    // 8 B DMA signal source
 inline constexpr arch::Addr kRuntimeEnd = 0x0300;
 
-inline constexpr arch::Addr kDefaultHeapBase = 0x2000;
-inline constexpr arch::Addr kDefaultHeapEnd = arch::AddressMap::kLocalMemBytes;
+inline constexpr arch::Addr kHeapBase = 0x2000;
+inline constexpr arch::Addr kHeapEnd = arch::AddressMap::kLocalMemBytes;
 
 struct Config {
-  arch::Addr heap_base = kDefaultHeapBase;
-  arch::Addr heap_end = kDefaultHeapEnd;
   /// Transfers of at most this many bytes use direct remote stores/loads;
   /// larger ones build DMA descriptors (the papers' crossover regime).
   std::uint32_t dma_threshold = 256;

@@ -8,7 +8,10 @@
 // drawn from a handful of distinct sizes (one per coroutine function).
 // Routing the promise-level operator new/delete through a size-class free
 // list turns almost every frame allocation into a pop from a vector, which
-// measurably beats the general-purpose allocator on this workload.
+// beats the general-purpose allocator on this workload: with the pool
+// forwarding to operator new, perfbench's stencil_halo ran 36% slower
+// (run_s median 0.155 -> 0.212 s over 6 alternating 4 s pairs; Release,
+// GCC 12, 4 vCPUs).
 //
 // Each block carries a small header recording its size class, so
 // deallocation needs only the pointer and works regardless of whether the
@@ -46,18 +49,8 @@ namespace epi::sim {
 
 class FramePool {
 public:
-  struct Stats {
-    std::uint64_t allocated = 0;   // total frame allocations served
-    std::uint64_t recycled = 0;    // of which came from a free list
-    std::uint64_t released = 0;    // total frame deallocations
-    std::uint64_t oversized = 0;   // fell through to the global allocator
-    std::size_t cached_blocks = 0; // currently parked on free lists
-  };
-
   static void* allocate(std::size_t n) { return inst().do_allocate(n); }
   static void deallocate(void* p) noexcept { inst().do_deallocate(p); }
-
-  [[nodiscard]] static Stats stats() noexcept { return inst().stats_; }
 
 private:
   // Frames are bucketed at kGranularity resolution up to kMaxPooled bytes.
@@ -73,7 +66,6 @@ private:
   }
 
   void* do_allocate(std::size_t n) {
-    ++stats_.allocated;
     const std::size_t total = n + kHeader;
 #if !defined(EPI_FRAME_POOL_PASSTHROUGH)
     if (total <= kMaxPooled) {
@@ -83,8 +75,6 @@ private:
       if (!list.empty()) {
         base = list.back();
         list.pop_back();
-        ++stats_.recycled;
-        --stats_.cached_blocks;
       } else {
         base = static_cast<std::byte*>(::operator new(cls * kGranularity));
       }
@@ -92,7 +82,6 @@ private:
       return base + kHeader;
     }
 #endif
-    ++stats_.oversized;
     std::byte* base = static_cast<std::byte*>(::operator new(total));
     *reinterpret_cast<std::uint32_t*>(base) = kOversized;
     return base + kHeader;
@@ -100,7 +89,6 @@ private:
 
   void do_deallocate(void* p) noexcept {
     if (p == nullptr) return;
-    ++stats_.released;
     std::byte* base = static_cast<std::byte*>(p) - kHeader;
     const std::uint32_t cls = *reinterpret_cast<std::uint32_t*>(base);
     if (cls == kOversized) {
@@ -108,21 +96,15 @@ private:
       return;
     }
     free_[cls - 1].push_back(base);
-    ++stats_.cached_blocks;
   }
 
-  void do_trim() noexcept {
+  ~FramePool() {
     for (auto& list : free_) {
       for (std::byte* base : list) ::operator delete(base);
-      list.clear();
     }
-    stats_.cached_blocks = 0;
   }
 
-  ~FramePool() { do_trim(); }
-
   std::vector<std::byte*> free_[kClasses];
-  Stats stats_;
 };
 
 }  // namespace epi::sim

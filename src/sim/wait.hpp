@@ -2,10 +2,11 @@
 // Wait/notify primitives for simulation processes.
 //
 // WaitQueue is the condition-variable analogue: processes park on it and a
-// notifier wakes them (at the current cycle). It underpins memory watches,
-// DMA completion waits, and workgroup completion. The parked handles live
-// in a head-indexed vector, so notify_one is O(1) amortised instead of the
-// O(n) front-erase it once was.
+// notifier wakes them (at the current cycle). Its one user is the DMA
+// channel's completion wait (dma::DmaChannel); memory watches and process
+// joins park on their own records instead. The parked handles live in a
+// head-indexed vector, so notify_one is O(1) amortised instead of the O(n)
+// front-erase it once was.
 
 #include <coroutine>
 #include <cstddef>
@@ -68,14 +69,6 @@ private:
 template <typename Pred>
 Op<void> poll_until(Engine& engine, Pred pred, Cycles interval = 4) {
   while (!pred()) co_await delay(engine, interval);
-}
-
-/// Park until `pred()` holds, re-evaluating on every notify of `q`.
-/// This is the event-driven analogue of a flag spin: the memory system
-/// notifies the queue when a watched location changes.
-template <typename Pred>
-Op<void> wait_on(WaitQueue& q, Pred pred) {
-  while (!pred()) co_await q.wait();
 }
 
 /// Awaitable returned by join(): parks on the process's completion record;

@@ -94,8 +94,10 @@ void write_process_events(std::ostream& os, const Tracer& tracer,
             if (ev.arg_name[a] == 0) continue;
             if (!farg) line += ",";
             farg = false;
-            line += "\"" + json_escape(tracer.str(ev.arg_name[a])) +
-                    "\":" + std::to_string(ev.arg[a]);
+            line += '"';
+            line += json_escape(tracer.str(ev.arg_name[a]));
+            line += "\":";
+            line += std::to_string(ev.arg[a]);
           }
           line += "}";
         }

@@ -235,7 +235,7 @@ TEST(DagScheduler, UpstreamFailureCascadesToConsumers) {
   host::System sys;
   sched::Scheduler sc(sys);
   auto specs = sched::expand_graph(two_stage_graph(), 0);
-  specs[0].launch_failures = 100;  // exceeds max_attempts: producer Fails
+  specs[0].launch_failures = 100;  // exceeds the launch attempts: producer Fails
   for (const auto& s : specs) sc.submit(s);
   sc.run();
   const auto& recs = sc.records();
@@ -245,6 +245,22 @@ TEST(DagScheduler, UpstreamFailureCascadesToConsumers) {
       << recs[1].detail;
   EXPECT_EQ(recs[1].started, 0u);  // the orphan was never placed
   EXPECT_EQ(sc.handoff_scratch_bytes() + sc.handoff_dram_bytes(), 0u);
+}
+
+TEST(DagScheduler, UnresolvableDependencyFailsTheStage) {
+  // A complete graph whose consumer names a job the graph does not have
+  // (sched::load rejects such a spec; Scheduler::submit takes it as given).
+  host::System sys;
+  sched::Scheduler sc(sys);
+  auto specs = sched::expand_graph(two_stage_graph(), 0);
+  specs[1].deps = {{77, 4096}};
+  for (const auto& s : specs) sc.submit(s);
+  sc.run();
+  const auto& recs = sc.records();
+  EXPECT_EQ(recs[0].verdict, sched::Verdict::Completed) << recs[0].detail;
+  EXPECT_EQ(recs[1].verdict, sched::Verdict::Failed);
+  EXPECT_EQ(recs[1].detail, "pipeline stage has an unresolvable dependency");
+  EXPECT_EQ(recs[1].started, 0u);  // never placed
 }
 
 TEST(DagScheduler, ReportCarriesPipelineSectionOnlyForGraphRuns) {

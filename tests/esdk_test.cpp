@@ -107,7 +107,7 @@ TEST(DeviceMem, RemoteWriteVisibleToTarget) {
     return [](device::CoreCtx& c) -> sim::Op<void> {
       if (c.group_index() == 0) {
         CoreCoord east;
-        c.neighbour(Dir::East, east);
+        EXPECT_TRUE(c.neighbour(Dir::East, east));
         co_await c.write_u32(c.global(east, 0x4000), 0xCAFE);
         co_await c.write_f32(c.global(east, 0x4004), 3.5f);
       } else {

@@ -159,6 +159,26 @@ TEST(WorkloadParser, ErrorsCarrySourceAndLine) {
             "'18446744073709551615'");
   EXPECT_EQ(err("job id=0 kind=stencil iters=4000000000\n"),
             "wl:1: field 'iters' needs an integer in [0, 1000], got '4000000000'");
+  // Graph checks run after the last line and name the offending job's line:
+  // a graph short of its stages, a dep that is not an earlier stage of the
+  // job's graph (an unknown id, the job itself), and a reused graph job id.
+  EXPECT_EQ(err("job id=1 kind=matmul rows=1 cols=1 graph=1 stage=1 stages=2 "
+                "deps=77:2048\n"),
+            "wl:1: job 1: graph 1 has 1 jobs but stages=2");
+  const std::string producer =
+      "job id=0 kind=matmul rows=1 cols=1 graph=1 stage=0 stages=2\n# consumer\n";
+  EXPECT_EQ(err(producer +
+                "job id=1 kind=matmul rows=1 cols=1 graph=1 stage=1 stages=2 "
+                "deps=77:2048\n"),
+            "wl:3: job 1: dep 77 is not an earlier stage of graph 1");
+  EXPECT_EQ(err(producer +
+                "job id=1 kind=matmul rows=1 cols=1 graph=1 stage=1 stages=2 "
+                "deps=1:64\n"),
+            "wl:3: job 1: dep 1 is not an earlier stage of graph 1");
+  EXPECT_EQ(err(producer +
+                "job id=0 kind=matmul rows=1 cols=1 graph=1 stage=1 stages=2 "
+                "deps=0:64\n"),
+            "wl:3: job 0: id already names a graph job");
 }
 
 // ---- watchdog semantics ---------------------------------------------------

@@ -77,7 +77,7 @@ TEST(MeshAllocator, RejectsUnsatisfiableShapes) {
   EXPECT_TRUE(a.fits_ever(8, 8));
   // Rotation admits a shape whose transpose fits.
   EXPECT_TRUE(a.fits_ever(3, 8));
-  auto p = a.place(8, 3, /*allow_rotate=*/true);
+  auto p = a.place(8, 3);
   ASSERT_TRUE(p.has_value());
 }
 
@@ -87,7 +87,7 @@ TEST(MeshAllocator, RotationAndFragmentation) {
   auto big = a.place(6, 8);
   ASSERT_TRUE(big.has_value());
   // 8x2 cannot stand upright any more; rotation lands it in the strip.
-  auto p = a.place(8, 2, /*allow_rotate=*/true);
+  auto p = a.place(8, 2);
   ASSERT_TRUE(p.has_value());
   EXPECT_TRUE(p->rotated);
   EXPECT_EQ(p->rows, 2u);
@@ -250,13 +250,13 @@ TEST(Scheduler, LaunchFailuresRetryWithBackoffThenStick) {
   flaky.launch_failures = 2;
   sc.submit(flaky);
   auto doomed = make_job(1, 2, 2, 0, 0);
-  doomed.launch_failures = 100;  // more than max_attempts
+  doomed.launch_failures = 100;  // more than the launch attempts
   sc.submit(doomed);
   sc.run();
   EXPECT_EQ(sc.records()[0].verdict, sched::Verdict::Completed);
   EXPECT_EQ(sc.records()[0].attempts, 3u);
   EXPECT_EQ(sc.records()[1].verdict, sched::Verdict::Failed);
-  EXPECT_EQ(sc.records()[1].attempts, 4u);  // default max_attempts
+  EXPECT_EQ(sc.records()[1].attempts, 4u);  // the scheduler's launch attempts
   EXPECT_DOUBLE_EQ(sc.counters().value("sched.launch.retries"), 2.0 + 3.0);
 }
 
@@ -438,8 +438,8 @@ TEST(MeshAllocator, PlaceNearNeverFailsWhenPlaceWouldSucceed) {
     // Probe plain first-fit feasibility on a copy of the *same* mesh state,
     // then ask the real allocator for a co-placed rect.
     sched::MeshAllocator probe = a;
-    const auto pp = probe.place(r, c, /*allow_rotate=*/true);
-    const auto pn = a.place_near(r, c, /*allow_rotate=*/true, anchors);
+    const auto pp = probe.place(r, c);
+    const auto pn = a.place_near(r, c, anchors);
     ASSERT_EQ(pn.has_value(), pp.has_value())
         << "round " << round << " shape " << r << "x" << c;
     if (pn) {

@@ -35,18 +35,18 @@ std::string dump(const lint::MemSanitizer& san) {
 // ---- symmetric heap -------------------------------------------------------
 
 TEST(ShmemHeap, AllocatesAlignedAndDeterministic) {
-  shmem::SymmetricHeap h(shmem::kDefaultHeapBase, shmem::kDefaultHeapEnd);
+  shmem::SymmetricHeap h(shmem::kHeapBase, shmem::kHeapEnd);
   const Addr a = h.alloc(12);           // default 8-byte alignment
   const Addr b = h.alloc(4, 4);
   const Addr c = h.alloc(64, 32);
-  EXPECT_EQ(a, shmem::kDefaultHeapBase);
+  EXPECT_EQ(a, shmem::kHeapBase);
   EXPECT_EQ(a % 8, 0u);
   EXPECT_EQ(b, a + 12u);                // 12 is already 4-aligned
   EXPECT_EQ(c % 32, 0u);
   EXPECT_GE(c, b + 4u);
   // Same allocation sequence, same offsets: the property verify-at-reap
   // leans on to re-derive a job's plan without carrying state.
-  shmem::SymmetricHeap h2(shmem::kDefaultHeapBase, shmem::kDefaultHeapEnd);
+  shmem::SymmetricHeap h2(shmem::kHeapBase, shmem::kHeapEnd);
   EXPECT_EQ(h2.alloc(12), a);
   EXPECT_EQ(h2.alloc(4, 4), b);
   EXPECT_EQ(h2.alloc(64, 32), c);
@@ -84,22 +84,35 @@ TEST(Shmem, PutSmallAndLargeWithSignal) {
   const Addr small = group->heap().alloc(small_bytes);
   const Addr large = group->heap().alloc(large_bytes);
   const Addr sig = group->heap().alloc(4, 4);
+  // Non-blocking puts on both paths, completed by quiet() (and fence()).
+  const Addr nbi_small = group->heap().alloc(small_bytes);
+  const Addr nbi_large = group->heap().alloc(large_bytes);
 
-  wg.load([group, small, large, sig](device::CoreCtx& ctx) -> sim::Op<void> {
+  wg.load([group, small, large, sig, nbi_small,
+           nbi_large](device::CoreCtx& ctx) -> sim::Op<void> {
     return [](device::CoreCtx& c, std::shared_ptr<shmem::Group> g, Addr sm,
-              Addr lg, Addr flag) -> sim::Op<void> {
+              Addr lg, Addr flag, Addr nsm, Addr nlg) -> sim::Op<void> {
       shmem::Pe pe(c, *g);
       if (pe.my_pe() == 0) {
         auto& mem = g->machine().mem();
         for (std::uint32_t off = 0; off < 16; off += 4) {
           mem.write_value<std::uint32_t>(c.my_global(sm + off), 0x5100 + off,
                                          c.coord());
+          mem.write_value<std::uint32_t>(c.my_global(nsm + off), 0x6100 + off,
+                                         c.coord());
         }
         for (std::uint32_t off = 0; off < 1024; off += 4) {
           mem.write_value<std::uint32_t>(c.my_global(lg + off), 0xB1000000 + off,
                                          c.coord());
+          mem.write_value<std::uint32_t>(c.my_global(nlg + off), 0xC1000000 + off,
+                                         c.coord());
         }
         co_await pe.put(1, sm, sm, 16);
+        co_await pe.put_nbi(1, nsm, nsm, 16);
+        co_await pe.quiet();
+        co_await pe.put_nbi(1, nlg, nlg, 1024);
+        co_await pe.fence();
+        co_await pe.quiet();
         co_await pe.put_with_signal(1, lg, lg, 1024, flag, 1);
       } else {
         co_await pe.wait_signal_ge(flag, 1);
@@ -107,28 +120,31 @@ TEST(Shmem, PutSmallAndLargeWithSignal) {
         (void)co_await c.read_u32(c.my_global(sm));
         (void)co_await c.read_u32(c.my_global(lg + 1020));
       }
-    }(ctx, group, small, large, sig);
+    }(ctx, group, small, large, sig, nbi_small, nbi_large);
   });
   wg.run();
 
   const auto& map = sys.machine().mem().map();
   const arch::CoreCoord peer{0, 1};
+  const auto peer_word = [&](Addr off) {
+    std::uint32_t got = 0;
+    sys.read(map.global(peer, off),
+             std::as_writable_bytes(std::span<std::uint32_t, 1>(&got, 1)));
+    return got;
+  };
   for (std::uint32_t off = 0; off < small_bytes; off += 4) {
-    std::uint32_t got = 0;
-    sys.read(map.global(peer, small + off),
-             std::as_writable_bytes(std::span<std::uint32_t, 1>(&got, 1)));
-    EXPECT_EQ(got, 0x5100 + off);
+    EXPECT_EQ(peer_word(small + off), 0x5100 + off);
+    EXPECT_EQ(peer_word(nbi_small + off), 0x6100 + off);
   }
-  for (std::uint32_t off = 0; off < large_bytes; off += 256) {
-    std::uint32_t got = 0;
-    sys.read(map.global(peer, large + off),
-             std::as_writable_bytes(std::span<std::uint32_t, 1>(&got, 1)));
-    EXPECT_EQ(got, 0xB1000000 + off);
+  for (std::uint32_t off = 0; off < large_bytes; off += 4) {
+    EXPECT_EQ(peer_word(large + off), 0xB1000000 + off);
+    EXPECT_EQ(peer_word(nbi_large + off), 0xC1000000 + off);
   }
   EXPECT_TRUE(san.findings().empty()) << dump(san);
-  EXPECT_GE(group->counters().value("shmem.puts"), 2.0);
-  EXPECT_GE(group->counters().value("shmem.bytes"),
-            static_cast<double>(small_bytes + large_bytes));
+  // put + two put_nbi + put_with_signal (whose bytes include the 4-byte flag).
+  EXPECT_EQ(group->counters().value("shmem.puts"), 4.0);
+  EXPECT_EQ(group->counters().value("shmem.bytes"),
+            static_cast<double>(2 * small_bytes + 2 * large_bytes + 4));
 }
 
 /// PE 1 pulls host-preloaded data out of PE 0 on both get paths.

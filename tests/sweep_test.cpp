@@ -67,9 +67,10 @@ TEST(SweepHarness, TracesOnlyTheNamedPointsFirstRun) {
       return std::string(label);
     }});
   }
-  s.traced = "b";
-  const std::string trace = testing::TempDir() + "sweep_harness_trace.json";
-  EXPECT_EQ(run_with(s, {"--no-metrics", "--trace=" + trace}), 0);
+  s.traced = std::string("b");  // not = "b": GCC 12 misreports -Wrestrict
+  std::string trace = testing::TempDir();
+  trace += "sweep_harness_trace.json";
+  EXPECT_EQ(run_with(s, {"--trace=" + trace}), 0);
   EXPECT_EQ(calls, (std::vector<std::string>{"a:plain", "a:plain", "b:traced",
                                              "b:plain"}));
   EXPECT_FALSE(slurp(trace).empty());
