@@ -1,19 +1,27 @@
 #pragma once
-// Shared dataflow machinery for the static analyzers: register use/def
-// walkers, the flat constant lattice the memory-shape passes propagate,
-// and the address classifier that separates local scratchpad offsets from
-// flat global (coreid<<20) addresses. Used by the single-core passes
-// (passes.cpp) and the whole-workgroup verifier (workgroup.cpp).
+// The one memory-access model of the static analyzers, shared by the
+// single-core passes (passes.cpp) and the whole-workgroup verifier
+// (workgroup.cpp): register use/def walkers, the flat constant lattice and
+// its block-level propagation (COREID optionally known), the counted
+// self-loop recogniser, and the access-range rule that answers "which bytes
+// can instruction i touch?" -- one execution's effective address, or the
+// span a postmodify cursor walks over a counted loop. The address
+// classifier separates local scratchpad offsets from flat global
+// (coreid<<20) addresses. The analyzers only judge the ranges handed out
+// here: the passes the local ones, the verifier the remote ones.
 
+#include <algorithm>
 #include <array>
 #include <bitset>
 #include <cstdint>
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "arch/address_map.hpp"
 #include "isa/program.hpp"
+#include "lint/cfg.hpp"
 
 namespace epi::lint::dataflow {
 
@@ -134,6 +142,11 @@ void for_each_def(const isa::Instruction& ins, Fn fn) {
     fn(ins.rn);
   }
 }
+
+/// Every register operand of `ins` is inside the 64-entry register file.
+/// Hand-built programs can carry any uint8; the per-register state below
+/// must not be run over one that fails this.
+[[nodiscard]] bool registers_in_range(const isa::Instruction& ins);
 
 /// Flat constant lattice for the memory-shape passes: unknown or one int.
 struct AV {
@@ -258,5 +271,62 @@ inline AddrClass classify_addr(std::int64_t addr) {
   if (addr < kWindow) return {AddrKind::Local, static_cast<std::uint32_t>(addr)};
   return {AddrKind::Global, static_cast<std::uint32_t>(addr)};
 }
+
+/// Block-level constant propagation: the state on entry to and exit from
+/// every block at the fixpoint. With `core_id` set, COREID is a constant.
+/// This and analyze_self_loop need every instruction's registers_in_range.
+struct ConstProp {
+  std::vector<State> in, out;
+};
+
+[[nodiscard]] ConstProp propagate(const isa::Program& prog, const Cfg& cfg,
+                                  std::optional<std::int64_t> core_id = std::nullopt);
+
+/// The bytes an access touches: one execution at `addr`, or -- with a
+/// nonzero stride -- a cursor walk `addr + it * stride` for it < trips.
+struct Access {
+  std::int64_t addr = 0;
+  std::int64_t size = 4;
+  bool store = false;  // may write: STR/STRD, and TESTSET's lock word
+  std::int64_t stride = 0;
+  std::int64_t trips = 1;
+
+  /// [lo(), hi()) covers every byte of every iteration.
+  [[nodiscard]] std::int64_t lo() const {
+    return std::min(addr, addr + (trips - 1) * stride);
+  }
+  [[nodiscard]] std::int64_t hi() const {
+    return std::max(addr, addr + (trips - 1) * stride) + size;
+  }
+};
+
+/// Effective address of one ldr/str/ldrd/strd/wait/testset under the
+/// constant state before it; nullopt for other opcodes or an unknown base.
+[[nodiscard]] std::optional<Access> access_at(const isa::Instruction& ins,
+                                              const State& st);
+
+/// A single-block counted loop `loop: ... sub rC, rC, #k ... bne loop`
+/// whose counter rC is a positive constant on entry and has no other
+/// in-loop definition. This is the only loop shape the paper's kernels use.
+struct SelfLoop {
+  bool recognised = false;
+  std::size_t counter_instr = 0;  // the sub the bne tests
+  unsigned counter = 0;
+  std::int64_t start = 0, step = 0;  // rC on entry, k
+  std::int64_t trips = 1;            // start / step when counted()
+  std::size_t first = 0;             // the block's first instruction
+  /// Per instruction of the block: the walk of a load/store whose base is
+  /// a live cursor (every in-loop definition an increment, known on entry).
+  std::vector<std::optional<Access>> walks;
+
+  /// Terminates: the counter steps onto zero exactly.
+  [[nodiscard]] bool counted() const { return recognised && start % step == 0; }
+  [[nodiscard]] std::optional<Access> walk(std::size_t i) const {
+    return walks.empty() ? std::nullopt : walks[i - first];
+  }
+};
+
+[[nodiscard]] SelfLoop analyze_self_loop(const isa::Program& prog, const Cfg& cfg,
+                                         std::size_t bi, const ConstProp& cp);
 
 }  // namespace epi::lint::dataflow

@@ -26,10 +26,12 @@
 //                               bank boundary (paper IV-B placement advice)
 //   layout-*          see layout.hpp (when a layout is declared)
 //
-// The memory checks run a lightweight constant propagation over the CFG,
-// plus a per-iteration stride analysis of single-block counted loops
-// (`sub rC, rC, #k; bne`), which is exactly the shape of the paper's
-// kernels -- so postmodify walks are bounded without symbolic execution.
+// The memory checks judge the byte ranges of the access model in
+// lint/dataflow.hpp, which the workgroup verifier shares: a lightweight
+// constant propagation over the CFG, plus the span each postmodify cursor
+// walks in a single-block counted loop (`sub rC, rC, #k; bne`), exactly
+// the shape of the paper's kernels -- so walks are bounded without symbolic
+// execution. The passes judge local ranges; remote ones are the verifier's.
 
 #include <cstdint>
 #include <optional>

@@ -1,7 +1,6 @@
 #include "lint/lint.hpp"
 
 #include <algorithm>
-#include <array>
 #include <string>
 
 #include "lint/cfg.hpp"
@@ -14,17 +13,14 @@ namespace {
 using isa::Instruction;
 using isa::Opcode;
 
-using dataflow::AV;
 using dataflow::Bits;
 using dataflow::State;
-using dataflow::access_size;
 using dataflow::classify_addr;
 using dataflow::for_each_def;
 using dataflow::for_each_use;
 using dataflow::hex;
 using dataflow::kRegs;
 using dataflow::kZ;
-using dataflow::merge_state;
 using dataflow::xfer_const;
 
 std::string reg(unsigned r) { return dataflow::reg_name(r); }
@@ -80,53 +76,7 @@ private:
   void check_operands() {
     for (std::size_t i = 0; i < prog_.size(); ++i) {
       const Instruction& ins = prog_.code[i];
-      bool oob = false;
-      const auto chk = [&](unsigned r) { if (r >= kRegs) oob = true; };
-      // Raw fields: hand-built programs can carry any uint8. Checked per
-      // opcode (not via the use/def walkers, which also yield the Z flag's
-      // pseudo-index).
-      switch (ins.op) {
-        case Opcode::Fmadd:
-        case Opcode::Fmul:
-        case Opcode::Fadd:
-        case Opcode::Fsub:
-          chk(ins.rd); chk(ins.rn); chk(ins.rm);
-          break;
-        case Opcode::MovImm:
-          chk(ins.rd);
-          break;
-        case Opcode::MovReg:
-          chk(ins.rd); chk(ins.rn);
-          break;
-        case Opcode::Add:
-        case Opcode::Sub:
-          chk(ins.rd); chk(ins.rn);
-          if (!ins.has_imm) chk(ins.rm);
-          break;
-        case Opcode::Ldr:
-        case Opcode::Ldrd:
-        case Opcode::Str:
-        case Opcode::Strd:
-        case Opcode::Testset:
-          chk(ins.rd); chk(ins.rn);
-          break;
-        case Opcode::CoreId:
-          chk(ins.rd);
-          break;
-        case Opcode::Lsl:
-          chk(ins.rd); chk(ins.rn);
-          break;
-        case Opcode::Wait:
-          chk(ins.rn);
-          break;
-        case Opcode::B:
-        case Opcode::Bne:
-        case Opcode::Beq:
-        case Opcode::Bar:
-        case Opcode::Halt:
-          break;
-      }
-      if (oob) {
+      if (!dataflow::registers_in_range(ins)) {
         registers_in_range_ = false;
         report("reg-range", Severity::Error, i,
                "register operand outside the 64-entry register file");
@@ -287,62 +237,28 @@ private:
     }
   }
 
-  // ---- memory shape: constant propagation + counted-loop strides ----------
+  // ---- memory shape: the ranges of the shared access model ----------------
   void check_memory_shape() {
-    const std::size_t nb = cfg_.blocks.size();
-    std::vector<State> in(nb), out(nb);
-    std::vector<bool> visited(nb, false);
-    visited[0] = true;  // entry: all unknown
-    const auto transfer = [&](std::size_t bi) {
-      State s = in[bi];
-      const BasicBlock& b = cfg_.blocks[bi];
-      for (std::size_t i = b.first; i < b.last; ++i) xfer_const(prog_.code[i], s);
-      return s;
-    };
-    std::vector<std::size_t> work{0};
-    while (!work.empty()) {
-      const std::size_t bi = work.back();
-      work.pop_back();
-      out[bi] = transfer(bi);
-      for (std::size_t s : cfg_.blocks[bi].succ) {
-        if (!visited[s]) {
-          visited[s] = true;
-          in[s] = out[bi];
-          work.push_back(s);
-        } else {
-          const State m = merge_state(in[s], out[bi]);
-          if (!(m == in[s])) {
-            in[s] = m;
-            work.push_back(s);
-          }
-        }
-      }
-    }
-
-    for (std::size_t bi = 0; bi < nb; ++bi) {
+    const dataflow::ConstProp cp = dataflow::propagate(prog_, cfg_);
+    for (std::size_t bi = 0; bi < cfg_.blocks.size(); ++bi) {
       if (!cfg_.reachable[bi]) continue;
-      State st = in[bi];
+      const dataflow::SelfLoop loop = dataflow::analyze_self_loop(prog_, cfg_, bi, cp);
+      State st = cp.in[bi];
       const BasicBlock& b = cfg_.blocks[bi];
       for (std::size_t i = b.first; i < b.last; ++i) {
-        const Instruction& ins = prog_.code[i];
-        if (isa::is_load(ins.op) || isa::is_store(ins.op)) {
-          const AV base = st[ins.rn];
-          if (base.known) {
-            const std::int64_t addr = ins.postmodify ? base.v : base.v + ins.imm;
-            check_access(i, addr, access_size(ins), isa::is_store(ins.op));
-          }
-        } else if (ins.op == Opcode::Wait || ins.op == Opcode::Testset) {
-          const AV base = st[ins.rn];
-          if (base.known) {
-            const std::int64_t addr =
-                ins.op == Opcode::Testset ? base.v + ins.imm : base.v;
-            // TESTSET may write the lock word; WAIT only reads.
-            check_access(i, addr, 4, ins.op == Opcode::Testset);
-          }
+        if (const auto a = dataflow::access_at(prog_.code[i], st)) {
+          check_access(i, a->addr, a->size, a->store);
+        } else if (const auto w = loop.walk(i)) {
+          check_walk(i, *w);
         }
-        xfer_const(ins, st);
+        xfer_const(prog_.code[i], st);
       }
-      check_counted_self_loop(bi, in, out);
+      if (loop.recognised && !loop.counted()) {
+        report("termination", Severity::Error, loop.counter_instr,
+               "loop counter " + reg(loop.counter) + " starts at " +
+                   std::to_string(loop.start) + " and steps by " +
+                   std::to_string(loop.step) + ": it never reaches zero (infinite loop)");
+      }
     }
   }
 
@@ -387,142 +303,38 @@ private:
     }
   }
 
-  /// Bound postmodify walks of single-block counted loops:
-  ///   loop: ... sub rC, rC, #k ... bne loop
-  /// with rC constant on loop entry. This is the only loop shape the
-  /// paper's kernels use, so the common case is fully checked.
-  void check_counted_self_loop(std::size_t bi, const std::vector<State>& in,
-                               const std::vector<State>& out) {
-    const BasicBlock& b = cfg_.blocks[bi];
-    const Instruction& tail = prog_.code[b.last - 1];
-    if (tail.op != Opcode::Bne) return;
-    if (tail.imm < 0 || static_cast<std::size_t>(tail.imm) >= prog_.size() ||
-        cfg_.block_of[static_cast<std::size_t>(tail.imm)] != bi) {
-      return;  // not a self-loop
-    }
-
-    // Loop-entry state: merge of every reachable non-back-edge predecessor.
-    State pre;
-    bool have_pre = false;
-    for (std::size_t p : b.pred) {
-      if (p == bi || !cfg_.reachable[p]) continue;
-      pre = have_pre ? merge_state(pre, out[p]) : out[p];
-      have_pre = true;
-    }
-    (void)in;
-    if (!have_pre) return;
-
-    // The counter: the *last* Z-setting instruction, which the bne tests.
-    std::size_t cnt_i = Finding::kNoInstr;
-    for (std::size_t i = b.first; i < b.last; ++i) {
-      const Opcode op = prog_.code[i].op;
-      if (op == Opcode::Add || op == Opcode::Sub) cnt_i = i;
-    }
-    if (cnt_i == Finding::kNoInstr) return;
-    const Instruction& cnt = prog_.code[cnt_i];
-    if (cnt.op != Opcode::Sub || !cnt.has_imm || cnt.rd != cnt.rn || cnt.imm <= 0) return;
-    const unsigned counter = cnt.rd;
-    for (std::size_t i = b.first; i < b.last; ++i) {
-      if (i == cnt_i) continue;
-      bool redefined = false;
-      for_each_def(prog_.code[i], [&](unsigned r) { redefined |= r == counter; });
-      if (redefined) return;  // counter is not a simple induction variable
-    }
-    if (!pre[counter].known || pre[counter].v <= 0) return;
-    if (pre[counter].v % cnt.imm != 0) {
-      report("termination", Severity::Error, cnt_i,
-             "loop counter " + reg(counter) + " starts at " +
-                 std::to_string(pre[counter].v) + " and steps by " +
-                 std::to_string(cnt.imm) + ": it never reaches zero (infinite loop)");
+  /// Bound a postmodify cursor's walk over its counted loop's trips.
+  void check_walk(std::size_t i, const dataflow::Access& w) {
+    if (classify_addr(w.addr).kind == dataflow::AddrKind::Global) {
+      // Remote strided walk: out of scope for the single-core extent
+      // check; the workgroup verifier bounds it against the target core's
+      // scratchpad instead.
       return;
     }
-    const std::int64_t trips = pre[counter].v / cnt.imm;
-
-    // Cursor registers: every in-loop definition is an increment by a
-    // constant (postmodify or add/sub #imm on itself).
-    struct Cursor {
-      bool valid = true;
-      std::int64_t delta = 0;  // net change per iteration
-    };
-    std::array<Cursor, kRegs> cursors;
-    const auto step_of = [](const Instruction& ins, unsigned r) -> std::int64_t {
-      // Increment this instruction applies to register r, or 0.
-      if ((isa::is_load(ins.op) || isa::is_store(ins.op)) && ins.postmodify &&
-          ins.rn == r) {
-        return ins.imm;
-      }
-      if ((ins.op == Opcode::Add || ins.op == Opcode::Sub) && ins.has_imm &&
-          ins.rd == r && ins.rn == r) {
-        return ins.op == Opcode::Add ? ins.imm : -std::int64_t{ins.imm};
-      }
-      return 0;
-    };
-    const auto is_increment = [&](const Instruction& ins, unsigned r) {
-      return step_of(ins, r) != 0;
-    };
-    for (std::size_t i = b.first; i < b.last; ++i) {
-      const Instruction& ins = prog_.code[i];
-      for_each_def(ins, [&](unsigned r) {
-        if (r >= kRegs) return;
-        if (is_increment(ins, r)) {
-          cursors[r].delta += step_of(ins, r);
-        } else {
-          cursors[r].valid = false;
-        }
-      });
-    }
-
-    // Walk the block once more, bounding every access off a live cursor.
-    std::array<std::int64_t, kRegs> cum{};
-    for (std::size_t i = b.first; i < b.last; ++i) {
-      const Instruction& ins = prog_.code[i];
-      if (isa::is_load(ins.op) || isa::is_store(ins.op)) {
-        const unsigned bn = ins.rn;
-        if (bn < kRegs && bn != counter && cursors[bn].valid &&
-            cursors[bn].delta != 0 && pre[bn].known) {
-          const std::int64_t d = cursors[bn].delta;
-          const std::int64_t rel = cum[bn] + (ins.postmodify ? 0 : ins.imm);
-          const std::int64_t a0 = pre[bn].v + rel;
-          if (classify_addr(a0).kind == dataflow::AddrKind::Global) {
-            // Remote strided walk: out of scope for the single-core extent
-            // check; the workgroup verifier bounds it against the target
-            // core's scratchpad instead.
-            for (unsigned r = 0; r < kRegs; ++r) cum[r] += step_of(prog_.code[i], r);
-            continue;
-          }
-          const std::int64_t alast = a0 + (trips - 1) * d;
-          const std::int64_t lo = std::min(a0, alast);
-          const std::int64_t hi = std::max(a0, alast) + access_size(ins);
-          if (lo < 0) {
-            report("mem-extent", Severity::Error, i,
-                   "postmodify stride walks to negative address " + hex(lo));
-          } else if (hi > static_cast<std::int64_t>(opts_.extent)) {
-            report("mem-extent", Severity::Error, i,
-                   "postmodify stride walks [" + hex(lo) + ", " + hex(hi) +
-                       ") outside the declared scratchpad extent " +
-                       hex(opts_.extent));
-          } else if (isa::is_store(ins.op) && !code_regions_.empty()) {
-            // Exact per-iteration overlap test (trips are small in practice).
-            const std::int64_t cap = std::min<std::int64_t>(trips, 1 << 16);
-            for (std::int64_t it = 0; it < cap; ++it) {
-              const std::int64_t a = a0 + it * d;
-              bool flagged = false;
-              for (const Region& r : code_regions_) {
-                if (a < static_cast<std::int64_t>(r.end()) &&
-                    static_cast<std::int64_t>(r.offset) < a + access_size(ins)) {
-                  check_code_write(i, a, a + access_size(ins),
-                                   "strided store (iteration " + std::to_string(it) +
-                                       ") at " + hex(a));
-                  flagged = true;
-                  break;
-                }
-              }
-              if (flagged) break;
-            }
+    const std::int64_t lo = w.lo();
+    const std::int64_t hi = w.hi();
+    if (lo < 0) {
+      report("mem-extent", Severity::Error, i,
+             "postmodify stride walks to negative address " + hex(lo));
+    } else if (hi > static_cast<std::int64_t>(opts_.extent)) {
+      report("mem-extent", Severity::Error, i,
+             "postmodify stride walks [" + hex(lo) + ", " + hex(hi) +
+                 ") outside the declared scratchpad extent " + hex(opts_.extent));
+    } else if (w.store && !code_regions_.empty()) {
+      // Exact per-iteration overlap test (trips are small in practice).
+      const std::int64_t cap = std::min<std::int64_t>(w.trips, 1 << 16);
+      for (std::int64_t it = 0; it < cap; ++it) {
+        const std::int64_t a = w.addr + it * w.stride;
+        for (const Region& r : code_regions_) {
+          if (a < static_cast<std::int64_t>(r.end()) &&
+              static_cast<std::int64_t>(r.offset) < a + w.size) {
+            check_code_write(i, a, a + w.size,
+                             "strided store (iteration " + std::to_string(it) +
+                                 ") at " + hex(a));
+            return;
           }
         }
       }
-      for (unsigned r = 0; r < kRegs; ++r) cum[r] += step_of(ins, r);
     }
   }
 

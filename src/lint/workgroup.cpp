@@ -19,12 +19,8 @@ using isa::Opcode;
 
 using dataflow::AV;
 using dataflow::State;
-using dataflow::access_size;
 using dataflow::classify_addr;
-using dataflow::for_each_def;
 using dataflow::hex;
-using dataflow::kRegs;
-using dataflow::merge_state;
 using dataflow::xfer_const;
 
 /// One memory/synchronisation action of one core, with its target resolved
@@ -44,128 +40,6 @@ struct Event {
 
 constexpr bool overlaps(const Event& a, const Event& b) {
   return a.lo < b.hi && b.lo < a.hi;
-}
-
-/// Block-level constant propagation (same fixpoint as the single-core
-/// memory-shape pass), with this core's COREID known.
-struct ConstProp {
-  std::vector<State> in, out;
-};
-
-ConstProp propagate(const isa::Program& prog, const Cfg& cfg, std::int64_t core_id) {
-  const std::size_t nb = cfg.blocks.size();
-  ConstProp cp;
-  cp.in.resize(nb);
-  cp.out.resize(nb);
-  if (nb == 0) return cp;
-  std::vector<bool> visited(nb, false);
-  visited[0] = true;
-  const auto transfer = [&](std::size_t bi) {
-    State s = cp.in[bi];
-    const BasicBlock& b = cfg.blocks[bi];
-    for (std::size_t i = b.first; i < b.last; ++i) {
-      xfer_const(prog.code[i], s, core_id);
-    }
-    return s;
-  };
-  std::vector<std::size_t> work{0};
-  while (!work.empty()) {
-    const std::size_t bi = work.back();
-    work.pop_back();
-    cp.out[bi] = transfer(bi);
-    for (std::size_t s : cfg.blocks[bi].succ) {
-      if (!visited[s]) {
-        visited[s] = true;
-        cp.in[s] = cp.out[bi];
-        work.push_back(s);
-      } else {
-        const State m = merge_state(cp.in[s], cp.out[bi]);
-        if (!(m == cp.in[s])) {
-          cp.in[s] = m;
-          work.push_back(s);
-        }
-      }
-    }
-  }
-  return cp;
-}
-
-/// A counted self-loop (`sub rC, rC, #k ... bne self`), as bounded by the
-/// single-core stride pass: trip count plus per-register net deltas.
-struct LoopInfo {
-  bool counted = false;
-  std::int64_t trips = 1;
-  std::array<std::int64_t, kRegs> delta{};  // net cursor change per iteration
-  std::array<bool, kRegs> cursor_valid{};   // delta is the only kind of def
-  State pre;                                // state on loop entry
-  bool have_pre = false;
-};
-
-std::int64_t step_of(const Instruction& ins, unsigned r) {
-  if ((isa::is_load(ins.op) || isa::is_store(ins.op)) && ins.postmodify &&
-      ins.rn == r) {
-    return ins.imm;
-  }
-  if ((ins.op == Opcode::Add || ins.op == Opcode::Sub) && ins.has_imm &&
-      ins.rd == r && ins.rn == r) {
-    return ins.op == Opcode::Add ? ins.imm : -std::int64_t{ins.imm};
-  }
-  return 0;
-}
-
-LoopInfo analyze_self_loop(const isa::Program& prog, const Cfg& cfg,
-                           std::size_t bi, const ConstProp& cp) {
-  LoopInfo li;
-  const BasicBlock& b = cfg.blocks[bi];
-  const Instruction& tail = prog.code[b.last - 1];
-  if (tail.op != Opcode::Bne) return li;
-  if (tail.imm < 0 || static_cast<std::size_t>(tail.imm) >= prog.size() ||
-      cfg.block_of[static_cast<std::size_t>(tail.imm)] != bi) {
-    return li;
-  }
-  for (std::size_t p : b.pred) {
-    if (p == bi || !cfg.reachable[p]) continue;
-    li.pre = li.have_pre ? merge_state(li.pre, cp.out[p]) : cp.out[p];
-    li.have_pre = true;
-  }
-  if (!li.have_pre) return li;
-  std::size_t cnt_i = Finding::kNoInstr;
-  for (std::size_t i = b.first; i < b.last; ++i) {
-    const Opcode op = prog.code[i].op;
-    if (op == Opcode::Add || op == Opcode::Sub) cnt_i = i;
-  }
-  if (cnt_i == Finding::kNoInstr) return li;
-  const Instruction& cnt = prog.code[cnt_i];
-  if (cnt.op != Opcode::Sub || !cnt.has_imm || cnt.rd != cnt.rn || cnt.imm <= 0) {
-    return li;
-  }
-  const unsigned counter = cnt.rd;
-  for (std::size_t i = b.first; i < b.last; ++i) {
-    if (i == cnt_i) continue;
-    bool redefined = false;
-    for_each_def(prog.code[i], [&](unsigned r) { redefined |= r == counter; });
-    if (redefined) return li;
-  }
-  if (!li.pre[counter].known || li.pre[counter].v <= 0 ||
-      li.pre[counter].v % cnt.imm != 0) {
-    return li;  // non-terminating shapes are the single-core passes' job
-  }
-  li.trips = li.pre[counter].v / cnt.imm;
-  li.cursor_valid.fill(true);
-  li.cursor_valid[counter] = false;
-  for (std::size_t i = b.first; i < b.last; ++i) {
-    const Instruction& ins = prog.code[i];
-    for_each_def(ins, [&](unsigned r) {
-      if (r >= kRegs) return;
-      if (step_of(ins, r) != 0) {
-        li.delta[r] += step_of(ins, r);
-      } else {
-        li.cursor_valid[r] = false;
-      }
-    });
-  }
-  li.counted = true;
-  return li;
 }
 
 class Verifier {
@@ -194,7 +68,7 @@ public:
     check_races();
     check_deadlocks();
     for (std::size_t c = 0; c < n; ++c) check_dma(c);
-    if (spec_.run_per_core_passes) run_per_core();
+    run_per_core();
     std::stable_sort(findings_.begin(), findings_.end(),
                      [](const WgFinding& a, const WgFinding& b) {
                        if (a.core != b.core) return a.core < b.core;
@@ -330,9 +204,14 @@ private:
 
   void extract_core(std::size_t core) {
     const isa::Program& prog = prog_of(core);
+    // The per-core passes report a register outside the file (reg-range);
+    // the per-register constant state cannot be run over such a program.
+    if (!std::all_of(prog.code.begin(), prog.code.end(), dataflow::registers_in_range)) {
+      return;
+    }
     const Cfg cfg = Cfg::build(prog);
     const std::int64_t cid = spec_.map.core_id(coord_of(core));
-    const ConstProp cp = propagate(prog, cfg, cid);
+    const dataflow::ConstProp cp = dataflow::propagate(prog, cfg, cid);
 
     // A `.dma` declaration is modelled as a blocking transfer anchored at
     // the first instruction at or below its source line: one Load event over
@@ -356,9 +235,8 @@ private:
     for (std::size_t bi = 0; bi < cfg.blocks.size(); ++bi) {
       if (!cfg.reachable[bi]) continue;
       const BasicBlock& b = cfg.blocks[bi];
-      const LoopInfo li = analyze_self_loop(prog, cfg, bi, cp);
+      const dataflow::SelfLoop loop = dataflow::analyze_self_loop(prog, cfg, bi, cp);
       State st = cp.in[bi];
-      std::array<std::int64_t, kRegs> cum{};
       for (std::size_t i = b.first; i < b.last; ++i) {
         for (std::size_t di = 0; di < prog.dma.size(); ++di) {
           if (!dma_emitted[di] && dma_anchor[di] == i) {
@@ -367,55 +245,37 @@ private:
           }
         }
         const Instruction& ins = prog.code[i];
-        const bool mem = isa::is_load(ins.op) || isa::is_store(ins.op);
-        if (mem && st[ins.rn].known) {
-          const std::int64_t addr =
-              ins.postmodify ? st[ins.rn].v : st[ins.rn].v + ins.imm;
-          const bool store = isa::is_store(ins.op);
-          if (auto r = resolve(core, i, addr, access_size(ins), store)) {
-            const AV val = store && ins.op == Opcode::Str ? st[ins.rd] : AV{};
-            emit(core, store ? Event::Kind::Store : Event::Kind::Load, i,
-                 r->first, r->second, val.known,
-                 static_cast<std::uint32_t>(val.v));
-          }
-        } else if (mem && li.counted && ins.rn < kRegs &&
-                   li.cursor_valid[ins.rn] && li.delta[ins.rn] != 0 &&
-                   li.pre[ins.rn].known) {
-          // Strided walk of a counted self-loop: one event covering the
-          // whole span the cursor visits.
-          const std::int64_t d = li.delta[ins.rn];
-          const std::int64_t a0 =
-              li.pre[ins.rn].v + cum[ins.rn] + (ins.postmodify ? 0 : ins.imm);
-          const std::int64_t alast = a0 + (li.trips - 1) * d;
-          const std::int64_t lo = std::min(a0, alast);
-          const std::int64_t hi = std::max(a0, alast) + access_size(ins);
-          const bool store = isa::is_store(ins.op);
-          if (auto r = resolve(core, i, lo, hi - lo, store)) {
-            emit(core, store ? Event::Kind::Store : Event::Kind::Load, i,
-                 r->first, r->second, false, 0);
-          }
-        } else if (ins.op == Opcode::Wait && st[ins.rn].known) {
-          if (auto r = resolve(core, i, st[ins.rn].v, 4, false)) {
-            emit(core, Event::Kind::Wait, i, r->first, r->second, true,
-                 static_cast<std::uint32_t>(ins.imm));
-          }
-        } else if (ins.op == Opcode::Testset && st[ins.rn].known) {
-          if (auto r = resolve(core, i, st[ins.rn].v + ins.imm, 4, true)) {
-            emit(core, Event::Kind::Testset, i, r->first, r->second, false, 0);
-          }
-        } else if (ins.op == Opcode::Bar) {
+        if (ins.op == Opcode::Bar) {
           Event e;
           e.kind = Event::Kind::Barrier;
           e.core = core;
           e.instr = i;
           e.barrier_seq = barrier_count_[core]++;
           events_[core].push_back(std::move(e));
-          barrier_weight_[core] += li.counted ? li.trips : 1;
+          barrier_weight_[core] += loop.counted() ? loop.trips : 1;
+        } else if (const auto a = dataflow::access_at(ins, st)) {
+          if (auto r = resolve(core, i, a->addr, a->size, a->store)) {
+            AV val = ins.op == Opcode::Str ? st[ins.rd] : AV{};
+            if (ins.op == Opcode::Wait) val = AV{true, ins.imm};  // the awaited value
+            emit(core, event_kind(ins), i, r->first, r->second, val.known,
+                 static_cast<std::uint32_t>(val.v));
+          }
+        } else if (const auto w = loop.walk(i)) {
+          // Strided walk of a counted self-loop: one event covering the
+          // whole span the cursor visits.
+          if (auto r = resolve(core, i, w->lo(), w->hi() - w->lo(), w->store)) {
+            emit(core, event_kind(ins), i, r->first, r->second, false, 0);
+          }
         }
         xfer_const(ins, st, cid);
-        for (unsigned r = 0; r < kRegs; ++r) cum[r] += step_of(ins, r);
       }
     }
+  }
+
+  static Event::Kind event_kind(const Instruction& ins) {
+    if (ins.op == Opcode::Wait) return Event::Kind::Wait;
+    if (ins.op == Opcode::Testset) return Event::Kind::Testset;
+    return isa::is_store(ins.op) ? Event::Kind::Store : Event::Kind::Load;
   }
 
   // ---- barrier participation --------------------------------------------

@@ -39,9 +39,11 @@
 //                                  external window / group rectangle
 //
 // Analysis model (documented assumptions):
-//   * addresses are resolved by constant propagation with the analyzed
-//     core's COREID known; accesses whose address never becomes constant
-//     (or constant-strided in a counted self-loop) are skipped;
+//   * addresses come from the access model the single-core passes use
+//     (lint/dataflow.hpp), with the analyzed core's COREID known; accesses
+//     whose address never becomes constant (or constant-strided in a
+//     counted self-loop) are skipped. The per-core passes judge local
+//     ranges, this verifier the remote ones;
 //   * events are ordered per core by instruction index (the protocols the
 //     paper uses are straight-line store/flag/wait sequences);
 //   * accesses both covered by a common TESTSET-held mutex do not race
@@ -89,10 +91,9 @@ struct WorkgroupSpec {
   /// Global address ranges [lo, hi) the host initialises before launch:
   /// waits on flags inside them are considered satisfiable.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> host_preloaded;
-  /// Options for the per-core passes (extent, code region, layout).
+  /// Options for the per-core passes (extent, code region, layout), which
+  /// run on each distinct program.
   LintOptions per_core;
-  /// Also run the single-core passes on each distinct program.
-  bool run_per_core_passes = true;
 };
 
 /// A finding attributed to one core of the group.

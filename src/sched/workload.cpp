@@ -253,21 +253,22 @@ std::vector<JobSpec> load(std::istream& in, const std::string& source) {
     jobs.push_back(std::move(s));
     job_lines.push_back(lineno);
   }
-  // Whole-file graph checks: a graph short of its stages never wires, and a
-  // dep on anything but an earlier stage of its own graph (another graph's
-  // job, a missing id, itself, a cycle) never resolves; either would leave
-  // the scheduler waiting on the graph forever. Ids name graph jobs uniquely,
-  // since deps refer to them by id.
-  std::map<std::uint32_t, unsigned> graph_jobs;  // graph -> job count
-  std::map<std::uint32_t, const JobSpec*> by_id;  // graph job id -> job
+  // Whole-file checks. Ids name jobs uniquely, standalone or graph (a line
+  // without id= reads as id 0): the report lists jobs by id, and deps refer
+  // to them by id. A graph short of its stages never wires, and a dep on
+  // anything but an earlier stage of its own graph (another graph's job, a
+  // missing id, itself, a cycle) never resolves; either would leave the
+  // scheduler waiting on the graph forever.
+  std::map<std::uint32_t, unsigned> graph_jobs;   // graph -> job count
+  std::map<std::uint32_t, std::size_t> by_id;     // job id -> index in jobs
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const JobSpec& s = jobs[i];
-    if (s.graph == 0) continue;
-    ++graph_jobs[s.graph];
-    if (!by_id.emplace(s.id, &s).second) {
+    if (const auto [it, fresh] = by_id.emplace(s.id, i); !fresh) {
       throw fail_at(job_lines[i],
-                    util::format("job %u: id already names a graph job", s.id));
+                    util::format("job %u: id already names the job at line %u",
+                                 s.id, job_lines[it->second]));
     }
+    if (s.graph != 0) ++graph_jobs[s.graph];
   }
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const JobSpec& s = jobs[i];
@@ -281,8 +282,8 @@ std::vector<JobSpec> load(std::istream& in, const std::string& source) {
     for (const auto& [dep, bytes] : s.deps) {
       (void)bytes;
       const auto it = by_id.find(dep);
-      if (it == by_id.end() || it->second->graph != s.graph ||
-          it->second->stage >= s.stage) {
+      if (it == by_id.end() || jobs[it->second].graph != s.graph ||
+          jobs[it->second].stage >= s.stage) {
         throw fail_at(job_lines[i],
                       util::format("job %u: dep %u is not an earlier stage of "
                                    "graph %u",

@@ -161,7 +161,7 @@ TEST(WorkloadParser, ErrorsCarrySourceAndLine) {
             "wl:1: field 'iters' needs an integer in [0, 1000], got '4000000000'");
   // Graph checks run after the last line and name the offending job's line:
   // a graph short of its stages, a dep that is not an earlier stage of the
-  // job's graph (an unknown id, the job itself), and a reused graph job id.
+  // job's graph (an unknown id, the job itself), and a reused job id.
   EXPECT_EQ(err("job id=1 kind=matmul rows=1 cols=1 graph=1 stage=1 stages=2 "
                 "deps=77:2048\n"),
             "wl:1: job 1: graph 1 has 1 jobs but stages=2");
@@ -178,7 +178,15 @@ TEST(WorkloadParser, ErrorsCarrySourceAndLine) {
   EXPECT_EQ(err(producer +
                 "job id=0 kind=matmul rows=1 cols=1 graph=1 stage=1 stages=2 "
                 "deps=0:64\n"),
-            "wl:3: job 0: id already names a graph job");
+            "wl:3: job 0: id already names the job at line 1");
+  // Ids are unique over standalone jobs too, so the report's rows name one
+  // job each; a line without id= reads as id 0.
+  EXPECT_EQ(err("job id=0 kind=matmul rows=1 cols=1\n"
+                "job id=0 kind=matmul rows=1 cols=1\n"),
+            "wl:2: job 0: id already names the job at line 1");
+  EXPECT_EQ(err("job kind=matmul rows=1 cols=1\n# again\n"
+                "job kind=stencil rows=1 cols=1\n"),
+            "wl:3: job 0: id already names the job at line 1");
 }
 
 // ---- watchdog semantics ---------------------------------------------------

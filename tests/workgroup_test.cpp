@@ -257,9 +257,48 @@ TEST(Workgroup, StridedRemoteWalkPastScratchpadIsAnError) {
                           "bne loop\n"
                           "halt\n");
   f.programs.emplace_back("idle", "halt\n");
-  const auto fs = lint::verify_workgroup(fx::to_spec(f));
+  const WorkgroupSpec spec = fx::to_spec(f);
+  const auto fs = lint::verify_workgroup(spec);
   ASSERT_EQ(fs.size(), 1u) << dump(fs);
   EXPECT_EQ(fs[0].finding.pass, "wg-remote-extent");
+  // The walk is remote, so the single-core passes leave it to the verifier.
+  EXPECT_TRUE(lint::lint_program(spec.cores[0].prog).empty());
+}
+
+// The division of labour between the analyzers over the shared access
+// model: the per-core passes judge local walks and loop counters, the
+// verifier only remote targets, so each defect is reported exactly once.
+
+TEST(Workgroup, LocalStridedWalkPastScratchpadIsAPerCoreFinding) {
+  const auto fs = lint::verify_workgroup(lint::assemble_workgroup(
+      1, 1,
+      {{"local-overrun",
+        "mov r0, #0x7F00\n"
+        "mov r2, #0\n"
+        "mov r3, #0\n"
+        "mov r5, #64\n"
+        "loop:\n"
+        "strd r2, [r0], #8\n"
+        "sub r5, r5, #1\n"
+        "bne loop\n"
+        "halt\n"}}));
+  ASSERT_EQ(fs.size(), 1u) << dump(fs);
+  EXPECT_EQ(fs[0].finding.pass, "mem-extent");
+  EXPECT_EQ(fs[0].finding.line, 6u);  // the per-core pass, not wg-remote-extent
+}
+
+TEST(Workgroup, CounterSteppingPastZeroIsAPerCoreFinding) {
+  const auto fs = lint::verify_workgroup(lint::assemble_workgroup(
+      1, 1,
+      {{"counter",
+        "mov r7, #5\n"
+        "loop:\n"
+        "sub r7, r7, #2\n"
+        "bne loop\n"
+        "halt\n"}}));
+  ASSERT_EQ(fs.size(), 1u) << dump(fs);
+  EXPECT_EQ(fs[0].finding.pass, "termination");
+  EXPECT_NE(fs[0].finding.message.find("never reaches zero"), std::string::npos);
 }
 
 TEST(Workgroup, StridedRemoteStreamRacesWithUnsynchronisedReader) {
@@ -285,6 +324,24 @@ TEST(Workgroup, StridedRemoteStreamRacesWithUnsynchronisedReader) {
 }
 
 // ---- spec validation and determinism --------------------------------------
+
+TEST(Workgroup, RegisterOutsideTheFileIsReportedNotPropagated) {
+  // Hand-built programs can name any uint8 register; the verifier must not
+  // index its per-register state with one.
+  isa::Program p;
+  isa::Instruction mov{};
+  mov.op = isa::Opcode::MovImm;
+  mov.rd = 200;
+  mov.imm = 5;
+  isa::Instruction halt{};
+  halt.op = isa::Opcode::Halt;
+  p.code = {mov, halt};
+  WorkgroupSpec spec;
+  spec.cores.push_back({p, "hand-built"});
+  const auto fs = lint::verify_workgroup(spec);
+  ASSERT_EQ(fs.size(), 1u) << dump(fs);
+  EXPECT_EQ(fs[0].finding.pass, "reg-range");
+}
 
 TEST(Workgroup, MalformedSpecsThrow) {
   fx::WgFixture f;

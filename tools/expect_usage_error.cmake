@@ -1,13 +1,21 @@
 # Run TOOL with ARGS (space-separated) and fail unless it exits with status
-# 2 and its stderr names FLAG: the contract for a malformed command line.
-#   cmake -DTOOL=<exe> "-DARGS=<args>" -DFLAG=<--flag> -P expect_usage_error.cmake
+# STATUS and its STREAM names FLAG. The defaults, status 2 and stderr, are
+# the contract for a malformed command line.
+#   cmake -DTOOL=<exe> "-DARGS=<args>" -DFLAG=<text>
+#         [-DSTATUS=<n>] [-DSTREAM=stdout] -P expect_usage_error.cmake
+if(NOT DEFINED STATUS)
+  set(STATUS 2)
+endif()
+if(NOT DEFINED STREAM)
+  set(STREAM stderr)
+endif()
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 execute_process(COMMAND "${TOOL}" ${args}
-                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
-if(NOT rc STREQUAL "2")
-  message(FATAL_ERROR "${TOOL} ${ARGS}: exit status ${rc}, want 2\n${err}")
+                RESULT_VARIABLE rc OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr)
+if(NOT rc STREQUAL "${STATUS}")
+  message(FATAL_ERROR "${TOOL} ${ARGS}: exit status ${rc}, want ${STATUS}\n${stderr}")
 endif()
-string(FIND "${err}" "${FLAG}" at)
+string(FIND "${${STREAM}}" "${FLAG}" at)
 if(at EQUAL -1)
-  message(FATAL_ERROR "${TOOL} ${ARGS}: stderr does not name ${FLAG}:\n${err}")
+  message(FATAL_ERROR "${TOOL} ${ARGS}: ${STREAM} does not name ${FLAG}:\n${${STREAM}}")
 endif()
