@@ -246,19 +246,24 @@ public:
   // A bump allocator while the tail has room. Ranges returned by shm_free are
   // reused, first fit by address, only for a request the tail cannot fit, so
   // every address matches the plain bump allocator until the window first
-  // fills.
+  // fills. A request no free range can hold throws std::bad_alloc; align 0
+  // throws std::invalid_argument.
   [[nodiscard]] arch::Addr shm_alloc(std::size_t bytes, std::size_t align = 8) {
-    shm_brk_ = align_up(shm_brk_, align);
+    if (align == 0) throw std::invalid_argument("shm_alloc: align must be nonzero");
     const auto& map = machine_.mem().map();
-    if (shm_brk_ + bytes <= map.external_bytes) {
-      const arch::Addr a = map.external_base + static_cast<arch::Addr>(shm_brk_);
-      shm_brk_ += bytes;
-      return a;
+    const std::size_t window = map.external_bytes;
+    const std::size_t brk = align_up(shm_brk_, align);
+    if (brk <= window) {
+      shm_brk_ = brk;
+      if (bytes <= window - brk) {
+        shm_brk_ += bytes;
+        return map.external_base + static_cast<arch::Addr>(brk);
+      }
     }
     for (auto it = shm_holes_.begin(); it != shm_holes_.end(); ++it) {
       const auto [start, len] = *it;
       const std::size_t at = align_up(start, align);
-      if (at - start + bytes > len) continue;
+      if (at - start > len || bytes > len - (at - start)) continue;
       it = shm_holes_.erase(it);
       if (at + bytes < start + len) {
         it = shm_holes_.insert(it, {at + bytes, start + len - at - bytes});
@@ -269,14 +274,16 @@ public:
     throw std::bad_alloc();
   }
   /// Give back [addr, addr + bytes) of an earlier shm_alloc; adjacent free
-  /// ranges merge. A range outside the allocated window, or one overlapping
-  /// a range already freed, throws std::invalid_argument.
+  /// ranges merge and a zero-byte range is a no-op. A range outside the
+  /// allocated window, or one overlapping a range already freed, throws
+  /// std::invalid_argument.
   void shm_free(arch::Addr addr, std::size_t bytes) {
     const auto& map = machine_.mem().map();
     const std::size_t off = addr - map.external_base;
-    if (addr < map.external_base || off + bytes > shm_brk_) {
+    if (addr < map.external_base || off > shm_brk_ || bytes > shm_brk_ - off) {
       throw std::invalid_argument("shm_free: range outside the allocated window");
     }
+    if (bytes == 0) return;
     const auto next = std::lower_bound(
         shm_holes_.begin(), shm_holes_.end(), off,
         [](const auto& h, std::size_t o) { return h.first < o; });
@@ -325,8 +332,11 @@ public:
   }
 
 private:
+  /// The least multiple of `align` (nonzero) not below `v`, or SIZE_MAX if
+  /// that does not fit in a size_t.
   [[nodiscard]] static std::size_t align_up(std::size_t v, std::size_t align) noexcept {
-    return (v + align - 1) / align * align;
+    const std::size_t pad = (align - v % align) % align;
+    return pad > SIZE_MAX - v ? SIZE_MAX : v + pad;
   }
 
   machine::Machine machine_;

@@ -2,6 +2,12 @@
 // The machine's functional memory: every eCore scratchpad plus the 32 MB
 // shared DRAM window, resolved through the flat global address map.
 //
+// The DRAM window is calloc'd, not value-initialised: the C library serves a
+// block that large from fresh zero pages, so a page is committed (and costs
+// resident memory) only when it is first touched. A machine pays for the DRAM
+// its workload uses, not for all 32 MB, yet every byte still reads as zero
+// until written.
+//
 // All *functional* data movement in the simulator lands here. Writes notify
 // registered watches, which is how flag-spin synchronisation (the idiom in
 // the paper's Listings 1 and 2) is modelled without polling storms.
@@ -11,8 +17,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
+#include <memory>
+#include <new>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -34,7 +43,7 @@ public:
       : map_(arch::AddressMap::make(dims)),
         engine_(&engine),
         locals_(dims.core_count()),
-        external_(map_.external_bytes) {}
+        external_(zeroed_bytes(map_.external_bytes)) {}
 
   [[nodiscard]] const arch::AddressMap& map() const noexcept { return map_; }
   [[nodiscard]] sim::Engine& engine() const noexcept { return *engine_; }
@@ -48,10 +57,11 @@ public:
 
   /// Direct span into external DRAM (host-side/functional use).
   [[nodiscard]] std::span<std::byte> external_span(std::uint32_t offset, std::size_t n) {
-    if (offset > external_.size() || n > external_.size() - offset) {
+    const std::size_t bytes = map_.external_bytes;
+    if (offset > bytes || n > bytes - offset) {
       throw std::out_of_range("external memory access out of the 32 MB window");
     }
-    return std::span<std::byte>(external_.data() + offset, n);
+    return std::span<std::byte>(external_.get() + offset, n);
   }
 
   /// Resolve a global address as seen by core `issuer` (local-alias
@@ -229,6 +239,19 @@ private:
     }
   }
 
+  struct FreeBytes {
+    void operator()(std::byte* p) const noexcept { std::free(p); }
+  };
+  using Bytes = std::unique_ptr<std::byte[], FreeBytes>;
+
+  /// `n` zero bytes whose pages are committed on first touch.
+  static Bytes zeroed_bytes(std::size_t n) {
+    if (n == 0) return nullptr;
+    Bytes p(static_cast<std::byte*>(std::calloc(n, 1)));
+    if (!p) throw std::bad_alloc();
+    return p;
+  }
+
   static std::string hex(arch::Addr a) {
     char buf[16];
     std::snprintf(buf, sizeof buf, "%08X", a);
@@ -238,7 +261,7 @@ private:
   arch::AddressMap map_;
   sim::Engine* engine_;
   std::vector<LocalMemory> locals_;
-  std::vector<std::byte> external_;
+  Bytes external_;  // map_.external_bytes of DRAM, see zeroed_bytes
   // Active watches keyed by watched word address; equal keys keep insertion
   // order (std::multimap), so wake order within one store is deterministic:
   // ascending address, FIFO per address.

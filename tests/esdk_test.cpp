@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "host/system.hpp"
@@ -331,6 +333,47 @@ TEST(HostIO, SharedMemoryReusesFreedRangesOnlyOnceTheTailIsFull) {
   EXPECT_THROW(sys.shm_free(a - 8, 8), std::invalid_argument);
   sys.shm_reset();
   EXPECT_EQ(sys.shm_alloc(16), a);
+}
+
+TEST(HostIO, SharedMemoryRefusesOversizedRequestsWithoutMovingTheBreak) {
+  host::System sys;
+  const std::size_t window = sys.machine().mem().map().external_bytes;
+  const Addr a = sys.shm_alloc(64);
+  EXPECT_THROW((void)sys.shm_alloc(SIZE_MAX - 7), std::bad_alloc);
+  EXPECT_THROW((void)sys.shm_alloc(SIZE_MAX, 64), std::bad_alloc);
+  EXPECT_EQ(sys.shm_alloc(64), a + 64);
+  // With the tail full, an oversized request must not fit a hole either.
+  const Addr hole = sys.shm_alloc(4096);
+  (void)sys.shm_alloc(window - (hole + 4096 - a));
+  sys.shm_free(hole + 8, 1024);
+  EXPECT_THROW((void)sys.shm_alloc(SIZE_MAX - 7, 64), std::bad_alloc);
+  EXPECT_EQ(sys.shm_alloc(1024), hole + 8);
+}
+
+TEST(HostIO, SharedMemoryRejectsZeroAlignment) {
+  host::System sys;
+  EXPECT_THROW((void)sys.shm_alloc(16, 0), std::invalid_argument);
+  EXPECT_EQ(sys.shm_alloc(16), sys.machine().mem().map().external_base);
+}
+
+TEST(HostIO, SharedMemoryFreeRejectsWrappingRanges) {
+  host::System sys;
+  const Addr a = sys.shm_alloc(64);
+  const Addr b = sys.shm_alloc(64);
+  EXPECT_THROW(sys.shm_free(a + 64, SIZE_MAX), std::invalid_argument);
+  EXPECT_THROW(sys.shm_free(b, SIZE_MAX - 63), std::invalid_argument);
+  // Nothing was recorded free: b is still live and frees exactly once.
+  sys.shm_free(b, 64);
+  EXPECT_THROW(sys.shm_free(b, 64), std::invalid_argument);
+}
+
+TEST(HostIO, SharedMemoryZeroByteFreeIsANoOp) {
+  host::System sys;
+  const Addr z = sys.shm_alloc(256);
+  sys.shm_free(z, 0);
+  sys.shm_free(z, 256);
+  EXPECT_THROW(sys.shm_free(z, 256), std::invalid_argument);
+  EXPECT_EQ(sys.shm_alloc(8), z + 256);
 }
 
 TEST(HostIO, HostReadsKernelResults) {

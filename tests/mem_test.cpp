@@ -3,10 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstring>
+#include <fstream>
+#include <memory>
 #include <tuple>
 #include <vector>
 
+#include "host/system.hpp"
 #include "mem/memory_system.hpp"
 #include "sim/task.hpp"
 
@@ -70,6 +76,37 @@ TEST_F(MemorySystemTest, ExternalWindowSharedByAll) {
   const Addr ext = arch::AddressMap::kExternalBase + 0x100;
   mem.write_value<std::uint64_t>(ext, 0x0123456789ABCDEFull, {0, 0});
   EXPECT_EQ(mem.read_value<std::uint64_t>(ext, {3, 2}), 0x0123456789ABCDEFull);
+}
+
+TEST_F(MemorySystemTest, FreshExternalWindowReadsZeroToItsLastByte) {
+  const std::size_t bytes = mem.map().external_bytes;
+  const auto window = mem.external_span(0, bytes);
+  EXPECT_TRUE(std::all_of(window.begin(), window.end(),
+                          [](std::byte b) { return b == std::byte{0}; }));
+  EXPECT_THROW((void)mem.external_span(static_cast<std::uint32_t>(bytes), 1),
+               std::out_of_range);
+}
+
+// The DRAM window's pages are committed on first touch, so machines that
+// touch none of it cost their scratchpads and bookkeeping, not 32 MB each.
+TEST(MemoryFootprint, EightSystemsCommitNoDramTheyDoNotTouch) {
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "ASan's allocator and shadow memory decide resident pages, "
+                  "not the simulator's own allocations";
+#else
+  const auto resident_mb = [] {
+    std::ifstream statm("/proc/self/statm");
+    std::size_t size = 0, resident = 0;
+    statm >> size >> resident;
+    return statm ? static_cast<double>(resident) * sysconf(_SC_PAGESIZE) / (1 << 20) : -1.0;
+  };
+  const double before = resident_mb();
+  if (before < 0) GTEST_SKIP() << "/proc/self/statm is not readable";
+  std::vector<std::unique_ptr<host::System>> systems;
+  for (int i = 0; i < 8; ++i) systems.push_back(std::make_unique<host::System>());
+  // Zero-filling every window would commit 8 x 32 MB = 256 MB.
+  EXPECT_LT(resident_mb() - before, 64.0);
+#endif
 }
 
 TEST_F(MemorySystemTest, UnmappedAddressThrows) {
