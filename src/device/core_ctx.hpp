@@ -254,11 +254,14 @@ public:
   }
 
   /// Spin until the word at `a` satisfies `pred` (event-driven; models the
-  /// flag-polling loops in the paper's listings).
+  /// flag-polling loops in the paper's listings). The loop is
+  /// MemorySystem::wait_u32's, run in this frame.
   template <typename Pred>
   sim::Op<void> wait_u32(arch::Addr a, Pred pred) {
     auto ph = phase(trace::Phase::Sync, "flag-wait");
-    co_await m_->mem().wait_u32(a, coord_, pred);
+    mem::MemorySystem& mem = m_->mem();
+    while (!pred(mem.read_u32_raw(a, coord_))) co_await mem.watch(a, coord_);
+    mem.acquired(coord_);
   }
   sim::Op<void> wait_u32_ge(arch::Addr a, std::uint32_t v) {
     return wait_u32(a, [v](std::uint32_t x) { return x >= v; });
@@ -369,9 +372,12 @@ private:
            fault::crc32(m_->mem().resolve(dst, bytes, coord_));
   }
 
+  /// DmaChannel::wait's loop, run in this frame.
   sim::Op<void> dma_wait_impl(unsigned chan) {
     auto ph = phase(trace::Phase::DmaWait, "dma-wait");
-    co_await m_->core(coord_).dma[chan].wait();
+    dma::DmaChannel& ch = m_->core(coord_).dma[chan];
+    while (ch.busy()) co_await ch.completion();
+    ch.rethrow_if_failed();
   }
 
   [[nodiscard]] arch::CoreCoord owner_of(arch::Addr a) const {

@@ -58,20 +58,28 @@ public:
   /// error on real hardware too).
   void start(const DmaDescriptor& desc) {
     if (busy_) throw std::logic_error("e_dma_start on a busy DMA channel");
-    busy_ = true;
+    // Copy (and so validate) the whole chain before the channel goes busy: a
+    // rejected chain leaves it idle.
     chain_.clear();
     for (const DmaDescriptor* d = &desc; d != nullptr; d = d->chain) {
       chain_.push_back(*d);
       chain_.back().chain = nullptr;
       if (chain_.size() > 64) throw std::logic_error("DMA descriptor chain too long (cycle?)");
     }
+    busy_ = true;
     process_ = sim::spawn(*engine_, run_chain(), 0, name_);
   }
 
-  /// e_dma_wait(): suspend until the channel is idle.
+  /// Park until the running chain ends (one step of wait()).
+  [[nodiscard]] auto completion() noexcept { return done_.wait(); }
+  /// Rethrow the error the last chain failed with, if any.
+  void rethrow_if_failed() const { process_.rethrow_if_error(); }
+
+  /// e_dma_wait(): suspend until the channel is idle. A device kernel loops
+  /// on busy()/completion() in its own frame instead (CoreCtx::dma_wait).
   sim::Op<void> wait() {
-    while (busy_) co_await done_.wait();
-    process_.rethrow_if_error();
+    while (busy_) co_await completion();
+    rethrow_if_failed();
   }
 
   [[nodiscard]] std::uint64_t bytes_moved() const noexcept { return bytes_moved_; }
@@ -127,42 +135,55 @@ private:
     // Classify the route once: descriptors cannot straddle windows.
     const Route route = classify(d.src, d.dst);
 
-    arch::Addr src = d.src;
-    arch::Addr dst = d.dst;
-    std::uint32_t pending = 0;  // elements accumulated into current chunk
-    std::vector<Run> chunk;
-
-    for (std::uint32_t o = 0; o < d.outer_count; ++o) {
-      for (std::uint32_t i = 0; i < d.inner_count; ++i) {
-        // Coalesce elements that extend the previous run contiguously on
-        // both sides into one functional copy. A run never crosses a 1 MB
-        // address window: the window decides how an address resolves
-        // (local alias vs. core vs. external), so crossing one could change
-        // where bytes land relative to the element-at-a-time walk.
-        if (!chunk.empty()) {
-          Run& r = chunk.back();
-          if (r.src + static_cast<arch::Addr>(r.elems) * esz == src &&
-              r.dst + static_cast<arch::Addr>(r.elems) * esz == dst &&
-              ((r.src ^ (src + esz - 1)) >> 20) == 0 &&
-              ((r.dst ^ (dst + esz - 1)) >> 20) == 0) {
-            ++r.elems;
-          } else {
-            chunk.push_back(Run{src, dst, 1});
-          }
-        } else {
-          chunk.push_back(Run{src, dst, 1});
-        }
-        src += static_cast<arch::Addr>(d.src_inner_stride);
-        dst += static_cast<arch::Addr>(d.dst_inner_stride);
-        if (++pending == chunk_elems) {
-          co_await flush_chunk(chunk, pending, esz, route);
-          pending = 0;
-        }
-      }
-      src += static_cast<arch::Addr>(d.src_outer_stride);
-      dst += static_cast<arch::Addr>(d.dst_outer_stride);
+    Cursor at{d.src, d.dst};
+    chunk_.clear();  // a failed descriptor may have left runs behind
+    while (const std::uint32_t n = gather(d, at, esz, chunk_elems)) {
+      co_await flush_chunk(n, esz, route);
     }
-    if (pending > 0) co_await flush_chunk(chunk, pending, esz, route);
+  }
+
+  /// Where a descriptor walk stands: the next element's addresses and its
+  /// (outer, inner) index.
+  struct Cursor {
+    arch::Addr src;
+    arch::Addr dst;
+    std::uint32_t o = 0;
+    std::uint32_t i = 0;
+  };
+
+  /// Walk up to `room` more elements of `d` from `at` into chunk_ and return
+  /// how many were walked (0 once the descriptor is done). A plain function,
+  /// not part of the coroutine, so the walk runs in registers.
+  std::uint32_t gather(const DmaDescriptor& d, Cursor& at, std::uint32_t esz,
+                       std::uint32_t room) {
+    std::uint32_t n = 0;
+    while (n < room && at.o < d.outer_count) {
+      if (at.i == d.inner_count) {
+        at.i = 0;
+        ++at.o;
+        at.src += static_cast<arch::Addr>(d.src_outer_stride);
+        at.dst += static_cast<arch::Addr>(d.dst_outer_stride);
+        continue;
+      }
+      // Coalesce elements that extend the previous run contiguously on
+      // both sides into one functional copy. A run never crosses a 1 MB
+      // address window: the window decides how an address resolves
+      // (local alias vs. core vs. external), so crossing one could change
+      // where bytes land relative to the element-at-a-time walk.
+      Run* r = chunk_.empty() ? nullptr : &chunk_.back();
+      if (r != nullptr && r->src + r->elems * esz == at.src &&
+          r->dst + r->elems * esz == at.dst && ((r->src ^ (at.src + esz - 1)) >> 20) == 0 &&
+          ((r->dst ^ (at.dst + esz - 1)) >> 20) == 0) {
+        ++r->elems;
+      } else {
+        chunk_.push_back(Run{at.src, at.dst, 1});
+      }
+      at.src += static_cast<arch::Addr>(d.src_inner_stride);
+      at.dst += static_cast<arch::Addr>(d.dst_inner_stride);
+      ++at.i;
+      ++n;
+    }
+    return n;
   }
 
   struct Route {
@@ -193,15 +214,9 @@ private:
     return r;
   }
 
-  /// One coalesced element run: `elems` elements contiguous on both sides.
-  struct Run {
-    arch::Addr src;
-    arch::Addr dst;
-    std::uint32_t elems;
-  };
+  using Run = mem::CopyRun;
 
-  sim::Op<void> flush_chunk(std::vector<Run>& chunk, std::uint32_t elems,
-                            std::uint32_t esz, Route route) {
+  sim::Op<void> flush_chunk(std::uint32_t elems, std::uint32_t esz, Route route) {
     const std::uint32_t bytes = elems * esz;
     // The engine itself issues one transaction per element at 2.4 cycles
     // (coalescing is a host-side speedup; the modelled cost stays per
@@ -234,30 +249,17 @@ private:
       // drains; concurrent CPU accesses to those banks stall (section IV-B).
       const arch::CoreCoord dst_core =
           route.kind == Route::OnChip ? route.mesh_dst : owner_;
-      const arch::Addr lo = arch::AddressMap::local_offset(chunk.front().dst);
+      const arch::Addr lo = arch::AddressMap::local_offset(chunk_.front().dst);
       const arch::Addr hi = arch::AddressMap::local_offset(
-          chunk.back().dst + static_cast<arch::Addr>(chunk.back().elems - 1) * esz);
+          chunk_.back().dst + static_cast<arch::Addr>(chunk_.back().elems - 1) * esz);
       mem_->local(dst_core).occupy_banks(std::min(lo, hi),
                                          (lo > hi ? lo - hi : hi - lo) + esz, finish);
     }
     if (finish > engine_->now()) co_await sim::delay(*engine_, finish - engine_->now());
 
-    // Commit the data functionally at completion time: one copy per run.
-    // An overlapping forward run (|src-dst| smaller than the run) must fall
-    // back to element order so the value propagation matches the hardware's
-    // element-at-a-time walk rather than memmove semantics.
-    for (const Run& r : chunk) {
-      const arch::Addr run_bytes = static_cast<arch::Addr>(r.elems) * esz;
-      const arch::Addr dist = r.src > r.dst ? r.src - r.dst : r.dst - r.src;
-      if (r.elems > 1 && dist != 0 && dist < run_bytes) {
-        for (std::uint32_t e = 0; e < r.elems; ++e) {
-          mem_->copy(r.dst + static_cast<arch::Addr>(e) * esz,
-                     r.src + static_cast<arch::Addr>(e) * esz, esz, owner_);
-        }
-      } else {
-        mem_->copy(r.dst, r.src, run_bytes, owner_);
-      }
-    }
+    // Commit the data functionally at completion time, in one call (which
+    // keeps the hardware's element order for overlapping runs).
+    mem_->copy_runs(chunk_, esz, owner_);
     bytes_moved_ += bytes;
     if (trace_ != nullptr) {
       trace_->dma_chunk(trace_track_, owner_, bytes, engine_->now());
@@ -271,9 +273,9 @@ private:
         (route.kind == Route::ToExternal || route.kind == Route::FromExternal)) {
       const unsigned ekind = route.kind == Route::ToExternal ? 0u : 1u;
       noc::ELink* link = route.kind == Route::ToExternal ? elink_write_ : elink_read_;
-      faults_->corrupt_elink(ekind, chunk.front().dst,
-                             chunk.front().elems * esz, owner_);
-      for (unsigned attempt = 1; !chunk_crc_ok(chunk, esz); ++attempt) {
+      faults_->corrupt_elink(ekind, chunk_.front().dst,
+                             chunk_.front().elems * esz, owner_);
+      for (unsigned attempt = 1; !chunk_crc_ok(esz); ++attempt) {
         if (attempt > kTransferRetries) {
           throw fault::TransferError(
               name_ + ": external DMA chunk failed CRC after " +
@@ -282,21 +284,19 @@ private:
         faults_->note_transfer_retry(owner_);
         co_await sim::delay(*engine_, kRetryBackoff << (attempt - 1));
         co_await link->txn(owner_, bytes);
-        for (const Run& r : chunk) {
-          mem_->copy(r.dst, r.src, static_cast<arch::Addr>(r.elems) * esz, owner_);
-        }
-        faults_->corrupt_elink(ekind, chunk.front().dst,
-                               chunk.front().elems * esz, owner_);
+        mem_->copy_runs(chunk_, esz, owner_);
+        faults_->corrupt_elink(ekind, chunk_.front().dst,
+                               chunk_.front().elems * esz, owner_);
       }
     }
-    chunk.clear();
+    chunk_.clear();
   }
 
   /// Chained CRC over the chunk's source runs vs. its committed destination
-  /// runs (external routes never overlap, so the recommit is a plain copy).
-  [[nodiscard]] bool chunk_crc_ok(const std::vector<Run>& chunk, std::uint32_t esz) {
+  /// runs.
+  [[nodiscard]] bool chunk_crc_ok(std::uint32_t esz) {
     std::uint32_t src_crc = 0, dst_crc = 0;
-    for (const Run& r : chunk) {
+    for (const Run& r : chunk_) {
       const auto n = static_cast<std::size_t>(r.elems) * esz;
       src_crc = fault::crc32(mem_->resolve(r.src, n, owner_), src_crc);
       dst_crc = fault::crc32(mem_->resolve(r.dst, n, owner_), dst_crc);
@@ -316,6 +316,7 @@ private:
   noc::ELink* elink_read_;
   sim::WaitQueue done_;
   std::vector<DmaDescriptor> chain_;
+  std::vector<Run> chunk_;  // the chunk being gathered, reused across descriptors
   sim::Process process_;
   bool busy_ = false;
   std::uint64_t bytes_moved_ = 0;

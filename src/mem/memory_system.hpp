@@ -37,6 +37,14 @@
 
 namespace epi::mem {
 
+/// One coalesced run of a DMA chunk: `elems` elements contiguous on both
+/// sides (MemorySystem::copy_runs).
+struct CopyRun {
+  arch::Addr src;
+  arch::Addr dst;
+  std::uint32_t elems;
+};
+
 class MemorySystem {
 public:
   MemorySystem(arch::MeshDims dims, sim::Engine& engine)
@@ -134,7 +142,7 @@ public:
     return v;
   }
 
-  /// Copy between two global ranges (used by DMA chunk commits).
+  /// Copy between two global ranges.
   void copy(arch::Addr dst, arch::Addr src, std::size_t n, arch::CoreCoord issuer) {
     auto s = resolve(src, n, issuer);
     auto d = resolve(dst, n, issuer);
@@ -150,6 +158,46 @@ public:
     notify_watches(cd, static_cast<std::uint32_t>(n));
   }
 
+  /// Commit one DMA chunk: observably identical to copy_run() on each run in
+  /// order -- same bytes, same hook calls, watchers woken in the same order
+  /// -- but a chunk whose source and destination each lie in one 1 MB window
+  /// resolves each side once, and walks the watch index only if some watch
+  /// overlaps the destination. A hooked machine, or a chunk that spans two
+  /// windows or does not resolve, commits run by run, so a bad descriptor
+  /// fails at the same run either way.
+  void copy_runs(std::span<const CopyRun> runs, std::uint32_t esz, arch::CoreCoord issuer) {
+    if (runs.empty()) return;
+    const Hull src = hull(runs, &CopyRun::src, esz);
+    const Hull dst = hull(runs, &CopyRun::dst, esz);
+    std::byte* s = nullptr;
+    std::byte* d = nullptr;
+    if (hooks_.empty() && src.one_window() && dst.one_window()) {
+      try {
+        s = resolve(src.lo, src.bytes(), issuer).data();
+        d = resolve(dst.lo, dst.bytes(), issuer).data();
+      } catch (const std::out_of_range&) {
+        s = d = nullptr;  // some run does not resolve: let it throw below
+      }
+    }
+    if (d == nullptr) {
+      for (const CopyRun& r : runs) copy_run(r, esz, issuer);
+      return;
+    }
+    // Notifying only schedules wake-ups, so no watch appears mid-loop.
+    const arch::Addr cd = canonical(dst.lo, issuer);
+    const bool watched = any_watch(cd, dst.bytes());
+    for (const CopyRun& r : runs) {
+      const arch::Addr s_off = r.src - src.lo;
+      const arch::Addr d_off = r.dst - dst.lo;
+      const std::size_t step = element_order(r, esz) ? esz : std::size_t{r.elems} * esz;
+      for (std::size_t o = 0; o < std::size_t{r.elems} * esz; o += step) {
+        std::memmove(d + d_off + o, s + s_off + o, step);
+        if (watched) notify_watches(cd + d_off + static_cast<arch::Addr>(o),
+                                    static_cast<std::uint32_t>(step));
+      }
+    }
+  }
+
   // ---- watches: event-driven flag waits ---------------------------------
 
   /// Suspend until `pred(current u32 at a)` holds; re-evaluated after every
@@ -159,9 +207,25 @@ public:
   /// success the hook sees a single on_sync acquire for the issuer.
   template <typename Pred>
   sim::Op<void> wait_u32(arch::Addr a, arch::CoreCoord issuer, Pred pred) {
-    while (!pred(read_u32_raw(a, issuer))) {
-      co_await WatchAwaiter{*this, canonical(a, issuer)};
-    }
+    while (!pred(read_u32_raw(a, issuer))) co_await watch(a, issuer);
+    acquired(issuer);
+  }
+
+  /// The steps of wait_u32, for a caller that loops in its own frame: park
+  /// until the next write overlapping the word at `a` ...
+  [[nodiscard]] auto watch(arch::Addr a, arch::CoreCoord issuer) noexcept {
+    return WatchAwaiter{*this, canonical(a, issuer)};
+  }
+  /// ... read the flag invisibly to every hook (it is the synchronisation
+  /// itself) ...
+  [[nodiscard]] std::uint32_t read_u32_raw(arch::Addr a, arch::CoreCoord issuer) {
+    std::uint32_t v;
+    auto src = resolve(a, sizeof v, issuer);
+    std::memcpy(&v, src.data(), sizeof v);
+    return v;
+  }
+  /// ... and, once the predicate holds, report one acquire to the hooks.
+  void acquired(arch::CoreCoord issuer) {
     for (MemoryHook* h : hooks_) h->on_sync(issuer, engine_->now());
   }
 
@@ -170,7 +234,7 @@ public:
   /// read, so the sanitizer treats subsequent remote data as ordered.
   [[nodiscard]] std::uint32_t read_u32_acquire(arch::Addr a, arch::CoreCoord issuer) {
     const std::uint32_t v = read_u32_raw(a, issuer);
-    for (MemoryHook* h : hooks_) h->on_sync(issuer, engine_->now());
+    acquired(issuer);
     return v;
   }
 
@@ -206,14 +270,6 @@ private:
     void await_resume() const noexcept {}
   };
 
-  /// Hook-invisible u32 load, for reads that *are* synchronisation.
-  [[nodiscard]] std::uint32_t read_u32_raw(arch::Addr a, arch::CoreCoord issuer) {
-    std::uint32_t v;
-    auto src = resolve(a, sizeof v, issuer);
-    std::memcpy(&v, src.data(), sizeof v);
-    return v;
-  }
-
   /// Canonicalise a local-alias address to its global form so that a remote
   /// writer's store to the global address wakes a local-alias watcher.
   [[nodiscard]] arch::Addr canonical(arch::Addr a, arch::CoreCoord issuer) const noexcept {
@@ -231,12 +287,62 @@ private:
   void notify_watches(arch::Addr lo, std::uint32_t n) {
     if (watches_.empty()) return;
     const arch::Addr hi = lo + n;
-    const arch::Addr first = lo >= kWatchBytes - 1 ? lo - (kWatchBytes - 1) : 0;
-    auto it = watches_.lower_bound(first);
+    auto it = watches_.lower_bound(watch_floor(lo));
     while (it != watches_.end() && it->first < hi) {
       engine_->schedule_in(1, it->second);  // wake next cycle; watcher re-checks
       it = watches_.erase(it);
     }
+  }
+  /// True if a store to [lo, lo+n) would wake some watcher.
+  [[nodiscard]] bool any_watch(arch::Addr lo, std::uint32_t n) const {
+    if (watches_.empty()) return false;
+    auto it = watches_.lower_bound(watch_floor(lo));
+    return it != watches_.end() && it->first < lo + n;
+  }
+  /// Lowest watch address whose word can overlap a store starting at `lo`.
+  static arch::Addr watch_floor(arch::Addr lo) noexcept {
+    return lo >= kWatchBytes - 1 ? lo - (kWatchBytes - 1) : 0;
+  }
+
+  /// One run of a chunk as copy() calls. An overlapping run (|src-dst|
+  /// smaller than the run) goes element by element, so the value propagation
+  /// matches the hardware's element-at-a-time walk rather than memmove.
+  void copy_run(const CopyRun& r, std::uint32_t esz, arch::CoreCoord issuer) {
+    if (!element_order(r, esz)) {
+      copy(r.dst, r.src, std::size_t{r.elems} * esz, issuer);
+      return;
+    }
+    for (std::uint32_t e = 0; e < r.elems; ++e) {
+      copy(r.dst + e * esz, r.src + e * esz, esz, issuer);
+    }
+  }
+  static bool element_order(const CopyRun& r, std::uint32_t esz) noexcept {
+    const arch::Addr dist = r.src > r.dst ? r.src - r.dst : r.dst - r.src;
+    return r.elems > 1 && dist != 0 && dist < r.elems * esz;
+  }
+
+  /// The byte range [lo, hi) that one side of a chunk's runs covers. Inside
+  /// one 1 MB window every address resolves the way `lo` does, so resolving
+  /// the hull resolves every run in it.
+  struct Hull {
+    arch::Addr lo;
+    std::uint64_t hi;  // 64-bit: a run may end exactly at 2^32
+    [[nodiscard]] bool one_window() const noexcept {
+      return (lo >> arch::AddressMap::kCoreWindowBits) ==
+             ((hi - 1) >> arch::AddressMap::kCoreWindowBits);
+    }
+    [[nodiscard]] std::uint32_t bytes() const noexcept {
+      return static_cast<std::uint32_t>(hi - lo);
+    }
+  };
+  static Hull hull(std::span<const CopyRun> runs, arch::Addr CopyRun::*side,
+                   std::uint32_t esz) noexcept {
+    Hull h{runs.front().*side, 0};
+    for (const CopyRun& r : runs) {
+      h.lo = std::min(h.lo, r.*side);
+      h.hi = std::max(h.hi, r.*side + std::uint64_t{r.elems} * esz);
+    }
+    return h;
   }
 
   struct FreeBytes {

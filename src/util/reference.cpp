@@ -82,8 +82,11 @@ void matmul_reference(std::span<const float> a, std::span<const float> b, std::s
   }
 }
 
-void mac_block(std::span<const float> a, std::span<const float> b, std::span<float> c,
-               std::size_t m, std::size_t n, std::size_t k) {
+// Cache-line aligned: this loop is the off-chip matmul's hot spot, and its
+// speed moved by several percent with where unrelated code changes left it.
+[[gnu::aligned(64)]] void mac_block(std::span<const float> a, std::span<const float> b,
+                                    std::span<float> c, std::size_t m, std::size_t n,
+                                    std::size_t k) {
   for (std::size_t r = 0; r < m; ++r) {
     float* __restrict crow = c.data() + r * k;
     for (std::size_t p = 0; p < n; ++p) {

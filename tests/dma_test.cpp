@@ -145,6 +145,20 @@ TEST_F(DmaTest, StartBusyChannelThrows) {
   m.engine().run();
 }
 
+TEST_F(DmaTest, RejectedChainLeavesChannelIdle) {
+  auto& chan = m.core({0, 0}).dma[0];
+  auto cycle = dma::DmaDescriptor::linear(g({0, 1}, 0x5000), g({0, 0}, 0x4000), 256);
+  cycle.chain = &cycle;
+  EXPECT_THROW(chan.start(cycle), std::logic_error);
+  EXPECT_FALSE(chan.busy());
+  // The channel still takes a valid chain, and waiting on it returns.
+  std::vector<float> data(64, 3.5f);
+  fill({0, 0}, 0x4000, data);
+  run_dma({0, 0}, dma::DmaDescriptor::linear(g({0, 1}, 0x5000), g({0, 0}, 0x4000), 256));
+  EXPECT_FALSE(chan.busy());
+  EXPECT_EQ(read({0, 1}, 0x5000, 64), data);
+}
+
 TEST_F(DmaTest, TwoChannelsRunConcurrently) {
   auto d0 = dma::DmaDescriptor::linear(g({0, 1}, 0x4000), g({0, 0}, 0x4000), 4096);
   auto d1 = dma::DmaDescriptor::linear(g({1, 0}, 0x4000), g({0, 0}, 0x5000), 4096);
@@ -262,5 +276,188 @@ INSTANTIATE_TEST_SUITE_P(
         DescCase{width(dma::ElemSize::DWord), 8, 8, 8, 8, 128, 64},
         DescCase{width(dma::ElemSize::Word), 16, 4, 8, 4, 0, 0},       // src gap
         DescCase{width(dma::ElemSize::DWord), 16, 1, 8, 8, 0, 0}));
+
+
+// ---- chunk commit: one resolve per side vs. one copy() per run -------------
+
+/// Sees every access and changes nothing. Attaching it sends every chunk
+/// through MemorySystem::copy_run (copy() per run), the reference the
+/// unhooked commit must match.
+struct PassThroughHook : mem::MemoryHook {
+  void on_write(Addr, std::size_t, CoreCoord, Cycles) override {}
+  void on_read(Addr, std::size_t, CoreCoord, Cycles) override {}
+  void on_sync(CoreCoord, Cycles) override {}
+};
+
+struct CommitCase {
+  dma::DmaDescriptor d;
+  CoreCoord issuer;
+  Addr fill;               // [fill, fill + fill_bytes) gets a non-zero pattern
+  std::size_t fill_bytes;
+  std::vector<Addr> flags;  // one watcher each, waiting for a non-zero word
+  Addr snap;               // [snap, snap + snap_bytes) is compared afterwards
+  std::size_t snap_bytes;
+};
+
+struct CommitTrace {
+  std::vector<std::byte> bytes;
+  std::vector<Cycles> wakes;  // per flag: the cycle its wait returned
+  std::uint64_t events = 0;
+  bool failed = false;        // the chain threw (e_dma_wait rethrew)
+};
+
+constexpr Cycles kPokeAt = 100000;
+
+std::byte pattern(std::size_t i) { return static_cast<std::byte>((i * 37 + 11) & 0xFF); }
+
+/// Run `c` on channel 0 of a fresh machine, with or without the hook. At
+/// kPokeAt every flag the chain left zero is set to 1, so no watcher stays
+/// parked and a watcher's wake cycle tells which write woke it.
+CommitTrace commit_trace(const CommitCase& c, bool hooked) {
+  machine::Machine m{arch::MachineConfig{}};
+  PassThroughHook hook;
+  if (hooked) m.mem().add_hook(&hook);
+  std::vector<std::byte> img(c.fill_bytes);
+  for (std::size_t i = 0; i < img.size(); ++i) img[i] = pattern(i);
+  m.mem().write_bytes(c.fill, img, c.issuer);
+
+  CommitTrace out;
+  out.wakes.assign(c.flags.size(), 0);
+  for (std::size_t i = 0; i < c.flags.size(); ++i) {
+    sim::spawn(m.engine(), [](machine::Machine& mm, Addr f, CoreCoord who,
+                              Cycles& woke) -> sim::Op<void> {
+      co_await mm.mem().wait_u32(f, who, [](std::uint32_t v) { return v != 0; });
+      woke = mm.engine().now();
+    }(m, c.flags[i], c.issuer, out.wakes[i]));
+  }
+  m.engine().call_at(kPokeAt, [&] {
+    for (const Addr f : c.flags) {
+      if (m.mem().read_value<std::uint32_t>(f, c.issuer) == 0) {
+        m.mem().write_value<std::uint32_t>(f, 1, c.issuer);
+      }
+    }
+  });
+  auto& chan = m.core(c.issuer).dma[0];
+  chan.start(c.d);
+  sim::spawn(m.engine(), [](dma::DmaChannel& ch, bool& failed) -> sim::Op<void> {
+    try {
+      co_await ch.wait();
+    } catch (const std::out_of_range&) {
+      failed = true;
+    }
+  }(chan, out.failed));
+  m.engine().run();
+  const auto snap = m.mem().resolve(c.snap, c.snap_bytes, c.issuer);
+  out.bytes.assign(snap.begin(), snap.end());
+  out.events = m.engine().events_processed();
+  return out;
+}
+
+/// Both commits of `c` agree on bytes, wake cycles, events and failure.
+CommitTrace expect_same_commit(const CommitCase& c) {
+  const CommitTrace fast = commit_trace(c, false);
+  const CommitTrace per_run = commit_trace(c, true);
+  EXPECT_EQ(fast.bytes, per_run.bytes);
+  EXPECT_EQ(fast.wakes, per_run.wakes);
+  EXPECT_EQ(fast.events, per_run.events);
+  EXPECT_EQ(fast.failed, per_run.failed);
+  return fast;
+}
+
+TEST(DmaCommit, OverlappingRunsMatchTheElementWalk) {
+  const auto map = arch::AddressMap::make(arch::MachineConfig{}.dims);
+  const CoreCoord c{1, 1};
+  struct Shape {
+    dma::ElemSize elem;
+    std::int32_t shift;  // dst - src, in bytes
+    bool alias;          // local-alias addresses instead of global ones
+  };
+  for (const Shape sh : {Shape{dma::ElemSize::Word, 4, false}, Shape{dma::ElemSize::Word, -4, false},
+                         Shape{dma::ElemSize::DWord, 8, false},
+                         Shape{dma::ElemSize::DWord, -8, false},
+                         Shape{dma::ElemSize::Word, 4, true}}) {
+    const auto esz = static_cast<std::int32_t>(width(sh.elem));
+    SCOPED_TRACE(testing::Message() << "esz " << esz << " shift " << sh.shift
+                                    << (sh.alias ? " alias" : ""));
+    const Addr base = sh.alias ? Addr{0x2000} : map.global(c, 0x2000);
+    const Addr src = base + 0x100;
+    dma::DmaDescriptor d;
+    d.src = src;
+    d.dst = src + static_cast<Addr>(sh.shift);
+    d.elem = sh.elem;
+    d.inner_count = 200;  // more than one 512-byte chunk
+    d.outer_count = 1;
+    d.src_inner_stride = esz;
+    d.dst_inner_stride = esz;
+    const CommitCase cc{d, c, base, 0x800, {}, base, 0x800};
+    const CommitTrace got = expect_same_commit(cc);
+
+    std::vector<std::byte> expect(0x800);
+    for (std::size_t i = 0; i < expect.size(); ++i) expect[i] = pattern(i);
+    for (std::size_t e = 0; e < d.inner_count; ++e) {
+      const std::size_t s = 0x100 + e * static_cast<std::size_t>(esz);
+      const std::size_t t = s + static_cast<std::size_t>(static_cast<std::ptrdiff_t>(sh.shift));
+      std::copy_n(expect.begin() + static_cast<std::ptrdiff_t>(s), esz,
+                  expect.begin() + static_cast<std::ptrdiff_t>(t));
+    }
+    EXPECT_EQ(got.bytes, expect);
+  }
+}
+
+TEST(DmaCommit, StridedScatterWakesWatchersLikeThePerRunCommit) {
+  const auto map = arch::AddressMap::make(arch::MachineConfig{}.dims);
+  // 20 words, each to every fourth word of (0,1): 20 one-word runs in one
+  // chunk, like a stencil halo column.
+  dma::DmaDescriptor d = dma::DmaDescriptor::strided(
+      map.global({0, 1}, 0x3000), map.global({0, 0}, 0x2000), 20, 4, 4, 16,
+      dma::ElemSize::Word);
+  const Addr dst = d.dst;
+  const CommitCase cc{d,
+                      {0, 1},
+                      map.global({0, 0}, 0x2000),
+                      80,
+                      {dst + 5 * 16, dst + 5 * 16 + 4, dst - 3},  // inside, gap, straddling
+                      dst - 16,
+                      20 * 16 + 32};
+  const CommitTrace got = expect_same_commit(cc);
+  EXPECT_LT(got.wakes[0], kPokeAt);  // the DMA woke it
+  EXPECT_GT(got.wakes[1], kPokeAt);  // only the poke did
+  EXPECT_LT(got.wakes[2], kPokeAt);
+}
+
+TEST(DmaCommit, ChunkAcrossAWindowMatchesThePerRunCommit) {
+  const auto map = arch::AddressMap::make(arch::MachineConfig{}.dims);
+  // 128 bytes of DRAM straddling a 1 MB boundary: two runs in one chunk.
+  const Addr src = map.external_base + 0x100000 - 64;
+  const Addr dst = map.global({1, 1}, 0x4000);
+  const CommitCase cc{dma::DmaDescriptor::linear(dst, src, 128),
+                      {1, 1},
+                      src,
+                      128,
+                      {dst + 64},
+                      dst,
+                      128};
+  const CommitTrace got = expect_same_commit(cc);
+  for (std::size_t i = 0; i < got.bytes.size(); ++i) EXPECT_EQ(got.bytes[i], pattern(i)) << i;
+  EXPECT_LT(got.wakes[0], kPokeAt);
+}
+
+TEST(DmaCommit, BadRunFailsAtTheSameRun) {
+  const auto map = arch::AddressMap::make(arch::MachineConfig{}.dims);
+  // Words to 0x6000, 0x7000, then past the 32 KB scratchpad at 0x8000.
+  const Addr dst = map.global({2, 2}, 0x6000);
+  const CommitCase cc{dma::DmaDescriptor::strided(dst, map.global({2, 1}, 0x2000), 3, 4, 4,
+                                                  0x1000, dma::ElemSize::Word),
+                      {2, 1},
+                      map.global({2, 1}, 0x2000),
+                      12,
+                      {},
+                      dst,
+                      0x2000};
+  const CommitTrace got = expect_same_commit(cc);
+  EXPECT_TRUE(got.failed);
+  EXPECT_EQ(got.bytes[0], pattern(0));       // run 1 landed
+  EXPECT_EQ(got.bytes[0x1000], pattern(4));  // run 2 landed
+}
 
 }  // namespace
