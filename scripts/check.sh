@@ -7,12 +7,14 @@
 # export must parse as JSON in both. Both also run layering_check (no
 # #include under src/ reaches a higher library layer; its reversed-order
 # twin must fail) and the example_* tests (every examples/ program exits 0,
-# its result verified). The resident-memory check
+# its result verified). The resident-memory checks
 # (MemoryFootprint.EightSystemsCommitNoDramTheyDoNotTouch: eight fresh
-# host::Systems must commit well under their 8 x 32 MB of DRAM) runs in the
-# Release stage; the sanitized stage reports it as skipped, not passed,
-# because ASan's allocator decides resident pages there. Run from the
-# repository root:
+# host::Systems must commit well under their 8 x 32 MB of DRAM; and the
+# soak ServingFootprint.OverloadMaxRssGrowsBoundedPerJob: epi_serve's max
+# RSS at 4N overload jobs may exceed its max RSS at N by a stated KB per
+# job) run in the Release stage; the sanitized stage reports them as
+# skipped, not passed, because ASan's allocator decides resident pages
+# there. Run from the repository root:
 #
 #     scripts/check.sh [extra ctest args...]
 

@@ -183,13 +183,18 @@ public:
       for (const CopyRun& r : runs) copy_run(r, esz, issuer);
       return;
     }
-    // Notifying only schedules wake-ups, so no watch appears mid-loop.
+    // Inside one window every address canonicalises by the same offset, so
+    // cs + s_off and cd + d_off are a run's canonical ends. Notifying only
+    // schedules wake-ups, so no watch appears mid-loop.
+    const arch::Addr cs = canonical(src.lo, issuer);
     const arch::Addr cd = canonical(dst.lo, issuer);
     const bool watched = any_watch(cd, dst.bytes());
     for (const CopyRun& r : runs) {
       const arch::Addr s_off = r.src - src.lo;
       const arch::Addr d_off = r.dst - dst.lo;
-      const std::size_t step = element_order(r, esz) ? esz : std::size_t{r.elems} * esz;
+      const std::size_t step = element_order(cs + s_off, cd + d_off, r.elems, esz)
+                                   ? esz
+                                   : std::size_t{r.elems} * esz;
       for (std::size_t o = 0; o < std::size_t{r.elems} * esz; o += step) {
         std::memmove(d + d_off + o, s + s_off + o, step);
         if (watched) notify_watches(cd + d_off + static_cast<arch::Addr>(o),
@@ -308,7 +313,7 @@ private:
   /// smaller than the run) goes element by element, so the value propagation
   /// matches the hardware's element-at-a-time walk rather than memmove.
   void copy_run(const CopyRun& r, std::uint32_t esz, arch::CoreCoord issuer) {
-    if (!element_order(r, esz)) {
+    if (!element_order(canonical(r.src, issuer), canonical(r.dst, issuer), r.elems, esz)) {
       copy(r.dst, r.src, std::size_t{r.elems} * esz, issuer);
       return;
     }
@@ -316,9 +321,13 @@ private:
       copy(r.dst + e * esz, r.src + e * esz, esz, issuer);
     }
   }
-  static bool element_order(const CopyRun& r, std::uint32_t esz) noexcept {
-    const arch::Addr dist = r.src > r.dst ? r.src - r.dst : r.dst - r.src;
-    return r.elems > 1 && dist != 0 && dist < r.elems * esz;
+  /// Whether a run of `elems` elements from `src` to `dst` overlaps itself.
+  /// Both are canonical addresses: the issuer's local alias and its global
+  /// address name the same bytes.
+  static bool element_order(arch::Addr src, arch::Addr dst, std::uint32_t elems,
+                            std::uint32_t esz) noexcept {
+    const arch::Addr dist = src > dst ? src - dst : dst - src;
+    return elems > 1 && dist != 0 && dist < elems * esz;
   }
 
   /// The byte range [lo, hi) that one side of a chunk's runs covers. Inside

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <string_view>
 
 #include "fault/injector.hpp"
 #include "sched/cluster.hpp"
@@ -209,7 +210,7 @@ std::string render_report(const Scheduler& sched) {
 namespace {
 
 void append_logs(std::string& out, const Scheduler& sched) {
-  for (const auto& line : sched.event_log()) out += line + "\n";
+  sched.event_log().for_each_block([&](std::string_view text) { out += text; });
   for (const auto& r : sched.fault_log()) out += fault::to_line(r) + "\n";
 }
 

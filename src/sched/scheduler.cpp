@@ -87,7 +87,7 @@ trace::Counters::Id Scheduler::tenant_counter(const std::string& tenant,
                            trace::Counters::Kind::Monotonic);
 }
 
-void Scheduler::log_event(std::string line) { log_.push_back(std::move(line)); }
+void Scheduler::log_event(std::string_view line) { log_.append(line); }
 
 void Scheduler::submit(JobSpec spec) {
   if (ran_) throw std::logic_error("Scheduler::submit after run()");
@@ -855,31 +855,42 @@ std::size_t Scheduler::try_place(sim::Cycles now) {
   return blocked;
 }
 
+namespace {
+
+constexpr std::string_view kHeadBlockMid = " head-block job=";
+constexpr std::string_view kHeadBlockTail = " waited=";
+// The most decimal digits of each field's type.
+constexpr int kCycleDigits = std::numeric_limits<sim::Cycles>::digits10 + 1;
+constexpr int kJobDigits = std::numeric_limits<std::uint32_t>::digits10 + 1;
+constexpr std::size_t kHeadBlockMax = 1 + kCycleDigits + kHeadBlockMid.size() +
+                                      kJobDigits + kHeadBlockTail.size() + kCycleDigits;
+
+/// Format the head-block line into `buf` and return it. Each field's
+/// to_chars gets exactly its own room, which also shows the compiler that
+/// no write leaves `buf`.
+std::string_view format_head_block(char (&buf)[kHeadBlockMax], sim::Cycles now,
+                                   std::uint32_t job, sim::Cycles waited) {
+  char* p = buf;
+  *p++ = '@';
+  p = std::to_chars(p, p + kCycleDigits, now).ptr;
+  p = std::copy(kHeadBlockMid.begin(), kHeadBlockMid.end(), p);
+  p = std::to_chars(p, p + kJobDigits, job).ptr;
+  p = std::copy(kHeadBlockTail.begin(), kHeadBlockTail.end(), p);
+  p = std::to_chars(p, p + kCycleDigits, waited).ptr;
+  return {buf, static_cast<std::size_t>(p - buf)};
+}
+
+}  // namespace
+
 std::string head_block_line(sim::Cycles now, std::uint32_t job,
                             sim::Cycles waited) {
-  constexpr std::string_view kMid = " head-block job=";
-  constexpr std::string_view kTail = " waited=";
-  const auto digits = [](char* buf, std::size_t size, auto v) {
-    return std::string_view(buf, static_cast<std::size_t>(
-                                     std::to_chars(buf, buf + size, v).ptr - buf));
-  };
-  char now_s[20], job_s[10], waited_s[20];  // the most digits of each type
-  const std::string_view n = digits(now_s, sizeof now_s, now);
-  const std::string_view j = digits(job_s, sizeof job_s, job);
-  const std::string_view w = digits(waited_s, sizeof waited_s, waited);
-  std::string line;
-  line.reserve(1 + n.size() + kMid.size() + j.size() + kTail.size() + w.size());
-  line += '@';
-  line += n;
-  line += kMid;
-  line += j;
-  line += kTail;
-  line += w;
-  return line;
+  char buf[kHeadBlockMax];
+  return std::string(format_head_block(buf, now, job, waited));
 }
 
 void Scheduler::log_head_block(const Pending& p, sim::Cycles now) {
-  log_event(head_block_line(now, records_[p.rec].spec.id, now - p.enqueued));
+  char buf[kHeadBlockMax];
+  log_event(format_head_block(buf, now, records_[p.rec].spec.id, now - p.enqueued));
 }
 
 /// Earliest cycle after `now` at which the host has work: the next arrival,

@@ -43,6 +43,7 @@
 #include "fault/injector.hpp"
 #include "host/system.hpp"
 #include "sched/allocator.hpp"
+#include "sched/event_log.hpp"
 #include "sched/job.hpp"
 #include "trace/counters.hpp"
 
@@ -92,7 +93,8 @@ struct SchedConfig {
 /// The decision log's `@<now> head-block job=<id> waited=<waited>` line,
 /// byte-identical to util::format("@%llu head-block job=%u waited=%llu", ...)
 /// but built with std::to_chars: a starving head logs one per policy pass,
-/// which makes it nearly every line of an overloaded serve.
+/// which makes it nearly every line of an overloaded serve. The scheduler
+/// logs it through the same formatter, from a stack buffer.
 [[nodiscard]] std::string head_block_line(sim::Cycles now, std::uint32_t job,
                                           sim::Cycles waited);
 
@@ -163,9 +165,9 @@ public:
     return records_;
   }
   /// Deterministic, append-only decision log ("@cycle event job=N ...").
-  [[nodiscard]] const std::vector<std::string>& event_log() const noexcept {
-    return log_;
-  }
+  [[nodiscard]] const EventLog& event_log() const& noexcept { return log_; }
+  /// The log of a scheduler about to be dropped, moved out instead of copied.
+  [[nodiscard]] EventLog event_log() && noexcept { return std::move(log_); }
   [[nodiscard]] const MeshAllocator& allocator() const noexcept { return alloc_; }
   [[nodiscard]] trace::Counters& counters() noexcept { return *counters_; }
   [[nodiscard]] const trace::Counters& counters() const noexcept {
@@ -237,7 +239,7 @@ private:
     bool wired = false;
   };
 
-  void log_event(std::string line);
+  void log_event(std::string_view line);
   [[nodiscard]] double effective_priority(const Pending& p, sim::Cycles now) const;
   void policy_pass(sim::Cycles now);
   bool admit_arrivals(sim::Cycles now);
@@ -284,7 +286,7 @@ private:
   // stay valid while it does. Quarantined cores are never reallocated.
   std::vector<std::unique_ptr<host::Workgroup>> graveyard_;
   std::vector<fault::FaultReport> fault_log_;
-  std::vector<std::string> log_;
+  EventLog log_;
   // Pipeline state: graph wiring by graph id, per-record dag info (graph
   // records only), and job-id -> record lookups for dep resolution. Ordered
   // maps: min_unresolved_graph() and iteration must be deterministic.

@@ -404,6 +404,35 @@ TEST(DmaCommit, OverlappingRunsMatchTheElementWalk) {
   }
 }
 
+TEST(DmaCommit, AliasAndGlobalOfOneScratchpadOverlapLikeTheElementWalk) {
+  // The local alias 0x2000 and (1,1)+0x2000 are the same bytes, so a run
+  // from one to the other four bytes on overlaps like alias-to-alias.
+  const auto map = arch::AddressMap::make(arch::MachineConfig{}.dims);
+  const CoreCoord c{1, 1};
+  const Addr global = map.global(c, 0x2000);
+  for (const bool alias_src : {true, false}) {
+    SCOPED_TRACE(alias_src ? "alias to global" : "global to alias");
+    dma::DmaDescriptor d;
+    d.src = (alias_src ? Addr{0x2000} : global) + 0x100;
+    d.dst = (alias_src ? global : Addr{0x2000}) + 0x104;
+    d.elem = dma::ElemSize::Word;
+    d.inner_count = 200;  // more than one 512-byte chunk
+    d.outer_count = 1;
+    d.src_inner_stride = 4;
+    d.dst_inner_stride = 4;
+    const CommitTrace got = expect_same_commit({d, c, global, 0x800, {}, global, 0x800});
+
+    // The element walk carries the first source word through every word.
+    std::vector<std::byte> expect(0x800);
+    for (std::size_t i = 0; i < expect.size(); ++i) expect[i] = pattern(i);
+    for (std::size_t w = 1; w <= d.inner_count; ++w) {
+      std::copy_n(expect.begin() + 0x100, 4,
+                  expect.begin() + static_cast<std::ptrdiff_t>(0x100 + 4 * w));
+    }
+    EXPECT_EQ(got.bytes, expect);
+  }
+}
+
 TEST(DmaCommit, StridedScatterWakesWatchersLikeThePerRunCommit) {
   const auto map = arch::AddressMap::make(arch::MachineConfig{}.dims);
   // 20 words, each to every fourth word of (0,1): 20 one-word runs in one

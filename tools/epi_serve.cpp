@@ -135,8 +135,9 @@ using cli::value_flag;
 
 struct RunOutput {
   std::string report;
-  std::string transcript;  // what --selftest compares (sched::transcript)
-  std::vector<std::string> log;
+  std::string transcript;  // what --selftest compares (sched::transcript);
+                           // built only for --selftest
+  sched::EventLog log;
   std::vector<std::string> fault_log;
   std::vector<std::string> injections;
   unsigned peak_resident = 0;
@@ -165,8 +166,7 @@ RunOutput run_once(const std::vector<sched::JobSpec>& jobs, const Options& opt,
 
   RunOutput out;
   out.report = sched::render_report(sc);
-  out.transcript = sched::transcript(sc);
-  out.log = sc.event_log();
+  if (opt.selftest) out.transcript = sched::transcript(sc);
   for (const auto& r : sc.fault_log()) out.fault_log.push_back(fault::to_line(r));
   if (auto* inj = sys.machine().faults()) out.injections = inj->injections();
   out.peak_resident = sc.peak_resident();
@@ -178,6 +178,7 @@ RunOutput run_once(const std::vector<sched::JobSpec>& jobs, const Options& opt,
                              rec.detail);
     }
   }
+  out.log = std::move(sc).event_log();  // sc's last use
   if (trace && !opt.trace_path.empty()) {
     std::ofstream os(opt.trace_path, std::ios::binary | std::ios::trunc);
     if (!os) throw std::runtime_error("cannot write trace file: " + opt.trace_path);
@@ -490,7 +491,8 @@ int main(int argc, char** argv) {
         for (const auto& line : first.injections) std::cout << line << "\n";
       }
       std::cout << "\n-- decision log --\n";
-      for (const auto& line : first.log) std::cout << line << "\n";
+      first.log.for_each_block(
+          [](std::string_view text) { std::cout << text; });
     }
     if (!opt.report_path.empty()) {
       std::ofstream os(opt.report_path, std::ios::binary | std::ios::trunc);
