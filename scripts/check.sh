@@ -9,10 +9,12 @@
 # twin must fail) and the example_* tests (every examples/ program exits 0,
 # its result verified). The resident-memory checks
 # (MemoryFootprint.EightSystemsCommitNoDramTheyDoNotTouch: eight fresh
-# host::Systems must commit well under their 8 x 32 MB of DRAM; and the
-# soak ServingFootprint.OverloadMaxRssGrowsBoundedPerJob: epi_serve's max
-# RSS at 4N overload jobs may exceed its max RSS at N by a stated KB per
-# job) run in the Release stage; the sanitized stage reports them as
+# host::Systems must commit well under their 8 x 32 MB of DRAM;
+# MemoryArenaDeathTest.SystemTakesNoMachineMemoryFromTheMallocHeap: a
+# host::System takes no scratchpad or DRAM bytes from the malloc heap; and
+# the soak ServingFootprint.OverloadMaxRssGrowsBoundedPerJob: epi_serve's
+# max RSS at 4N overload jobs may exceed its max RSS at N by a stated KB
+# per job) run in the Release stage; the sanitized stage reports them as
 # skipped, not passed, because ASan's allocator decides resident pages
 # there. Run from the repository root:
 #

@@ -31,7 +31,6 @@
 #include "fault/crc.hpp"
 #include "machine/machine.hpp"
 #include "sim/task.hpp"
-#include "sim/wait.hpp"
 #include "trace/tracer.hpp"
 
 namespace epi::device {
@@ -254,8 +253,9 @@ public:
   }
 
   /// Spin until the word at `a` satisfies `pred` (event-driven; models the
-  /// flag-polling loops in the paper's listings). The loop is
-  /// MemorySystem::wait_u32's, run in this frame.
+  /// flag-polling loops in the paper's listings): re-checked after every
+  /// write overlapping `a`. The flag reads are invisible to any hook (they
+  /// are the synchronisation itself); on success the hooks see one acquire.
   template <typename Pred>
   sim::Op<void> wait_u32(arch::Addr a, Pred pred) {
     auto ph = phase(trace::Phase::Sync, "flag-wait");
@@ -372,7 +372,8 @@ private:
            fault::crc32(m_->mem().resolve(dst, bytes, coord_));
   }
 
-  /// DmaChannel::wait's loop, run in this frame.
+  /// The e_dma_wait loop: park on the channel until it is idle, then
+  /// rethrow the error its chain failed with, if any.
   sim::Op<void> dma_wait_impl(unsigned chan) {
     auto ph = phase(trace::Phase::DmaWait, "dma-wait");
     dma::DmaChannel& ch = m_->core(coord_).dma[chan];

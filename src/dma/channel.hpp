@@ -2,7 +2,8 @@
 // Per-eCore DMA engine: two channels (E_DMA_0 / E_DMA_1), each of which can
 // walk a chain of 2D descriptors (paper sections II and VI).
 //
-// A started channel runs as its own simulation process. Data moves in
+// A started channel runs as its own simulation process, which keeps the
+// chain's error for e_dma_wait to rethrow. Data moves in
 // chunks: each chunk's elements are committed functionally (respecting the
 // descriptor's strides) and its duration is the maximum of the DMA engine's
 // own transaction rate (2.4 cycles/transaction, i.e. ~2 GB/s for DWORD
@@ -11,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <exception>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -67,19 +69,16 @@ public:
       if (chain_.size() > 64) throw std::logic_error("DMA descriptor chain too long (cycle?)");
     }
     busy_ = true;
-    process_ = sim::spawn(*engine_, run_chain(), 0, name_);
+    error_ = nullptr;
+    sim::spawn(*engine_, run_chain(), 0, name_);
   }
 
-  /// Park until the running chain ends (one step of wait()).
+  /// Park until the running chain ends. e_dma_wait loops on busy() and this
+  /// (CoreCtx::dma_wait), then calls rethrow_if_failed().
   [[nodiscard]] auto completion() noexcept { return done_.wait(); }
   /// Rethrow the error the last chain failed with, if any.
-  void rethrow_if_failed() const { process_.rethrow_if_error(); }
-
-  /// e_dma_wait(): suspend until the channel is idle. A device kernel loops
-  /// on busy()/completion() in its own frame instead (CoreCtx::dma_wait).
-  sim::Op<void> wait() {
-    while (busy_) co_await completion();
-    rethrow_if_failed();
+  void rethrow_if_failed() const {
+    if (error_) std::rethrow_exception(error_);
   }
 
   [[nodiscard]] std::uint64_t bytes_moved() const noexcept { return bytes_moved_; }
@@ -117,11 +116,7 @@ private:
       }
       if (trace_ != nullptr) trace_->end(trace_track_, engine_->now());
     } catch (...) {
-      // Release waiters before propagating, so e_dma_wait() observes the
-      // error through the process record instead of hanging forever.
-      busy_ = false;
-      done_.notify_all();
-      throw;
+      error_ = std::current_exception();  // rethrown by e_dma_wait
     }
     busy_ = false;
     done_.notify_all();
@@ -317,7 +312,7 @@ private:
   sim::WaitQueue done_;
   std::vector<DmaDescriptor> chain_;
   std::vector<Run> chunk_;  // the chunk being gathered, reused across descriptors
-  sim::Process process_;
+  std::exception_ptr error_;  // the last chain's failure, cleared by start()
   bool busy_ = false;
   std::uint64_t bytes_moved_ = 0;
   trace::Tracer* trace_ = nullptr;

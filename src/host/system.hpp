@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <iterator>
 #include <memory>
@@ -60,7 +61,8 @@ public:
         ticket_(std::exchange(o.ticket_, 0)),
         ctxs_(std::move(o.ctxs_)),
         kernel_(std::move(o.kernel_)),
-        procs_(std::move(o.procs_)),
+        errors_(std::move(o.errors_)),
+        started_(o.started_),
         finished_(o.finished_),
         failed_(o.failed_),
         finish_time_(o.finish_time_),
@@ -74,7 +76,8 @@ public:
       ticket_ = std::exchange(o.ticket_, 0);
       ctxs_ = std::move(o.ctxs_);
       kernel_ = std::move(o.kernel_);
-      procs_ = std::move(o.procs_);
+      errors_ = std::move(o.errors_);
+      started_ = o.started_;
       finished_ = o.finished_;
       failed_ = o.failed_;
       finish_time_ = o.finish_time_;
@@ -106,13 +109,19 @@ public:
   /// Callback run once per start(), when the last kernel of the group
   /// retires (normally or by exception): lets a host loop that pumps the
   /// engine itself learn of completion without polling complete() every event.
+  /// It runs in a kernel's root process, so it must not throw.
   void on_complete(std::function<void()> fn) { on_complete_ = std::move(fn); }
 
   /// Signal all cores to begin executing the loaded kernel. Each core's
   /// status word is cleared, then set (with a watched store) on completion.
+  /// Throws std::logic_error while the previous start's kernels still run.
   void start() {
     if (!kernel_) throw std::logic_error("Workgroup::start without a loaded kernel");
-    procs_.clear();
+    if (started_ && !complete()) {
+      throw std::logic_error("Workgroup::start while its kernels are still running");
+    }
+    errors_.assign(ctxs_.size(), nullptr);
+    started_ = true;
     finished_ = 0;
     failed_ = 0;
     for (auto& ctx : ctxs_) {
@@ -120,51 +129,45 @@ public:
           ctx->my_global(device::CoreCtx::kStatusOffset), 0, ctx->coord());
       std::string name = label_.empty() ? "core " + arch::to_string(ctx->coord())
                                         : label_ + " core " + arch::to_string(ctx->coord());
-      procs_.push_back(sim::spawn(m_->engine(), run_kernel(*ctx), 0, std::move(name)));
+      sim::spawn(m_->engine(), run_kernel(*ctx), 0, std::move(name));
     }
   }
 
-  [[nodiscard]] bool done() const noexcept {
-    for (const auto& p : procs_) {
-      if (!p.done()) return false;
-    }
-    return !procs_.empty();
-  }
-
-  /// O(1) completion check from the kernel-wrapper counters (done() scans
-  /// every process handle; the scheduler polls this once per engine event).
+  /// O(1) completion check from the kernel-wrapper counters (the scheduler
+  /// polls this once per engine event).
   [[nodiscard]] bool complete() const noexcept {
-    return !procs_.empty() && finished_ + failed_ >= procs_.size();
+    return started_ && finished_ + failed_ >= ctxs_.size();
   }
   [[nodiscard]] bool any_failed() const noexcept { return failed_ > 0; }
   /// Cycle at which the last kernel of the group finished (valid once
   /// complete(); tracked by the kernel wrappers so an external driver that
   /// pumps the engine itself still gets exact per-job service cycles).
   [[nodiscard]] sim::Cycles finish_time() const noexcept { return finish_time_; }
-  /// Propagate the first kernel exception, if any kernel failed.
+  /// Propagate the first kernel exception (lowest group index), if any
+  /// kernel failed.
   void rethrow_errors() const {
-    for (const auto& p : procs_) p.rethrow_if_error();
+    for (const auto& e : errors_) {
+      if (e) std::rethrow_exception(e);
+    }
   }
 
   /// Drive the simulation until every core in the group has finished.
-  /// Propagates the first kernel exception encountered.
+  /// Propagates the first kernel exception encountered. Throws
+  /// std::logic_error before the first start().
   ///
   /// The loop runs once per simulation event, so completion is tracked with
-  /// counters bumped by the kernel wrappers themselves; scanning every
-  /// process handle per step made this loop O(cores x events) and dominated
-  /// large-grid runs. The error rescan only happens once a failure counter
-  /// says there is an error to find, preserving the old throw point exactly.
+  /// counters bumped by the kernel wrappers themselves, and the error scan
+  /// only happens once a failure counter says there is an error to find.
   void wait() {
-    while (procs_.empty() || finished_ + failed_ < procs_.size()) {
-      if (failed_ > 0) {
-        for (const auto& p : procs_) p.rethrow_if_error();
-      }
+    if (!started_) throw std::logic_error("Workgroup::wait before start");
+    while (finished_ + failed_ < ctxs_.size()) {
+      if (failed_ > 0) rethrow_errors();
       if (!m_->engine().step()) {
         throw sim::DeadlockError(m_->engine().live_processes(),
                                  m_->engine().live_process_names());
       }
     }
-    for (const auto& p : procs_) p.rethrow_if_error();
+    rethrow_errors();
     // Waiting for kernel completion is the host's synchronisation point:
     // result readback afterwards is ordered, not a data race. The host
     // issues memory traffic as (0,0).
@@ -180,24 +183,25 @@ public:
   }
 
 private:
+  /// The root of one core's process: it catches everything, keeping the
+  /// error in the core's errors_ slot for rethrow_errors().
   sim::Op<void> run_kernel(device::CoreCtx& ctx) {
     try {
       co_await kernel_(ctx);
+      // Completion signal: a real kernel's final act is a status store the
+      // host (or sibling cores) can observe.
+      m_->mem().write_value<std::uint32_t>(ctx.my_global(device::CoreCtx::kStatusOffset), 1,
+                                           ctx.coord());
+      ++finished_;
     } catch (...) {
+      errors_[ctx.group_index()] = std::current_exception();
       ++failed_;
-      retire_if_last();
-      throw;
     }
-    // Completion signal: a real kernel's final act is a status store the
-    // host (or sibling cores) can observe.
-    m_->mem().write_value<std::uint32_t>(ctx.my_global(device::CoreCtx::kStatusOffset), 1,
-                                         ctx.coord());
-    ++finished_;
     retire_if_last();
   }
 
   void retire_if_last() {
-    if (finished_ + failed_ != procs_.size()) return;
+    if (finished_ + failed_ != ctxs_.size()) return;
     finish_time_ = m_->engine().now();
     if (on_complete_) on_complete_();
   }
@@ -214,7 +218,8 @@ private:
   std::uint32_t ticket_ = 0;  // core reservation; 0 after a move-from
   std::vector<std::unique_ptr<device::CoreCtx>> ctxs_;
   device::KernelFn kernel_;
-  std::vector<sim::Process> procs_;
+  std::vector<std::exception_ptr> errors_;  // per core, ctxs_ order; see run_kernel
+  bool started_ = false;      // start() has run at least once
   std::size_t finished_ = 0;  // kernels completed normally since start()
   std::size_t failed_ = 0;    // kernels that ended with an exception
   sim::Cycles finish_time_ = 0;  // cycle the last kernel retired

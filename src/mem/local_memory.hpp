@@ -1,7 +1,8 @@
 #pragma once
 // Per-eCore 32 KB scratchpad, organised as four 8 KB banks (paper IV-B).
 //
-// Functional storage plus optional bank-occupancy accounting: maximum
+// A view of the core's 32 KB, which the MemorySystem's mapping owns, plus
+// optional bank-occupancy accounting: maximum
 // performance on real silicon requires code fetch, load/store and DMA to hit
 // different banks; the `model_bank_conflicts` toggle lets the ablation bench
 // quantify that.
@@ -22,28 +23,31 @@ public:
   static constexpr std::size_t kBytes = arch::AddressMap::kLocalMemBytes;
   static constexpr std::size_t kBankBytes = arch::AddressMap::kBankBytes;
 
-  [[nodiscard]] std::span<std::byte> bytes() noexcept { return data_; }
-  [[nodiscard]] std::span<const std::byte> bytes() const noexcept { return data_; }
+  /// View the kBytes at `data`, which must outlive this object.
+  explicit LocalMemory(std::byte* data) noexcept : data_(data) {}
+
+  [[nodiscard]] std::span<std::byte> bytes() noexcept { return {data_, kBytes}; }
+  [[nodiscard]] std::span<const std::byte> bytes() const noexcept { return {data_, kBytes}; }
 
   /// Span over [offset, offset+n); throws on out-of-range, mirroring the
   /// fact that real scratchpad accesses beyond 32 KB hit other address
   /// windows (a bug in a kernel, which we want loud, not silent).
   [[nodiscard]] std::span<std::byte> span(std::uint32_t offset, std::size_t n) {
     check_range(offset, n);
-    return std::span<std::byte>(data_.data() + offset, n);
+    return std::span<std::byte>(data_ + offset, n);
   }
   [[nodiscard]] std::span<const std::byte> span(std::uint32_t offset, std::size_t n) const {
     check_range(offset, n);
-    return std::span<const std::byte>(data_.data() + offset, n);
+    return std::span<const std::byte>(data_ + offset, n);
   }
 
   void write(std::uint32_t offset, std::span<const std::byte> src) {
     check_range(offset, src.size());
-    std::memcpy(data_.data() + offset, src.data(), src.size());
+    std::memcpy(data_ + offset, src.data(), src.size());
   }
   void read(std::uint32_t offset, std::span<std::byte> dst) const {
     check_range(offset, dst.size());
-    std::memcpy(dst.data(), data_.data() + offset, dst.size());
+    std::memcpy(dst.data(), data_ + offset, dst.size());
   }
 
   // ---- bank-occupancy accounting (ablation support) --------------------
@@ -71,7 +75,7 @@ private:
     }
   }
 
-  alignas(8) std::array<std::byte, kBytes> data_{};
+  std::byte* data_;
   std::array<sim::Cycles, arch::AddressMap::kBankCount> bank_busy_until_{};
 };
 

@@ -2,25 +2,26 @@
 // The machine's functional memory: every eCore scratchpad plus the 32 MB
 // shared DRAM window, resolved through the flat global address map.
 //
-// The DRAM window is calloc'd, not value-initialised: the C library serves a
-// block that large from fresh zero pages, so a page is committed (and costs
-// resident memory) only when it is first touched. A machine pays for the DRAM
-// its workload uses, not for all 32 MB, yet every byte still reads as zero
-// until written.
+// Every scratchpad and the DRAM window live in one anonymous mapping of the
+// machine's own, outside the malloc heap: a page is committed (and costs
+// resident memory) only when it is first touched, and every byte reads as
+// zero until written. A machine pays for the memory its workload uses, not
+// for all 32 MB of DRAM, whatever the C library does with the rest of the
+// heap. LocalMemory is a view into that mapping.
 //
 // All *functional* data movement in the simulator lands here. Writes notify
 // registered watches, which is how flag-spin synchronisation (the idiom in
 // the paper's Listings 1 and 2) is modelled without polling storms.
+
+#include <sys/mman.h>
 
 #include <algorithm>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <new>
 #include <span>
 #include <stdexcept>
@@ -33,7 +34,6 @@
 #include "mem/hook.hpp"
 #include "mem/local_memory.hpp"
 #include "sim/engine.hpp"
-#include "sim/task.hpp"
 
 namespace epi::mem {
 
@@ -50,8 +50,13 @@ public:
   MemorySystem(arch::MeshDims dims, sim::Engine& engine)
       : map_(arch::AddressMap::make(dims)),
         engine_(&engine),
-        locals_(dims.core_count()),
-        external_(zeroed_bytes(map_.external_bytes)) {}
+        arena_(dims.core_count() * LocalMemory::kBytes + map_.external_bytes) {
+    locals_.reserve(dims.core_count());
+    for (std::size_t i = 0; i < dims.core_count(); ++i) {
+      locals_.emplace_back(arena_.data() + i * LocalMemory::kBytes);
+    }
+    external_ = arena_.data() + dims.core_count() * LocalMemory::kBytes;
+  }
 
   [[nodiscard]] const arch::AddressMap& map() const noexcept { return map_; }
   [[nodiscard]] sim::Engine& engine() const noexcept { return *engine_; }
@@ -69,7 +74,7 @@ public:
     if (offset > bytes || n > bytes - offset) {
       throw std::out_of_range("external memory access out of the 32 MB window");
     }
-    return std::span<std::byte>(external_.get() + offset, n);
+    return std::span<std::byte>(external_ + offset, n);
   }
 
   /// Resolve a global address as seen by core `issuer` (local-alias
@@ -205,19 +210,9 @@ public:
 
   // ---- watches: event-driven flag waits ---------------------------------
 
-  /// Suspend until `pred(current u32 at a)` holds; re-evaluated after every
-  /// write overlapping `a`. Models the spin loops of Listings 1/2 with a
-  /// small wake-up cost instead of per-cycle polling. The flag reads are
-  /// invisible to any hook (they are the synchronisation itself); on
-  /// success the hook sees a single on_sync acquire for the issuer.
-  template <typename Pred>
-  sim::Op<void> wait_u32(arch::Addr a, arch::CoreCoord issuer, Pred pred) {
-    while (!pred(read_u32_raw(a, issuer))) co_await watch(a, issuer);
-    acquired(issuer);
-  }
-
-  /// The steps of wait_u32, for a caller that loops in its own frame: park
-  /// until the next write overlapping the word at `a` ...
+  /// The steps of a flag wait (CoreCtx::wait_u32, the spin loops of
+  /// Listings 1/2 with a small wake-up cost instead of per-cycle polling):
+  /// park until the next write overlapping the word at `a` ...
   [[nodiscard]] auto watch(arch::Addr a, arch::CoreCoord issuer) noexcept {
     return WatchAwaiter{*this, canonical(a, issuer)};
   }
@@ -354,18 +349,24 @@ private:
     return h;
   }
 
-  struct FreeBytes {
-    void operator()(std::byte* p) const noexcept { std::free(p); }
-  };
-  using Bytes = std::unique_ptr<std::byte[], FreeBytes>;
+  /// `n` zero bytes in an anonymous private mapping, committed page by page
+  /// on first touch and unmapped on destruction.
+  class Mapping {
+  public:
+    explicit Mapping(std::size_t n)
+        : n_(n),
+          p_(::mmap(nullptr, n, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0)) {
+      if (p_ == MAP_FAILED) throw std::bad_alloc();
+    }
+    Mapping(const Mapping&) = delete;
+    Mapping& operator=(const Mapping&) = delete;
+    ~Mapping() { ::munmap(p_, n_); }
+    [[nodiscard]] std::byte* data() const noexcept { return static_cast<std::byte*>(p_); }
 
-  /// `n` zero bytes whose pages are committed on first touch.
-  static Bytes zeroed_bytes(std::size_t n) {
-    if (n == 0) return nullptr;
-    Bytes p(static_cast<std::byte*>(std::calloc(n, 1)));
-    if (!p) throw std::bad_alloc();
-    return p;
-  }
+  private:
+    std::size_t n_;
+    void* p_;
+  };
 
   static std::string hex(arch::Addr a) {
     char buf[16];
@@ -375,8 +376,9 @@ private:
 
   arch::AddressMap map_;
   sim::Engine* engine_;
-  std::vector<LocalMemory> locals_;
-  Bytes external_;  // map_.external_bytes of DRAM, see zeroed_bytes
+  Mapping arena_;  // every scratchpad, then the DRAM window
+  std::vector<LocalMemory> locals_;  // views into arena_, by core index
+  std::byte* external_ = nullptr;    // map_.external_bytes of DRAM in arena_
   // Active watches keyed by watched word address; equal keys keep insertion
   // order (std::multimap), so wake order within one store is deterministic:
   // ascending address, FIFO per address.

@@ -166,7 +166,7 @@ public:
     return out;
   }
 
-  // Process bookkeeping (used by spawn()/Process internals). The returned
+  // Process bookkeeping (used by spawn() and the root frame). The returned
   // token must be handed back to note_process_finished.
   [[nodiscard]] std::uint64_t note_process_started(std::string name = {}) {
     const std::uint64_t token = next_token_++;

@@ -6,11 +6,12 @@
 // resumes the awaiting coroutine via symmetric transfer, so arbitrarily deep
 // call chains cost no stack and no extra events.
 //
-// spawn() turns an Op<void> into a detached root process tracked by the
-// Engine (for deadlock detection) and by the returned Process handle (for
-// completion queries and error propagation). join() parks on the process's
-// completion record and is woken by the finishing process itself -- no
-// polling.
+// spawn() turns an Op<void> into a detached root process: a frame plus the
+// name the Engine keeps for deadlock reports. There is no handle. A spawner
+// that needs completion or errors records them itself, as the eSDK host
+// reads a core's status word (host::Workgroup counts retired kernels,
+// dma::DmaChannel keeps its chain's error). A root must catch everything:
+// an exception that escapes one is a simulator bug and terminates.
 //
 // All promise types route their frame storage through FramePool: simulation
 // kernels churn through millions of short-lived frames (per-word stores,
@@ -19,10 +20,8 @@
 
 #include <coroutine>
 #include <exception>
-#include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/frame_pool.hpp"
@@ -148,46 +147,12 @@ inline Op<void> OpPromise<void>::get_return_object() noexcept {
 }
 }  // namespace detail
 
-/// Shared completion record of a spawned root process. `joiners` holds the
-/// coroutines parked in join(); the finishing root task wakes them at its
-/// completion cycle.
-struct ProcessState {
-  bool done = false;
-  std::exception_ptr error{};
-  std::vector<std::coroutine_handle<>> joiners;
-};
-
-/// Handle to a detached root process.
-class Process {
-public:
-  Process() = default;
-  explicit Process(std::shared_ptr<ProcessState> st) noexcept : st_(std::move(st)) {}
-
-  [[nodiscard]] bool valid() const noexcept { return st_ != nullptr; }
-  [[nodiscard]] bool done() const noexcept { return st_ && st_->done; }
-  [[nodiscard]] bool failed() const noexcept { return st_ && st_->error != nullptr; }
-
-  /// Rethrow the process's uncaught exception, if any.
-  void rethrow_if_error() const {
-    if (st_ && st_->error) std::rethrow_exception(st_->error);
-  }
-
-  /// The shared completion record (join() parks on it).
-  [[nodiscard]] const std::shared_ptr<ProcessState>& state() const noexcept {
-    return st_;
-  }
-
-private:
-  std::shared_ptr<ProcessState> st_;
-};
-
 namespace detail {
 
 struct RootTask {
   struct promise_type {
     Engine* engine = nullptr;
     std::uint64_t token = 0;
-    std::shared_ptr<ProcessState> st;
 
     static void* operator new(std::size_t n) { return FramePool::allocate(n); }
     static void operator delete(void* p) noexcept { FramePool::deallocate(p); }
@@ -201,46 +166,31 @@ struct RootTask {
     std::suspend_always initial_suspend() noexcept { return {}; }
     // Not suspending at the final point destroys the frame automatically.
     std::suspend_never final_suspend() noexcept { return {}; }
-    void return_void() noexcept { finish(); }
-    void unhandled_exception() noexcept {
-      if (st) st->error = std::current_exception();
-      finish();
-    }
+    void return_void() noexcept {}
+    [[noreturn]] void unhandled_exception() noexcept { std::terminate(); }
     ~promise_type() {
       if (engine) engine->note_process_finished(token);
-    }
-
-  private:
-    /// Mark the process done and wake every join()er at the current cycle.
-    void finish() noexcept {
-      if (!st) return;
-      st->done = true;
-      if (engine) {
-        for (auto h : st->joiners) engine->schedule_in(0, h);
-      }
-      st->joiners.clear();
     }
   };
   std::coroutine_handle<promise_type> h;
 };
 
-inline RootTask root_task(Op<void> op) { co_await std::move(op); }
+/// The root frame around `op`. Defined out of line (task.cpp): GCC 12 emits
+/// an inline coroutine's destroy part into COMDAT sections that one
+/// translation unit can discard while another still references it.
+RootTask root_task(Op<void> op);
 
 }  // namespace detail
 
 /// Launch `op` as a detached process, scheduled to start `start_delay`
-/// cycles from now. The returned handle reports completion and errors.
-/// `name` is a human-readable label ("core (2,3)", "dma0@(0,1)", "host")
-/// surfaced by DeadlockError when the process hangs.
-inline Process spawn(Engine& engine, Op<void> op, Cycles start_delay = 0,
-                     std::string name = {}) {
-  auto st = std::make_shared<ProcessState>();
+/// cycles from now. `name` is a human-readable label ("core (2,3)",
+/// "dma0@(0,1)", "host") surfaced by DeadlockError when the process hangs.
+inline void spawn(Engine& engine, Op<void> op, Cycles start_delay = 0,
+                  std::string name = {}) {
   detail::RootTask t = detail::root_task(std::move(op));
   t.h.promise().engine = &engine;
   t.h.promise().token = engine.note_process_started(std::move(name));
-  t.h.promise().st = st;
   engine.schedule_in(start_delay, t.h);
-  return Process(st);
 }
 
 }  // namespace epi::sim

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <vector>
 
+#include "device/core_ctx.hpp"
 #include "machine/machine.hpp"
 #include "sim/random.hpp"
 #include "sim/task.hpp"
@@ -38,8 +39,8 @@ protected:
     auto& chan = m.core(c).dma[0];
     const Cycles t0 = m.engine().now();
     chan.start(d);
-    sim::spawn(m.engine(), chan.wait());
     m.engine().run();
+    chan.rethrow_if_failed();
     return m.engine().now() - t0;
   }
 };
@@ -141,8 +142,8 @@ TEST_F(DmaTest, StartBusyChannelThrows) {
   auto& chan = m.core({0, 0}).dma[0];
   chan.start(d);
   EXPECT_THROW(chan.start(d), std::logic_error);
-  sim::spawn(m.engine(), chan.wait());
   m.engine().run();
+  chan.rethrow_if_failed();
 }
 
 TEST_F(DmaTest, RejectedChainLeavesChannelIdle) {
@@ -167,8 +168,6 @@ TEST_F(DmaTest, TwoChannelsRunConcurrently) {
   const Cycles t0 = m.engine().now();
   c0.start(d0);
   c1.start(d1);
-  sim::spawn(m.engine(), c0.wait());
-  sim::spawn(m.engine(), c1.wait());
   m.engine().run();
   const Cycles both = m.engine().now() - t0;
   // Disjoint paths: concurrent, not 2x.
@@ -198,9 +197,14 @@ TEST_F(DmaTest, FromExternalMovesData) {
 }
 
 TEST_F(DmaTest, WaitOnIdleChannelReturnsImmediately) {
-  auto& chan = m.core({0, 0}).dma[0];
-  sim::spawn(m.engine(), chan.wait());
+  device::CoreCtx ctx(m, {0, 0}, device::GroupInfo{{0, 0}, 1, 1});
+  bool returned = false;
+  sim::spawn(m.engine(), [](device::CoreCtx& c, bool& r) -> sim::Op<void> {
+    co_await c.dma_wait(0);
+    r = true;
+  }(ctx, returned));
   m.engine().run();
+  EXPECT_TRUE(returned);
   EXPECT_EQ(m.engine().now(), 0u);
 }
 
@@ -323,12 +327,12 @@ CommitTrace commit_trace(const CommitCase& c, bool hooked) {
 
   CommitTrace out;
   out.wakes.assign(c.flags.size(), 0);
+  device::CoreCtx ctx(m, c.issuer, device::GroupInfo{c.issuer, 1, 1});
   for (std::size_t i = 0; i < c.flags.size(); ++i) {
-    sim::spawn(m.engine(), [](machine::Machine& mm, Addr f, CoreCoord who,
-                              Cycles& woke) -> sim::Op<void> {
-      co_await mm.mem().wait_u32(f, who, [](std::uint32_t v) { return v != 0; });
-      woke = mm.engine().now();
-    }(m, c.flags[i], c.issuer, out.wakes[i]));
+    sim::spawn(m.engine(), [](device::CoreCtx& cc, Addr f, Cycles& woke) -> sim::Op<void> {
+      co_await cc.wait_u32(f, [](std::uint32_t v) { return v != 0; });
+      woke = cc.now();
+    }(ctx, c.flags[i], out.wakes[i]));
   }
   m.engine().call_at(kPokeAt, [&] {
     for (const Addr f : c.flags) {
@@ -337,15 +341,14 @@ CommitTrace commit_trace(const CommitCase& c, bool hooked) {
       }
     }
   });
-  auto& chan = m.core(c.issuer).dma[0];
-  chan.start(c.d);
-  sim::spawn(m.engine(), [](dma::DmaChannel& ch, bool& failed) -> sim::Op<void> {
+  m.core(c.issuer).dma[0].start(c.d);
+  sim::spawn(m.engine(), [](device::CoreCtx& cc, bool& failed) -> sim::Op<void> {
     try {
-      co_await ch.wait();
+      co_await cc.dma_wait(0);
     } catch (const std::out_of_range&) {
       failed = true;
     }
-  }(chan, out.failed));
+  }(ctx, out.failed));
   m.engine().run();
   const auto snap = m.mem().resolve(c.snap, c.snap_bytes, c.issuer);
   out.bytes.assign(snap.begin(), snap.end());

@@ -413,6 +413,59 @@ TEST(Workgroup, ReusableAcrossLaunches) {
   EXPECT_EQ(total, 8);
 }
 
+TEST(Workgroup, WaitBeforeStartThrowsWithoutRunningTheEngine) {
+  host::System sys;
+  auto idle = sys.open(0, 0, 1, 1);
+  auto busy = sys.open(1, 0, 1, 1);
+  const auto kernel = [](device::CoreCtx& ctx) -> sim::Op<void> {
+    return [](device::CoreCtx& c) -> sim::Op<void> { co_await c.compute(100); }(ctx);
+  };
+  idle.load(kernel);
+  busy.load(kernel);
+  busy.start();
+  EXPECT_THROW(idle.wait(), std::logic_error);
+  EXPECT_EQ(sys.engine().now(), 0u);  // the other group's kernel did not advance
+  busy.wait();
+}
+
+TEST(Workgroup, StartWhileKernelsRunThrows) {
+  host::System sys;
+  auto wg = sys.open(0, 0, 2, 2);
+  int total = 0;
+  wg.load([&total](device::CoreCtx& ctx) -> sim::Op<void> {
+    return [](device::CoreCtx& c, int& t) -> sim::Op<void> {
+      co_await c.compute(10);
+      ++t;
+    }(ctx, total);
+  });
+  wg.start();
+  EXPECT_THROW(wg.start(), std::logic_error);
+  EXPECT_FALSE(wg.complete());
+  wg.wait();
+  EXPECT_EQ(total, 4);  // the first start's kernels ran once each
+  EXPECT_NO_THROW(wg.run());
+  EXPECT_EQ(total, 8);
+}
+
+TEST(Workgroup, RethrowErrorsRaisesTheLowestGroupIndexsError) {
+  host::System sys;
+  auto wg = sys.open(0, 0, 1, 3);
+  wg.load([](device::CoreCtx& ctx) -> sim::Op<void> {
+    return [](device::CoreCtx& c) -> sim::Op<void> {
+      // Core 2 fails first in simulated time, core 1 later; core 0 succeeds.
+      if (c.group_index() == 0) co_return;
+      co_await c.compute(c.group_index() == 1 ? 50 : 5);
+      if (c.group_index() == 1) throw std::runtime_error("core 1");
+      throw std::logic_error("core 2");
+    }(ctx);
+  });
+  wg.start();
+  sys.engine().run();
+  ASSERT_TRUE(wg.complete());
+  EXPECT_TRUE(wg.any_failed());
+  EXPECT_THROW(wg.rethrow_errors(), std::runtime_error);
+}
+
 TEST(Workgroup, DisjointGroupsRunConcurrently) {
   // Two workgroups on disjoint mesh regions execute in the same simulated
   // window: total time is the max, not the sum.

@@ -4,8 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <unistd.h>
+#if defined(__linux__)
+#include <malloc.h>  // mallopt, mallinfo2
+#endif
 
 #include <algorithm>
+#include <array>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -22,8 +28,23 @@ using namespace epi;
 using arch::Addr;
 using arch::CoreCoord;
 
+/// A scratchpad's bytes, for a LocalMemory view to look at.
+struct Scratchpad {
+  alignas(8) std::array<std::byte, mem::LocalMemory::kBytes> bytes{};
+  mem::LocalMemory lm{bytes.data()};
+};
+
+/// Park until the u32 at `a` satisfies `pred`: CoreCtx::wait_u32's loop,
+/// without a workgroup.
+template <typename Pred>
+sim::Op<void> wait_flag(mem::MemorySystem& m, Addr a, CoreCoord issuer, Pred pred) {
+  while (!pred(m.read_u32_raw(a, issuer))) co_await m.watch(a, issuer);
+  m.acquired(issuer);
+}
+
 TEST(LocalMemory, ReadWriteRoundTrip) {
-  mem::LocalMemory lm;
+  Scratchpad pad;
+  mem::LocalMemory& lm = pad.lm;
   const std::uint32_t v = 0xDEADBEEF;
   lm.write(0x100, std::as_bytes(std::span<const std::uint32_t, 1>(&v, 1)));
   std::uint32_t out = 0;
@@ -32,7 +53,8 @@ TEST(LocalMemory, ReadWriteRoundTrip) {
 }
 
 TEST(LocalMemory, OutOfRangeThrows) {
-  mem::LocalMemory lm;
+  Scratchpad pad;
+  const mem::LocalMemory& lm = pad.lm;
   EXPECT_THROW((void)lm.span(32 * 1024, 1), std::out_of_range);
   EXPECT_THROW((void)lm.span(32 * 1024 - 2, 4), std::out_of_range);
   EXPECT_NO_THROW((void)lm.span(32 * 1024 - 4, 4));
@@ -41,7 +63,8 @@ TEST(LocalMemory, OutOfRangeThrows) {
 }
 
 TEST(LocalMemory, BankOccupancyPenalty) {
-  mem::LocalMemory lm;
+  Scratchpad pad;
+  mem::LocalMemory& lm = pad.lm;
   lm.occupy_banks(0x2000, 0x100, 500);
   EXPECT_EQ(lm.bank_conflict_penalty(0x2010, 100), 1u);   // same bank, busy
   EXPECT_EQ(lm.bank_conflict_penalty(0x2010, 600), 0u);   // busy window over
@@ -109,6 +132,30 @@ TEST(MemoryFootprint, EightSystemsCommitNoDramTheyDoNotTouch) {
 #endif
 }
 
+// Scratchpads and DRAM live in the machine's own mapping, so no heap layout
+// can pull them into committed heap pages: with glibc told to serve even
+// 32 MB blocks from the heap, building a System still leaves the heap's
+// allocated bytes nearly where they were (a calloc'd DRAM window and a
+// vector of scratchpads added 35.9 MB here).
+TEST(MemoryArenaDeathTest, SystemTakesNoMachineMemoryFromTheMallocHeap) {
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "ASan's allocator replaces the glibc heap this test reads";
+#elif !defined(__GLIBC__) || (__GLIBC__ == 2 && __GLIBC_MINOR__ < 33)
+  GTEST_SKIP() << "needs glibc's mallopt and mallinfo2";
+#else
+  EXPECT_EXIT(
+      {
+        mallopt(M_MMAP_THRESHOLD, 64 << 20);
+        const std::size_t before = mallinfo2().uordblks;
+        const host::System sys;
+        const std::size_t grew = mallinfo2().uordblks - before;
+        std::fprintf(stderr, "heap grew by %zu bytes\n", grew);
+        std::_Exit(grew < (std::size_t{1} << 20) ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "heap grew by");
+#endif
+}
+
 TEST_F(MemorySystemTest, UnmappedAddressThrows) {
   EXPECT_THROW(mem.write_value<std::uint32_t>(0x10000000, 0, {0, 0}), std::out_of_range);
   // Core id outside the 4x4 mesh:
@@ -136,7 +183,7 @@ TEST_F(MemorySystemTest, WatchWakesOnRemoteWrite) {
   sim::Cycles woke_at = 0;
   sim::spawn(engine, [](mem::MemorySystem& m, sim::Engine& e, Addr f, CoreCoord w,
                         sim::Cycles& t) -> sim::Op<void> {
-    co_await m.wait_u32(f, w, [](std::uint32_t v) { return v >= 3; });
+    co_await wait_flag(m, f, w, [](std::uint32_t v) { return v >= 3; });
     t = e.now();
   }(mem, engine, flag, waiter, woke_at));
 
@@ -157,7 +204,7 @@ TEST_F(MemorySystemTest, WatchOnLocalAliasWokenByGlobalWrite) {
   // form. The canonicalisation must connect them.
   sim::spawn(engine, [](mem::MemorySystem& m, sim::Engine& e, CoreCoord w,
                         sim::Cycles& t) -> sim::Op<void> {
-    co_await m.wait_u32(0x2F00, w, [](std::uint32_t v) { return v == 7; });
+    co_await wait_flag(m, 0x2F00, w, [](std::uint32_t v) { return v == 7; });
     t = e.now();
   }(mem, engine, waiter, woke_at));
   engine.call_at(50, [&] {
@@ -173,7 +220,7 @@ TEST_F(MemorySystemTest, PredicateAlreadyTrueDoesNotBlock) {
   mem.write_value<std::uint32_t>(0x2F00, 9, c);
   bool done = false;
   sim::spawn(engine, [](mem::MemorySystem& m, CoreCoord cc, bool& d) -> sim::Op<void> {
-    co_await m.wait_u32(0x2F00, cc, [](std::uint32_t v) { return v == 9; });
+    co_await wait_flag(m, 0x2F00, cc, [](std::uint32_t v) { return v == 9; });
     d = true;
   }(mem, c, done));
   engine.run();
@@ -188,7 +235,7 @@ TEST_F(MemorySystemTest, MultipleWatchersOnSameAddress) {
   int woke = 0;
   for (int i = 0; i < 5; ++i) {
     sim::spawn(engine, [](mem::MemorySystem& m, Addr f, CoreCoord cc, int& n) -> sim::Op<void> {
-      co_await m.wait_u32(f, cc, [](std::uint32_t v) { return v != 0; });
+      co_await wait_flag(m, f, cc, [](std::uint32_t v) { return v != 0; });
       ++n;
     }(mem, flag, c, woke));
   }
@@ -288,7 +335,7 @@ StoreTrace store_trace(Addr a, CoreCoord issuer, const std::vector<std::uint32_t
   for (int id = 0; id < 3; ++id) {
     sim::spawn(engine, [](mem::MemorySystem& m, Addr f, CoreCoord c, int me,
                           std::vector<int>& log) -> sim::Op<void> {
-      co_await m.wait_u32(f, c, [](std::uint32_t v) { return v != 0; });
+      co_await wait_flag(m, f, c, [](std::uint32_t v) { return v != 0; });
       log.push_back(me);
     }(mem, watched[id], issuer, id, out.wakes));
   }

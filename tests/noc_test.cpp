@@ -93,9 +93,8 @@ protected:
   sim::Engine engine;
   noc::ELink elink{dims, timing, engine, timing.elink_write_overhead};
 
-  sim::Process writer(CoreCoord c, std::uint32_t bytes, unsigned blocks,
-                      Cycles* done_at = nullptr) {
-    return sim::spawn(
+  void writer(CoreCoord c, std::uint32_t bytes, unsigned blocks, Cycles* done_at = nullptr) {
+    sim::spawn(
         engine, [](noc::ELink& l, sim::Engine& e, CoreCoord cc, std::uint32_t b, unsigned n,
                    Cycles* d) -> sim::Op<void> {
           for (unsigned i = 0; i < n; ++i) co_await l.txn(cc, b);

@@ -109,8 +109,8 @@ TEST_P(DmaFuzz, RandomDescriptorMatchesReferenceWalk) {
 
   auto& chan = m.core(src_core).dma[0];
   chan.start(d);
-  sim::spawn(m.engine(), chan.wait());
   m.engine().run();
+  chan.rethrow_if_failed();
 
   std::vector<std::byte> got(24576);
   m.mem().read_bytes(dst_base, got, dst_core);
