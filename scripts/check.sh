@@ -16,7 +16,10 @@
 # max RSS at 4N overload jobs may exceed its max RSS at N by a stated KB
 # per job) run in the Release stage; the sanitized stage reports them as
 # skipped, not passed, because ASan's allocator decides resident pages
-# there. Run from the repository root:
+# there. The Release stage also compiles the host-time sampler
+# (scripts/prof/sampler.c) and checks its loop driver and map.py, with
+# warnings as errors, so the profiling tools README describes keep
+# building. Run from the repository root:
 #
 #     scripts/check.sh [extra ctest args...]
 
@@ -28,6 +31,10 @@ JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 echo "== Release build =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-release -j "${JOBS}"
+cc -O2 -Wall -Wextra -Werror -shared -fPIC -o build-release/sampler.so \
+  scripts/prof/sampler.c -ldl
+c++ -std=c++20 -fsyntax-only -Wall -Wextra -Werror -Isrc -Iperfbench scripts/prof/loop.cpp
+python3 -c 'import ast, sys; ast.parse(open(sys.argv[1]).read())' scripts/prof/map.py
 ctest --test-dir build-release --output-on-failure -j "${JOBS}" "$@"
 
 echo "== Sanitized debug build (ASan+UBSan) =="

@@ -151,6 +151,17 @@ private:
   /// not part of the coroutine, so the walk runs in registers.
   std::uint32_t gather(const DmaDescriptor& d, Cursor& at, std::uint32_t esz,
                        std::uint32_t room) {
+    // Rows contiguous on both sides are walked a segment at a time; the
+    // one-element rows of a column transfer keep the plain element walk.
+    const auto s = static_cast<std::int32_t>(esz);
+    return d.src_inner_stride == s && d.dst_inner_stride == s && d.inner_count > 1
+               ? walk<true>(d, at, esz, room)
+               : walk<false>(d, at, esz, room);
+  }
+
+  template <bool kRows>
+  std::uint32_t walk(const DmaDescriptor& d, Cursor& at, std::uint32_t esz,
+                     std::uint32_t room) {
     std::uint32_t n = 0;
     while (n < room && at.o < d.outer_count) {
       if (at.i == d.inner_count) {
@@ -159,6 +170,18 @@ private:
         at.src += static_cast<arch::Addr>(d.src_outer_stride);
         at.dst += static_cast<arch::Addr>(d.dst_outer_stride);
         continue;
+      }
+      // A segment of a contiguous row that stays inside the 1 MB windows
+      // of its first element lands in one run, as it would element by
+      // element; one that would cross a window is walked one element at a
+      // time.
+      std::uint32_t k = 1;
+      if constexpr (kRows) {
+        const std::uint32_t seg = std::min(room - n, d.inner_count - at.i);
+        const arch::Addr last = seg * esz - 1;
+        if (((at.src ^ (at.src + last)) >> 20) == 0 && ((at.dst ^ (at.dst + last)) >> 20) == 0) {
+          k = seg;
+        }
       }
       // Coalesce elements that extend the previous run contiguously on
       // both sides into one functional copy. A run never crosses a 1 MB
@@ -169,14 +192,14 @@ private:
       if (r != nullptr && r->src + r->elems * esz == at.src &&
           r->dst + r->elems * esz == at.dst && ((r->src ^ (at.src + esz - 1)) >> 20) == 0 &&
           ((r->dst ^ (at.dst + esz - 1)) >> 20) == 0) {
-        ++r->elems;
+        r->elems += k;
       } else {
-        chunk_.push_back(Run{at.src, at.dst, 1});
+        chunk_.push_back(Run{at.src, at.dst, k});
       }
-      at.src += static_cast<arch::Addr>(d.src_inner_stride);
-      at.dst += static_cast<arch::Addr>(d.dst_inner_stride);
-      ++at.i;
-      ++n;
+      at.src += static_cast<arch::Addr>(d.src_inner_stride) * k;
+      at.dst += static_cast<arch::Addr>(d.dst_inner_stride) * k;
+      at.i += k;
+      n += k;
     }
     return n;
   }

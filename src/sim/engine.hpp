@@ -20,7 +20,16 @@
 //     sequence order because sequence numbers increase monotonically; the
 //     ring front and the heap top are merged by (time, seq) on every pop,
 //     so the drain order is bit-identical to a single global heap.
+//   * An occupancy bitmap (one bit per bucket, one summary bit per 64
+//     buckets) finds the earliest busy bucket in at most three
+//     count-trailing-zeros steps, so a stretch of idle simulated time (a
+//     core parked on an eLink transfer thousands of cycles long) costs one
+//     lookup, not one probe per empty cycle. Bits change only when a bucket
+//     fills from empty or drains, and the bucket at now() is checked first.
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
@@ -140,18 +149,15 @@ public:
   }
 
   /// Time of the earliest pending event, or kNever when the queue is empty.
-  /// Non-const: advances the ring scan cursor (pure lower-bound cache).
-  [[nodiscard]] Cycles next_event_time() {
-    Bucket* b = ring_front();
-    const bool have_heap = !heap_.empty();
-    if (b == nullptr) return have_heap ? heap_.top().t : kNever;
-    const Cycles rt = b->ev[b->head].t;
-    return have_heap && heap_.top().t < rt ? heap_.top().t : rt;
+  [[nodiscard]] Cycles next_event_time() const {
+    const Cycles ht = heap_.empty() ? kNever : heap_.top().t;
+    const std::size_t k = ring_front();
+    if (k == kRingSpan) return ht;
+    const Bucket& b = ring_[k];
+    return std::min(b.ev[b.head].t, ht);
   }
 
-  [[nodiscard]] bool empty() const noexcept {
-    return ring_count_ == 0 && heap_.empty();
-  }
+  [[nodiscard]] bool empty() const noexcept { return summary_ == 0 && heap_.empty(); }
   [[nodiscard]] std::size_t events_processed() const noexcept { return processed_; }
   [[nodiscard]] std::size_t live_processes() const noexcept { return live_.size(); }
 
@@ -184,6 +190,8 @@ private:
   static constexpr std::size_t kRingMask = kRingSpan - 1;
   /// Cap on the drained-bucket vectors kept for reuse (bounds idle memory).
   static constexpr std::size_t kSpareMax = 64;
+  static constexpr std::size_t kWords = kRingSpan / 64;  // occupancy words
+  static_assert(kWords <= 64, "the summary word has one bit per occupancy word");
 
   struct Event {
     Cycles t = 0;
@@ -210,44 +218,51 @@ private:
     if (t < now_) t = now_;
     const Event ev{t, seq_++, h, fn};
     if (t - now_ < kRingSpan) {
-      Bucket& b = ring_[t & kRingMask];
-      // First event in a never-used bucket: adopt a drained bucket's vector
-      // so steady-state pushes never reallocate (activity shifts through
-      // the ring as simulated time advances; without recycling each newly
-      // touched bucket would regrow its storage from zero).
-      if (b.ev.capacity() == 0 && !spare_.empty()) {
-        b.ev = std::move(spare_.back());
-        spare_.pop_back();
+      const std::size_t k = t & kRingMask;
+      Bucket& b = ring_[k];
+      if (b.ev.empty()) {
+        // First event in a never-used bucket: adopt a drained bucket's
+        // vector so steady-state pushes never reallocate (activity shifts
+        // through the ring as simulated time advances; without recycling
+        // each newly touched bucket would regrow its storage from zero).
+        if (b.ev.capacity() == 0 && !spare_.empty()) {
+          b.ev = std::move(spare_.back());
+          spare_.pop_back();
+        }
+        occupied_[k >> 6] |= std::uint64_t{1} << (k & 63);
+        summary_ |= std::uint64_t{1} << (k >> 6);
       }
       b.ev.push_back(ev);
-      ++ring_count_;
-      if (t < ring_scan_) ring_scan_ = t;
     } else {
       heap_.push(ev);
     }
   }
 
-  /// Bucket holding the earliest ring event, or nullptr when the ring is
-  /// empty. All unfired ring events lie in [now_, now_ + kRingSpan), so a
-  /// forward scan terminates within the window; `ring_scan_` (a lower bound
-  /// on the earliest ring event, never above it) makes the scan O(1)
-  /// amortised per cycle of simulated-time advance.
-  [[nodiscard]] Bucket* ring_front() {
-    if (ring_count_ == 0) return nullptr;
-    for (Cycles c = ring_scan_ < now_ ? now_ : ring_scan_;; ++c) {
-      Bucket& b = ring_[c & kRingMask];
-      if (b.head < b.ev.size()) {
-        ring_scan_ = c;
-        return &b;
-      }
+  /// Index of the bucket holding the earliest ring event, or kRingSpan when
+  /// the ring is empty. All unfired ring events lie in [now_, now_ +
+  /// kRingSpan), so the earliest sits in the first busy bucket at or
+  /// cyclically after now_'s: the rest of now_'s word, then the later
+  /// words, then (wrapping) the lowest busy word, which may be now_'s own
+  /// below its bit.
+  [[nodiscard]] std::size_t ring_front() const noexcept {
+    const std::size_t at = now_ & kRingMask;
+    if (!ring_[at].ev.empty()) return at;
+    if (summary_ == 0) return kRingSpan;
+    const std::size_t w = at >> 6;
+    if (const std::uint64_t m = occupied_[w] & (~std::uint64_t{0} << (at & 63))) {
+      return (w << 6) | static_cast<std::size_t>(std::countr_zero(m));
     }
+    const std::uint64_t later = summary_ & ~(~std::uint64_t{0} >> (63 - w));
+    const auto v = static_cast<std::size_t>(std::countr_zero(later != 0 ? later : summary_));
+    return (v << 6) | static_cast<std::size_t>(std::countr_zero(occupied_[v]));
   }
 
   /// Pop the next event in (time, seq) order, merging the ring front with
   /// the heap top. Returns false (and leaves state untouched) if the queue
   /// is empty or the next event lies beyond `limit`.
   bool pop(Event& out, Cycles limit) {
-    Bucket* b = ring_front();
+    const std::size_t k = ring_front();
+    Bucket* b = k == kRingSpan ? nullptr : &ring_[k];
     const bool have_heap = !heap_.empty();
     if (b == nullptr && !have_heap) return false;
     bool from_ring;
@@ -270,8 +285,10 @@ private:
         if (spare_.size() < kSpareMax && b->ev.capacity() != 0) {
           spare_.push_back(std::move(b->ev));
         }
+        if ((occupied_[k >> 6] &= ~(std::uint64_t{1} << (k & 63))) == 0) {
+          summary_ &= ~(std::uint64_t{1} << (k >> 6));
+        }
       }
-      --ring_count_;
     } else {
       heap_.pop();
     }
@@ -299,8 +316,8 @@ private:
 
   std::vector<Bucket> ring_;
   std::vector<std::vector<Event>> spare_;  // drained bucket storage for reuse
-  std::size_t ring_count_ = 0;
-  Cycles ring_scan_ = 0;
+  std::array<std::uint64_t, kWords> occupied_{};  // bit k: ring_[k] is non-empty
+  std::uint64_t summary_ = 0;                     // bit w: occupied_[w] != 0
   std::priority_queue<Event, std::vector<Event>, Later> heap_;
   std::vector<std::function<void()>> fns_;
   std::vector<std::uint32_t> fn_free_;

@@ -4,11 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "core/matmul.hpp"
 #include "core/microbench.hpp"
 #include "core/stencil.hpp"
 #include "dma/descriptor.hpp"
 #include "machine/machine.hpp"
+#include "mem/hook.hpp"
 #include "sim/random.hpp"
 
 namespace {
@@ -60,41 +66,37 @@ TEST(Determinism, MicrobenchReproducible) {
 
 // ---- fuzzed DMA descriptors --------------------------------------------------
 
-class DmaFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(DmaFuzz, RandomDescriptorMatchesReferenceWalk) {
-  sim::Rng rng(GetParam());
-  arch::MachineConfig mc;
-  machine::Machine m(mc);
+/// A seeded 24 KB source image on core (0,0) and a destination on core
+/// (1,1), both at offset 0x2000, plus the reference walk a descriptor
+/// between them must match.
+class DmaFuzz : public ::testing::TestWithParam<std::uint64_t> {
+protected:
+  static constexpr std::size_t kBytes = 24576;
   const CoreCoord src_core{0, 0};
   const CoreCoord dst_core{1, 1};
+  sim::Rng rng{GetParam()};
+  arch::MachineConfig mc;
+  machine::Machine m{mc};
   const Addr src_base = m.mem().map().global(src_core, 0x2000);
   const Addr dst_base = m.mem().map().global(dst_core, 0x2000);
+  std::vector<std::byte> img = std::vector<std::byte>(kBytes);
 
-  // Seed source memory.
-  std::vector<std::byte> img(24576);
-  for (auto& b : img) b = static_cast<std::byte>(rng.next_below(256));
-  m.mem().write_bytes(src_base, img, src_core);
+  void SetUp() override {
+    for (auto& b : img) b = static_cast<std::byte>(rng.next_below(256));
+    m.mem().write_bytes(src_base, img, src_core);
+  }
 
-  // Draw a random but in-bounds 2D descriptor.
-  static constexpr dma::ElemSize kElems[] = {dma::ElemSize::Byte, dma::ElemSize::HWord,
-                                             dma::ElemSize::Word, dma::ElemSize::DWord};
-  dma::DmaDescriptor d;
-  d.elem = kElems[rng.next_below(4)];
-  const auto esz = static_cast<std::uint32_t>(static_cast<std::uint8_t>(d.elem));
-  d.inner_count = 1 + static_cast<std::uint32_t>(rng.next_below(16));
-  d.outer_count = 1 + static_cast<std::uint32_t>(rng.next_below(8));
-  d.src_inner_stride = static_cast<std::int32_t>(esz * (1 + rng.next_below(3)));
-  d.dst_inner_stride = static_cast<std::int32_t>(esz * (1 + rng.next_below(3)));
-  d.src_outer_stride = static_cast<std::int32_t>(esz * rng.next_below(5));
-  d.dst_outer_stride = static_cast<std::int32_t>(esz * rng.next_below(5));
-  d.src = src_base;
-  d.dst = dst_base;
+  dma::ElemSize draw_elem() {
+    static constexpr dma::ElemSize kElems[] = {dma::ElemSize::Byte, dma::ElemSize::HWord,
+                                               dma::ElemSize::Word, dma::ElemSize::DWord};
+    return kElems[rng.next_below(4)];
+  }
 
-  // Reference walk over a shadow image.
-  std::vector<std::byte> shadow(24576);
-  m.mem().read_bytes(dst_base, shadow, dst_core);
-  {
+  /// The destination image after an element-by-element walk of `d`.
+  std::vector<std::byte> reference(const dma::DmaDescriptor& d) {
+    const auto esz = static_cast<std::uint32_t>(static_cast<std::uint8_t>(d.elem));
+    std::vector<std::byte> shadow(kBytes);
+    m.mem().read_bytes(dst_base, shadow, dst_core);
     std::size_t s = 0, t = 0;
     for (std::uint32_t o = 0; o < d.outer_count; ++o) {
       for (std::uint32_t i = 0; i < d.inner_count; ++i) {
@@ -105,17 +107,148 @@ TEST_P(DmaFuzz, RandomDescriptorMatchesReferenceWalk) {
       s += static_cast<std::size_t>(d.src_outer_stride);
       t += static_cast<std::size_t>(d.dst_outer_stride);
     }
+    return shadow;
   }
 
-  auto& chan = m.core(src_core).dma[0];
+  /// Run `d` on the source core's channel 0 and return the destination image.
+  std::vector<std::byte> run(const dma::DmaDescriptor& d) {
+    auto& chan = m.core(src_core).dma[0];
+    chan.start(d);
+    m.engine().run();
+    chan.rethrow_if_failed();
+    std::vector<std::byte> got(kBytes);
+    m.mem().read_bytes(dst_base, got, dst_core);
+    return got;
+  }
+};
+
+TEST_P(DmaFuzz, RandomDescriptorMatchesReferenceWalk) {
+  // Draw a random but in-bounds 2D descriptor.
+  dma::DmaDescriptor d;
+  d.elem = draw_elem();
+  const auto esz = static_cast<std::uint32_t>(static_cast<std::uint8_t>(d.elem));
+  d.inner_count = 1 + static_cast<std::uint32_t>(rng.next_below(16));
+  d.outer_count = 1 + static_cast<std::uint32_t>(rng.next_below(8));
+  d.src_inner_stride = static_cast<std::int32_t>(esz * (1 + rng.next_below(3)));
+  d.dst_inner_stride = static_cast<std::int32_t>(esz * (1 + rng.next_below(3)));
+  d.src_outer_stride = static_cast<std::int32_t>(esz * rng.next_below(5));
+  d.dst_outer_stride = static_cast<std::int32_t>(esz * rng.next_below(5));
+  d.src = src_base;
+  d.dst = dst_base;
+  EXPECT_EQ(run(d), reference(d)) << "seed " << GetParam();
+}
+
+/// Records every write the memory system commits, as (canonical address,
+/// bytes). Attaching it also sends each DMA chunk through the run-by-run
+/// commit, so every coalesced run shows as one write.
+struct WriteLog : mem::MemoryHook {
+  std::vector<std::pair<Addr, std::size_t>> writes;
+  void on_write(Addr a, std::size_t n, CoreCoord, Cycles) override { writes.emplace_back(a, n); }
+  void on_read(Addr, std::size_t, CoreCoord, Cycles) override {}
+  void on_sync(CoreCoord, Cycles) override {}
+};
+
+/// The writes an element-at-a-time walk of `d` commits. Elements go out in
+/// chunks of `chunk_elems`; inside a chunk an element joins the previous run
+/// when it follows that run on both sides and its last byte stays in the
+/// 1 MB window of the run's first byte on each side.
+std::vector<std::pair<Addr, std::size_t>> element_walk_writes(const dma::DmaDescriptor& d,
+                                                              std::uint32_t chunk_elems) {
+  const auto esz = static_cast<std::uint32_t>(static_cast<std::uint8_t>(d.elem));
+  struct Run {
+    Addr src, dst;
+    std::uint32_t elems;
+  };
+  std::vector<std::pair<Addr, std::size_t>> out;
+  std::vector<Run> chunk;
+  std::uint32_t in_chunk = 0;
+  const auto flush = [&] {
+    for (const Run& r : chunk) out.emplace_back(r.dst, std::size_t{r.elems} * esz);
+    chunk.clear();
+    in_chunk = 0;
+  };
+  const auto same_window = [](Addr a, Addr b) { return (a >> 20) == (b >> 20); };
+  Addr s = d.src, t = d.dst;
+  for (std::uint32_t o = 0; o < d.outer_count; ++o) {
+    for (std::uint32_t i = 0; i < d.inner_count; ++i) {
+      Run* r = chunk.empty() ? nullptr : &chunk.back();
+      if (r != nullptr && r->src + r->elems * esz == s && r->dst + r->elems * esz == t &&
+          same_window(r->src, s + esz - 1) && same_window(r->dst, t + esz - 1)) {
+        ++r->elems;
+      } else {
+        chunk.push_back(Run{s, t, 1});
+      }
+      if (++in_chunk == chunk_elems) flush();
+      s += static_cast<Addr>(d.src_inner_stride);
+      t += static_cast<Addr>(d.dst_inner_stride);
+    }
+    s += static_cast<Addr>(d.src_outer_stride);
+    t += static_cast<Addr>(d.dst_outer_stride);
+  }
+  flush();
+  return out;
+}
+
+/// Rows contiguous on both sides and longer than one chunk: the bytes, the
+/// committed runs and the completion cycle must be the element walk's.
+TEST_P(DmaFuzz, ContiguousRowsMatchElementWalk) {
+  // Completion cycles of the element-at-a-time walk, per seed.
+  static const std::map<std::uint64_t, Cycles> kDone = {
+      {1, 3120},  {2, 1237},   {3, 877},   {5, 24159}, {8, 7889},    {13, 2708},
+      {21, 5538}, {34, 26420}, {55, 4793}, {89, 17265}, {144, 3098}, {233, 1555}};
+  dma::DmaDescriptor d;
+  d.elem = draw_elem();
+  const auto esz = static_cast<std::uint32_t>(static_cast<std::uint8_t>(d.elem));
+  const std::uint32_t chunk_elems = mc.timing.dma_chunk_bytes / esz;
+  d.inner_count = chunk_elems + 1 + static_cast<std::uint32_t>(rng.next_below(2 * chunk_elems));
+  d.outer_count = 1 + static_cast<std::uint32_t>(rng.next_below(8));
+  d.src_inner_stride = static_cast<std::int32_t>(esz);
+  d.dst_inner_stride = static_cast<std::int32_t>(esz);
+  d.src_outer_stride = static_cast<std::int32_t>(esz * rng.next_below(5));
+  d.dst_outer_stride = static_cast<std::int32_t>(esz * rng.next_below(5));
+  d.src = src_base;
+  d.dst = dst_base;
+
+  const std::vector<std::byte> want = reference(d);
+  WriteLog log;
+  m.mem().add_hook(&log);
+  EXPECT_EQ(run(d), want);
+  EXPECT_EQ(log.writes, element_walk_writes(d, chunk_elems));
+  EXPECT_EQ(m.engine().now(), kDone.at(GetParam()));
+}
+
+/// A linear DRAM-to-scratchpad copy whose source crosses a 1 MB boundary
+/// inside the DRAM window: the runs split at the boundary exactly as the
+/// element walk splits them.
+TEST(DmaWalk, LinearDramSourceCrossingAWindowSplitsItsRun) {
+  arch::MachineConfig mc;
+  machine::Machine m(mc);
+  const CoreCoord owner{0, 0};
+  const Addr boundary = m.mem().map().external_base + 0x100000;
+  const Addr src = boundary - 0x300;
+  const Addr dst = m.mem().map().global(owner, 0x4000);
+  std::vector<std::byte> img(0x1000);
+  for (std::size_t i = 0; i < img.size(); ++i) img[i] = static_cast<std::byte>(i * 7 + 3);
+  m.mem().write_bytes(src, img, owner);
+
+  const auto d = dma::DmaDescriptor::linear(dst, src, 0x1000);
+  ASSERT_EQ(d.elem, dma::ElemSize::DWord);
+  WriteLog log;
+  m.mem().add_hook(&log);
+  auto& chan = m.core(owner).dma[0];
   chan.start(d);
   m.engine().run();
   chan.rethrow_if_failed();
 
-  std::vector<std::byte> got(24576);
-  m.mem().read_bytes(dst_base, got, dst_core);
-  EXPECT_TRUE(std::equal(shadow.begin(), shadow.end(), got.begin()))
-      << "seed " << GetParam();
+  std::vector<std::byte> got(0x1000);
+  m.mem().read_bytes(dst, got, owner);
+  EXPECT_EQ(got, img);
+  const auto want = element_walk_writes(d, mc.timing.dma_chunk_bytes / 8);
+  ASSERT_EQ(want.size(), 9u);  // eight 512-byte chunks, one split at the boundary
+  EXPECT_EQ(want[1], std::make_pair(dst + 0x200, std::size_t{0x100}));
+  EXPECT_EQ(want[2], std::make_pair(dst + 0x300, std::size_t{0x100}));
+  EXPECT_EQ(log.writes, want);
+  EXPECT_EQ(m.engine().now(), Cycles{18384});
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DmaFuzz,

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <coroutine>
+#include <functional>
+#include <queue>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -275,6 +280,183 @@ TEST(Engine, ManyProcessesDrainCompletely) {
   e.run();
   EXPECT_EQ(completed, 1000);
   EXPECT_EQ(e.live_processes(), 0u);
+}
+
+// ---- the event queue against a reference heap --------------------------------
+
+// The engine's near-future span: a delay below it lands in the bucket ring,
+// one at or above it in the overflow heap.
+constexpr Cycles kSpan = 4096;
+
+// Suspends for `d` cycles, d == 0 included (delay() does not suspend on 0).
+struct Resume {
+  Engine& e;
+  Cycles d;
+  [[nodiscard]] bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) const { e.schedule_in(d, h); }
+  void await_resume() const noexcept {}
+};
+
+// Schedules seeded work on an Engine and mirrors every push into a
+// std::priority_queue keyed by (time, seq), where seq counts pushes in
+// order as the engine's insertion sequence does. Each firing event records
+// its own (time, seq) next to the reference top it pops, so the engine's
+// drain order is checked event by event. It also counts three ring shapes
+// (bucket k is time mod kSpan; a word is 64 buckets):
+//   wrap        -- now is in the ring's last word and the earliest ring
+//                  event is in its first;
+//   below       -- the earliest ring event is in now's word, below now;
+//   refill      -- an event at now is pushed after now's bucket drained.
+class RefOrder {
+public:
+  struct Ev {
+    Cycles t;
+    std::uint64_t seq;
+    bool operator==(const Ev&) const = default;
+    bool operator>(const Ev& o) const { return t != o.t ? t > o.t : seq > o.seq; }
+  };
+
+  RefOrder(std::uint64_t seed, std::size_t budget) : rng_(seed), budget_(budget) {}
+
+  Engine e;
+  std::vector<Ev> got, want;
+  std::size_t wrap = 0, below = 0, refill = 0;
+
+  Cycles draw_delay() {
+    switch (rng_.next_below(7)) {
+      case 0: return 0;
+      case 1: return 1;
+      case 2: return 2 + rng_.next_below(62);
+      case 3: return kSpan - 1;
+      case 4: return kSpan;
+      case 5: return kSpan + 1;
+      default: return kSpan + 2 + rng_.next_below(3 * kSpan);
+    }
+  }
+
+  void call_in(Cycles d) {
+    const std::uint64_t s = note_push(d);
+    e.call_at(e.now() + d, [this, s] {
+      fired(s);
+      follow_up();
+    });
+  }
+
+  void spawn_process(Cycles d) {
+    const std::uint64_t s = note_push(d);
+    spawn(e, process(s, 1 + static_cast<int>(rng_.next_below(12))), d);
+  }
+
+  // Interleave step, step_below, run_until and next_event_time probes until
+  // the queue drains.
+  void drive() {
+    while (!ref_.empty()) {
+      count_shapes();
+      const Cycles next = ref_.top().t;
+      ASSERT_EQ(e.next_event_time(), next);
+      switch (rng_.next_below(3)) {
+        case 0:
+          ASSERT_TRUE(e.step());
+          break;
+        case 1: {
+          const Cycles limit = next + rng_.next_below(3);
+          ASSERT_EQ(e.step_below(limit), next < limit);
+          break;
+        }
+        default: {
+          const Cycles until = e.now() + draw_delay();
+          e.run_until(until);
+          ASSERT_TRUE(ref_.empty() || ref_.top().t > until);
+          break;
+        }
+      }
+    }
+    EXPECT_EQ(e.next_event_time(), Engine::kNever);
+    EXPECT_FALSE(e.step());
+    EXPECT_TRUE(e.empty());
+    EXPECT_EQ(e.live_processes(), 0u);
+  }
+
+private:
+  using Ref = std::priority_queue<Ev, std::vector<Ev>, std::greater<>>;
+
+  std::uint64_t note_push(Cycles d) {
+    const Cycles t = e.now() + d;
+    if (d < kSpan) {
+      const auto at = ring_.lower_bound({t, 0});
+      if (d == 0 && last_fired_ == t && (at == ring_.end() || at->first != t)) ++refill;
+      ring_.emplace(t, seq_);
+    }
+    ref_.push(Ev{t, seq_});
+    ++pushes_;
+    return seq_++;
+  }
+
+  void fired(std::uint64_t s) {
+    got.push_back(Ev{e.now(), s});
+    if (ref_.empty()) {
+      want.push_back(Ev{Engine::kNever, 0});  // fired with nothing pending
+    } else {
+      want.push_back(ref_.top());
+      ring_.erase({ref_.top().t, ref_.top().seq});
+      ref_.pop();
+    }
+    last_fired_ = e.now();
+  }
+
+  void follow_up() {
+    for (auto k = rng_.next_below(3); k > 0 && pushes_ < budget_; --k) call_in(draw_delay());
+    if (pushes_ < budget_ && rng_.next_below(8) == 0) spawn_process(draw_delay());
+  }
+
+  Op<void> process(std::uint64_t s, int steps) {
+    for (;;) {
+      fired(s);
+      if (--steps == 0 || pushes_ >= budget_) co_return;
+      follow_up();
+      const Cycles d = draw_delay();
+      s = note_push(d);
+      co_await Resume{e, d};
+    }
+  }
+
+  void count_shapes() {
+    if (ring_.empty()) return;
+    const Cycles now = e.now() % kSpan;
+    const Cycles first = ring_.begin()->first % kSpan;
+    if (now >= kSpan - 64 && first < 64) ++wrap;
+    if (first / 64 == now / 64 && first < now) ++below;
+  }
+
+  Rng rng_;
+  std::size_t budget_;
+  std::size_t pushes_ = 0;
+  std::uint64_t seq_ = 0;
+  Ref ref_;
+  std::set<std::pair<Cycles, std::uint64_t>> ring_;  // pending ring events
+  Cycles last_fired_ = Engine::kNever;
+};
+
+TEST(Engine, RingMatchesReferenceHeapOrder) {
+  std::size_t wrap = 0, below = 0, refill = 0;
+  for (std::uint64_t seed = 1; seed <= 48; ++seed) {
+    RefOrder r(seed, 3000);
+    for (int i = 0; i < 3; ++i) r.spawn_process(r.draw_delay());
+    r.call_in(r.draw_delay());
+    r.drive();
+    ASSERT_EQ(r.got.size(), r.want.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < r.got.size(); ++i) {
+      ASSERT_EQ(r.got[i], r.want[i])
+          << "seed " << seed << ", event " << i << ": fired (" << r.got[i].t << ", "
+          << r.got[i].seq << "), reference (" << r.want[i].t << ", " << r.want[i].seq << ")";
+    }
+    wrap += r.wrap;
+    below += r.below;
+    refill += r.refill;
+  }
+  EXPECT_GT(wrap, 0u);
+  EXPECT_GT(below, 0u);
+  EXPECT_GT(refill, 0u);
 }
 
 }  // namespace
