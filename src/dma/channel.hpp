@@ -36,7 +36,7 @@ class DmaChannel {
 public:
   DmaChannel(arch::CoreCoord owner, unsigned index, const arch::MachineConfig& cfg,
              sim::Engine& engine, mem::MemorySystem& mem, noc::MeshNetwork& mesh,
-             noc::ELink& elink_write, noc::ELink& elink_read)
+             noc::ELink& elink_write, noc::ELink& elink_read, const fault::Instruments& inst)
       : owner_(owner),
         index_(index),
         name_("dma" + std::to_string(index) + "@" + arch::to_string(owner)),
@@ -47,6 +47,7 @@ public:
         mesh_(&mesh),
         elink_write_(&elink_write),
         elink_read_(&elink_read),
+        inst_(&inst),
         done_(engine) {}
 
   DmaChannel(const DmaChannel&) = delete;
@@ -83,43 +84,43 @@ public:
 
   [[nodiscard]] std::uint64_t bytes_moved() const noexcept { return bytes_moved_; }
 
-  /// Attach (or detach, with nullptr) a tracer; chain/descriptor spans and
-  /// per-chunk commit instants land on this channel's own track.
-  void set_trace(trace::Tracer* t) {
-    trace_ = t;
-    trace_track_ = t != nullptr ? t->dma_track(owner_, index_) : 0;
-  }
-
-  /// Attach a fault injector: external-route chunks become CRC-checked with
-  /// bounded retry, and a dead owner core's descriptor setup parks.
-  void set_faults(fault::FaultInjector* f) noexcept { faults_ = f; }
-
 private:
   /// Bounded retry for CRC-failed external transfers: kRetryBackoff << n
   /// cycles before attempt n+1, up to kTransferRetries recommits.
   static constexpr unsigned kTransferRetries = 4;
   static constexpr sim::Cycles kRetryBackoff = 64;
 
+  // With a tracer armed (inst_->tracer), chain and descriptor spans and
+  // per-chunk commit instants land on this channel's own track. With a fault
+  // injector armed, external-route chunks become CRC-checked with bounded
+  // retry.
   sim::Op<void> run_chain() {
     try {
-      if (trace_ != nullptr) {
-        trace_->begin(trace_track_, trace::Phase::Comm, "chain", engine_->now());
-      }
+      begin_span("chain");
       co_await sim::delay(*engine_, timing_->dma_channel_latency_cycles);
       for (std::size_t i = 0; i < chain_.size(); ++i) {
         if (i > 0) co_await sim::delay(*engine_, timing_->dma_chain_latency_cycles);
-        if (trace_ != nullptr) {
-          trace_->begin(trace_track_, trace::Phase::Comm, "descriptor", engine_->now());
-        }
+        begin_span("descriptor");
         co_await run_descriptor(chain_[i]);
-        if (trace_ != nullptr) trace_->end(trace_track_, engine_->now());
+        end_span();
       }
-      if (trace_ != nullptr) trace_->end(trace_track_, engine_->now());
+      end_span();
     } catch (...) {
       error_ = std::current_exception();  // rethrown by e_dma_wait
     }
     busy_ = false;
     done_.notify_all();
+  }
+
+  void begin_span(const char* name) {
+    if (trace::Tracer* const tr = inst_->tracer) {
+      tr->begin(tr->dma_track(owner_, index_), trace::Phase::Comm, name, engine_->now());
+    }
+  }
+  void end_span() {
+    if (trace::Tracer* const tr = inst_->tracer) {
+      tr->end(tr->dma_track(owner_, index_), engine_->now());
+    }
   }
 
   sim::Op<void> run_descriptor(DmaDescriptor d) {
@@ -279,32 +280,33 @@ private:
     // keeps the hardware's element order for overlapping runs).
     mem_->copy_runs(chunk_, esz, owner_);
     bytes_moved_ += bytes;
-    if (trace_ != nullptr) {
-      trace_->dma_chunk(trace_track_, owner_, bytes, engine_->now());
+    if (trace::Tracer* const tr = inst_->tracer) {
+      tr->dma_chunk(tr->dma_track(owner_, index_), bytes, engine_->now());
     }
 
     // With corruption faults armed, external transfers are CRC-checked end
     // to end and recommitted with exponential backoff on mismatch (the
     // off-chip path is the one with a wire to flip bits on; on-chip runs
     // stay unchecked, as on the real part).
-    if (faults_ != nullptr && faults_->any_corruption() &&
+    fault::FaultInjector* const faults = inst_->faults;
+    if (faults != nullptr && faults->any_corruption() &&
         (route.kind == Route::ToExternal || route.kind == Route::FromExternal)) {
       const unsigned ekind = route.kind == Route::ToExternal ? 0u : 1u;
       noc::ELink* link = route.kind == Route::ToExternal ? elink_write_ : elink_read_;
-      faults_->corrupt_elink(ekind, chunk_.front().dst,
-                             chunk_.front().elems * esz, owner_);
+      faults->corrupt_elink(ekind, chunk_.front().dst, chunk_.front().elems * esz,
+                            owner_);
       for (unsigned attempt = 1; !chunk_crc_ok(esz); ++attempt) {
         if (attempt > kTransferRetries) {
           throw fault::TransferError(
               name_ + ": external DMA chunk failed CRC after " +
               std::to_string(kTransferRetries) + " retries");
         }
-        faults_->note_transfer_retry(owner_);
+        faults->note_transfer_retry(owner_);
         co_await sim::delay(*engine_, kRetryBackoff << (attempt - 1));
         co_await link->txn(owner_, bytes);
         mem_->copy_runs(chunk_, esz, owner_);
-        faults_->corrupt_elink(ekind, chunk_.front().dst,
-                               chunk_.front().elems * esz, owner_);
+        faults->corrupt_elink(ekind, chunk_.front().dst, chunk_.front().elems * esz,
+                              owner_);
       }
     }
     chunk_.clear();
@@ -332,15 +334,13 @@ private:
   noc::MeshNetwork* mesh_;
   noc::ELink* elink_write_;
   noc::ELink* elink_read_;
+  const fault::Instruments* inst_;
   sim::WaitQueue done_;
   std::vector<DmaDescriptor> chain_;
   std::vector<Run> chunk_;  // the chunk being gathered, reused across descriptors
   std::exception_ptr error_;  // the last chain's failure, cleared by start()
   bool busy_ = false;
   std::uint64_t bytes_moved_ = 0;
-  trace::Tracer* trace_ = nullptr;
-  std::uint32_t trace_track_ = 0;
-  fault::FaultInjector* faults_ = nullptr;
 };
 
 }  // namespace epi::dma

@@ -21,12 +21,12 @@ std::string to_line(const FaultReport& r) {
 
 FaultInjector::FaultInjector(FaultPlan plan, sim::Engine& engine,
                              mem::MemorySystem& mem, arch::MeshDims dims,
-                             trace::Tracer* tracer)
+                             const Instruments& inst)
     : plan_(std::move(plan)),
       engine_(&engine),
       mem_(&mem),
       dims_(dims),
-      tracer_(tracer),
+      inst_(&inst),
       rng_(plan_.seed ^ 0x6661756C74ull) {  // decorrelate from workload draws
   c_kill_ = counters_.define("fault.inject.kill", trace::Counters::Kind::Monotonic);
   c_stall_ = counters_.define("fault.inject.stall", trace::Counters::Kind::Monotonic);
@@ -115,10 +115,7 @@ void FaultInjector::note(const char* kind, trace::Counters::Id counter,
   injections_.push_back(util::format("@%llu inject %s %s",
                                      static_cast<unsigned long long>(now), kind,
                                      detail.c_str()));
-  if (tracer_ != nullptr) {
-    if (fault_track_ == ~std::uint32_t{0}) fault_track_ = tracer_->add_track("faults");
-    tracer_->instant(fault_track_, kind, now);
-  }
+  if (trace::Tracer* t = inst_->tracer) t->instant(t->fault_track(), kind, now);
 }
 
 bool FaultInjector::intercept_core_op(arch::CoreCoord c, sim::Cycles d,
@@ -128,8 +125,9 @@ bool FaultInjector::intercept_core_op(arch::CoreCoord c, sim::Cycles d,
   const sim::Cycles now = engine_->now();
 
   // Killed: the core never retires another operation. The resumption is
-  // parked (not destroyed -- the frame stays owned by its Task/Workgroup);
-  // the scheduler's watchdog is what turns the silence into a FaultReport.
+  // parked: never resumed and never destroyed. Nothing owns the frame (it
+  // leaks until the engine owns parked frames); the scheduler's watchdog is
+  // what turns the silence into a FaultReport.
   if (cf.kill_at != kNever && (now >= cf.kill_at || now + d > cf.kill_at)) {
     if (!cf.kill_noted) {
       cf.kill_noted = true;
@@ -158,8 +156,7 @@ bool FaultInjector::intercept_core_op(arch::CoreCoord c, sim::Cycles d,
   return true;
 }
 
-bool FaultInjector::park_if_dead(arch::CoreCoord c, std::coroutine_handle<> h) {
-  (void)h;
+bool FaultInjector::park_if_dead(arch::CoreCoord c) {
   if (!core_has_faults(c)) return false;
   CoreFault& cf = cores_[dims_.index_of(c)];
   if (cf.kill_at == kNever || engine_->now() < cf.kill_at) return false;

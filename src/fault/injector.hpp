@@ -59,16 +59,27 @@ struct FaultReport {
 /// Render a report as one deterministic log line.
 [[nodiscard]] std::string to_line(const FaultReport& r);
 
+class FaultInjector;
+
+/// The instruments a machine's layers report to. machine::Machine owns one;
+/// the mesh, both eLinks, every DMA channel and the injector itself read it
+/// through a pointer taken at construction, so arming or disarming an
+/// instrument sets one pointer here and no layer keeps a copy. Null means
+/// not armed.
+struct Instruments {
+  trace::Tracer* tracer = nullptr;
+  FaultInjector* faults = nullptr;
+};
+
 class FaultInjector final : public mem::MemoryHook {
 public:
   FaultInjector(FaultPlan plan, sim::Engine& engine, mem::MemorySystem& mem,
-                arch::MeshDims dims, trace::Tracer* tracer = nullptr);
+                arch::MeshDims dims, const Instruments& inst);
 
   [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
   /// True when the plan contains any fault (recovery layers gate their
   /// bookkeeping on this so an empty plan costs nothing).
   [[nodiscard]] bool armed() const noexcept { return !plan_.events.empty(); }
-  void set_trace(trace::Tracer* t) noexcept { tracer_ = t; }
 
   // ---- core kills and stalls (asked by TimedOp / the eLink) -------------
 
@@ -79,8 +90,9 @@ public:
   /// Returns true if the injector took ownership of the resumption (core
   /// killed: parked forever; core stalled: deferred past the window).
   bool intercept_core_op(arch::CoreCoord c, sim::Cycles d, std::coroutine_handle<> h);
-  /// Park `h` forever iff `c` is dead at the current cycle.
-  bool park_if_dead(arch::CoreCoord c, std::coroutine_handle<> h);
+  /// Whether `c` is dead at the current cycle; the caller then drops the
+  /// resumption it was about to queue, parking it forever.
+  bool park_if_dead(arch::CoreCoord c);
   /// When did `c` become unresponsive, as of `now`? kNever if it is live.
   [[nodiscard]] sim::Cycles unresponsive_since(arch::CoreCoord c,
                                                sim::Cycles now) const noexcept;
@@ -155,7 +167,7 @@ private:
   sim::Engine* engine_;
   mem::MemorySystem* mem_;
   arch::MeshDims dims_;
-  trace::Tracer* tracer_;
+  const Instruments* inst_;
   sim::Rng rng_;
 
   std::vector<CoreFault> cores_;            // empty when no core faults
@@ -170,7 +182,6 @@ private:
   trace::Counters counters_;
   trace::Counters::Id c_kill_, c_stall_, c_reroute_, c_elink_outage_,
       c_elink_flip_, c_mem_flip_, c_retry_;
-  std::uint32_t fault_track_ = ~std::uint32_t{0};
 };
 
 /// Awaitable for a core-attributed timed operation (compute, DMA descriptor

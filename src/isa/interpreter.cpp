@@ -7,6 +7,14 @@ namespace epi::isa {
 
 namespace {
 
+/// An FPU result is unavailable as an FPU operand/result or store source
+/// until issue + this many cycles (the paper's measured 5).
+constexpr std::uint64_t kFpuResultLatency = 5;
+/// A load result is available at issue + this many cycles.
+constexpr std::uint64_t kLoadLatency = 1;
+/// Extra cycles after a taken branch.
+constexpr std::uint64_t kTakenBranchPenalty = 3;
+
 /// Per-register availability times for the two hazard classes.
 struct Scoreboard {
   // Earliest cycle the register may be consumed by an FPU op or a store
@@ -267,11 +275,11 @@ ExecStats execute(const Program& prog, RegFile& regs, std::span<std::byte> memor
     if (branch_taken) {
       next_pc = static_cast<std::size_t>(ins.imm);
       // Taken branch flushes: nothing issues for the penalty window.
-      const std::uint64_t resume = issue + 1 + cfg.taken_branch_penalty;
+      const std::uint64_t resume = issue + 1 + kTakenBranchPenalty;
       fpu_slot_free = std::max(fpu_slot_free, resume);
       ialu_slot_free = std::max(ialu_slot_free, resume);
       prev_issue = std::max(prev_issue, resume);
-      st.branch_stalls += cfg.taken_branch_penalty;
+      st.branch_stalls += kTakenBranchPenalty;
     }
 
     // ---- writeback availability ------------------------------------------
@@ -281,16 +289,16 @@ ExecStats execute(const Program& prog, RegFile& regs, std::span<std::byte> memor
       case Opcode::Fadd:
       case Opcode::Fsub:
         sb.ready[ins.rd] = issue + 1;
-        sb.fpu_ready[ins.rd] = issue + cfg.fpu_result_latency;
+        sb.fpu_ready[ins.rd] = issue + kFpuResultLatency;
         ++st.fpu_ops;
         break;
       case Opcode::Ldr:
-        sb.ready[ins.rd] = issue + cfg.load_latency;
-        sb.fpu_ready[ins.rd] = issue + cfg.load_latency;
+        sb.ready[ins.rd] = issue + kLoadLatency;
+        sb.fpu_ready[ins.rd] = issue + kLoadLatency;
         break;
       case Opcode::Ldrd:
-        sb.ready[ins.rd] = sb.ready[ins.rd + 1] = issue + cfg.load_latency;
-        sb.fpu_ready[ins.rd] = sb.fpu_ready[ins.rd + 1] = issue + cfg.load_latency;
+        sb.ready[ins.rd] = sb.ready[ins.rd + 1] = issue + kLoadLatency;
+        sb.fpu_ready[ins.rd] = sb.fpu_ready[ins.rd + 1] = issue + kLoadLatency;
         break;
       case Opcode::MovImm:
       case Opcode::MovReg:
@@ -302,8 +310,8 @@ ExecStats execute(const Program& prog, RegFile& regs, std::span<std::byte> memor
         sb.fpu_ready[ins.rd] = issue + 1;
         break;
       case Opcode::Testset:
-        sb.ready[ins.rd] = issue + cfg.load_latency;
-        sb.fpu_ready[ins.rd] = issue + cfg.load_latency;
+        sb.ready[ins.rd] = issue + kLoadLatency;
+        sb.fpu_ready[ins.rd] = issue + kLoadLatency;
         break;
       default:
         break;

@@ -44,14 +44,9 @@ struct ExecStats {
   std::uint64_t hazard_stalls = 0; // cycles lost to FPU result hazards
 };
 
+/// The pipeline latencies (FPU result 5 cycles, load 1, taken branch 3:
+/// the paper's measured values) are fixed in interpreter.cpp.
 struct InterpreterConfig {
-  /// FPU result unavailable as FPU operand/result or store source until
-  /// issue + this many cycles (the paper's measured 5).
-  std::uint32_t fpu_result_latency = 5;
-  /// Load result available at issue + this many cycles.
-  std::uint32_t load_latency = 1;
-  /// Extra cycles after a taken branch.
-  std::uint32_t taken_branch_penalty = 3;
   /// Execution aborts past this many instructions (runaway guard).
   std::uint64_t max_instructions = 50'000'000;
   /// Value the COREID instruction reads (the core's 12-bit mesh id).

@@ -65,9 +65,11 @@ public:
   explicit Machine(arch::MachineConfig cfg)
       : cfg_(cfg),
         mem_(cfg.dims, engine_),
-        mesh_(cfg.dims, cfg_.timing, engine_),
-        elink_write_(cfg.dims, cfg_.timing, engine_, cfg.timing.elink_write_overhead),
-        elink_read_(cfg.dims, cfg_.timing, engine_, cfg.timing.elink_read_overhead),
+        mesh_(cfg.dims, cfg_.timing, engine_, inst_),
+        elink_write_(cfg.dims, cfg_.timing, engine_, cfg.timing.elink_write_overhead,
+                     trace::ElinkKind::Write, inst_),
+        elink_read_(cfg.dims, cfg_.timing, engine_, cfg.timing.elink_read_overhead,
+                    trace::ElinkKind::Read, inst_),
         reservations_(cfg.dims) {
     for (unsigned i = 0; i < cfg.dims.core_count(); ++i) {
       cores_.emplace_back(cfg.dims.coord_of(i), *this);
@@ -77,8 +79,10 @@ public:
   struct Core {
     Core(arch::CoreCoord c, Machine& m)
         : coord(c),
-          dma{{c, 0, m.cfg_, m.engine_, m.mem_, m.mesh_, m.elink_write_, m.elink_read_},
-              {c, 1, m.cfg_, m.engine_, m.mem_, m.mesh_, m.elink_write_, m.elink_read_}},
+          dma{{c, 0, m.cfg_, m.engine_, m.mem_, m.mesh_, m.elink_write_, m.elink_read_,
+               m.inst_},
+              {c, 1, m.cfg_, m.engine_, m.mem_, m.mesh_, m.elink_write_, m.elink_read_,
+               m.inst_}},
           ctimer{CTimer(m.engine_), CTimer(m.engine_)} {}
     arch::CoreCoord coord;
     dma::DmaChannel dma[2];
@@ -102,35 +106,42 @@ public:
   /// keep concurrently resident jobs from clobbering each other).
   [[nodiscard]] CoreReservations& reservations() noexcept { return reservations_; }
 
+  // ---- counters ------------------------------------------------------------
+  /// The machine's one counter registry. The tracer records into it, and the
+  /// scheduler and shmem groups define their counters here, so a counter
+  /// keeps counting whether a tracer is armed before, after or never.
+  [[nodiscard]] trace::Counters& counters() noexcept { return counters_; }
+  /// Add `delta` to counter `id`; with a tracer armed, also record a sample.
+  void count(trace::Counters::Id id, double delta) {
+    counters_.add(id, delta);
+    if (tracer_) tracer_->record(id, engine_.now());
+  }
+  /// Set counter `id` to `value`; with a tracer armed, also record a sample
+  /// at cycle `at`. Levels -- queue depth, cores busy -- move both ways, so
+  /// they cannot go through count().
+  void set_count(trace::Counters::Id id, double value, sim::Cycles at) {
+    counters_.set(id, value);
+    if (tracer_) tracer_->record(id, at);
+  }
+
   // ---- tracing -------------------------------------------------------------
-  /// Attach an epi-trace Tracer to every instrumented layer (memory hooks,
-  /// mesh links, both eLinks, all DMA channels, core phase spans). Idempotent;
-  /// composes with any other memory hook. Returns the (owned) tracer.
+  /// Arm an epi-trace Tracer: it observes memory traffic as a hook, and the
+  /// mesh, both eLinks, every DMA channel, the fault injector and the core
+  /// phase spans report to it through the machine's Instruments. Arming
+  /// changes no code path of the run itself. Idempotent; composes with any
+  /// other memory hook. Returns the (owned) tracer.
   trace::Tracer& enable_tracing() {
     if (!tracer_) {
-      tracer_ = std::make_unique<trace::Tracer>(cfg_.dims);
+      tracer_ = std::make_unique<trace::Tracer>(cfg_.dims, counters_);
       mem_.add_hook(tracer_.get());
-      mesh_.set_trace(tracer_.get());
-      elink_write_.set_trace(tracer_.get(), trace::ElinkKind::Write);
-      elink_read_.set_trace(tracer_.get(), trace::ElinkKind::Read);
-      for (auto& core : cores_) {
-        core.dma[0].set_trace(tracer_.get());
-        core.dma[1].set_trace(tracer_.get());
-      }
-      if (faults_) faults_->set_trace(tracer_.get());
+      inst_.tracer = tracer_.get();
     }
     return *tracer_;
   }
   void disable_tracing() noexcept {
     if (!tracer_) return;
     mem_.remove_hook(tracer_.get());
-    mesh_.set_trace(nullptr);
-    elink_write_.set_trace(nullptr, trace::ElinkKind::Write);
-    elink_read_.set_trace(nullptr, trace::ElinkKind::Read);
-    for (auto& core : cores_) {
-      core.dma[0].set_trace(nullptr);
-      core.dma[1].set_trace(nullptr);
-    }
+    inst_.tracer = nullptr;
     tracer_.reset();
   }
   [[nodiscard]] trace::Tracer* tracer() noexcept { return tracer_.get(); }
@@ -144,15 +155,9 @@ public:
   fault::FaultInjector& enable_faults(fault::FaultPlan plan) {
     if (!faults_) {
       faults_ = std::make_unique<fault::FaultInjector>(std::move(plan), engine_, mem_,
-                                                       cfg_.dims, tracer_.get());
+                                                       cfg_.dims, inst_);
       mem_.add_hook(faults_.get());
-      mesh_.set_faults(faults_.get());
-      elink_write_.set_faults(faults_.get(), 0);
-      elink_read_.set_faults(faults_.get(), 1);
-      for (auto& core : cores_) {
-        core.dma[0].set_faults(faults_.get());
-        core.dma[1].set_faults(faults_.get());
-      }
+      inst_.faults = faults_.get();
     }
     return *faults_;
   }
@@ -161,6 +166,8 @@ public:
 private:
   arch::MachineConfig cfg_;
   sim::Engine engine_;
+  trace::Counters counters_;  // outlives tracer_, which records into it
+  fault::Instruments inst_;   // read by mesh_, the eLinks and every DMA channel
   mem::MemorySystem mem_;
   noc::MeshNetwork mesh_;
   noc::ELink elink_write_;

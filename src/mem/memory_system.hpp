@@ -164,19 +164,20 @@ public:
   }
 
   /// Commit one DMA chunk: observably identical to copy_run() on each run in
-  /// order -- same bytes, same hook calls, watchers woken in the same order
-  /// -- but a chunk whose source and destination each lie in one 1 MB window
-  /// resolves each side once, and walks the watch index only if some watch
-  /// overlaps the destination. A hooked machine, or a chunk that spans two
-  /// windows or does not resolve, commits run by run, so a bad descriptor
-  /// fails at the same run either way.
+  /// order -- same bytes, same hook calls with the same canonical addresses
+  /// and sizes, watchers woken in the same order -- but a chunk whose source
+  /// and destination each lie in one 1 MB window resolves each side once,
+  /// and walks the watch index only if some watch overlaps the destination.
+  /// Hooked or not, only a chunk that spans two windows or does not resolve
+  /// commits run by run, so a bad descriptor fails at the same run either
+  /// way.
   void copy_runs(std::span<const CopyRun> runs, std::uint32_t esz, arch::CoreCoord issuer) {
     if (runs.empty()) return;
     const Hull src = hull(runs, &CopyRun::src, esz);
     const Hull dst = hull(runs, &CopyRun::dst, esz);
     std::byte* s = nullptr;
     std::byte* d = nullptr;
-    if (hooks_.empty() && src.one_window() && dst.one_window()) {
+    if (src.one_window() && dst.one_window()) {
       try {
         s = resolve(src.lo, src.bytes(), issuer).data();
         d = resolve(dst.lo, dst.bytes(), issuer).data();
@@ -189,11 +190,15 @@ public:
       return;
     }
     // Inside one window every address canonicalises by the same offset, so
-    // cs + s_off and cd + d_off are a run's canonical ends. Notifying only
-    // schedules wake-ups, so no watch appears mid-loop.
+    // cs + s_off and cd + d_off are a run's canonical ends. Each step (one
+    // element of an overlapping run, else the whole run) is one copy():
+    // bytes, then every hook's on_read and on_write, then the wake-ups.
+    // Neither hooks nor notifying add a watch, so none appears mid-loop.
     const arch::Addr cs = canonical(src.lo, issuer);
     const arch::Addr cd = canonical(dst.lo, issuer);
     const bool watched = any_watch(cd, dst.bytes());
+    const std::span<MemoryHook* const> hooks(hooks_);
+    const sim::Cycles now = engine_->now();
     for (const CopyRun& r : runs) {
       const arch::Addr s_off = r.src - src.lo;
       const arch::Addr d_off = r.dst - dst.lo;
@@ -202,8 +207,12 @@ public:
                                    : std::size_t{r.elems} * esz;
       for (std::size_t o = 0; o < std::size_t{r.elems} * esz; o += step) {
         std::memmove(d + d_off + o, s + s_off + o, step);
-        if (watched) notify_watches(cd + d_off + static_cast<arch::Addr>(o),
-                                    static_cast<std::uint32_t>(step));
+        const auto o32 = static_cast<arch::Addr>(o);
+        for (MemoryHook* h : hooks) {
+          h->on_read(cs + s_off + o32, step, issuer, now);
+          h->on_write(cd + d_off + o32, step, issuer, now);
+        }
+        if (watched) notify_watches(cd + d_off + o32, static_cast<std::uint32_t>(step));
       }
     }
   }

@@ -42,13 +42,19 @@ namespace epi::noc {
 class ELink {
 public:
   /// `overhead` is the per-transaction protocol derating (4.0 reproduces
-  /// the observed 150 MB/s on a 600 MB/s link).
+  /// the observed 150 MB/s on a 600 MB/s link). `kind` names the network:
+  /// it picks the tracer's eLink track and which of the plan's outage and
+  /// corruption windows apply. `inst` must outlive the link; with a tracer
+  /// armed every grant is reported as an `elink_txn` span carrying the
+  /// requester and its queueing stall.
   ELink(arch::MeshDims dims, const arch::TimingParams& timing, sim::Engine& engine,
-        double overhead)
+        double overhead, trace::ElinkKind kind, const fault::Instruments& inst)
       : dims_(dims),
         timing_(&timing),
         engine_(&engine),
         overhead_(overhead),
+        kind_(kind),
+        inst_(&inst),
         fifos_(dims.core_count()),
         row_total_(dims.rows, 0),
         row_west_(dims.rows, 0),
@@ -67,7 +73,8 @@ public:
       void await_suspend(std::coroutine_handle<> h) {
         // A dead core cannot issue off-chip requests: park the resumption
         // before it reaches the FIFOs so arbitration never sees it.
-        if (link.faults_ != nullptr && link.faults_->park_if_dead(c, h)) return;
+        fault::FaultInjector* const faults = link.inst_->faults;
+        if (faults != nullptr && faults->park_if_dead(c)) return;
         link.fifos_[link.dims_.index_of(c)].push_back(
             Request{bytes, link.engine_->now(), h});
         ++link.pending_;
@@ -88,20 +95,6 @@ public:
   }
   [[nodiscard]] std::uint64_t total_bytes_served() const noexcept { return total_served_; }
 
-  /// Attach (or detach, with nullptr) a tracer; every grant is reported as
-  /// an `elink_txn` span carrying the requester and its queueing stall.
-  void set_trace(trace::Tracer* t, trace::ElinkKind kind) noexcept {
-    trace_ = t;
-    trace_kind_ = kind;
-  }
-
-  /// Attach a fault injector. `kind` selects which outage/corruption windows
-  /// apply (0 = write network, 1 = read network).
-  void set_faults(fault::FaultInjector* f, unsigned kind) noexcept {
-    faults_ = f;
-    fault_kind_ = kind;
-  }
-
 private:
   struct Request {
     std::uint32_t bytes;
@@ -114,8 +107,9 @@ private:
       pumping_ = false;
       return;
     }
-    if (faults_ != nullptr) {
-      const sim::Cycles avail = faults_->elink_available(fault_kind_, engine_->now());
+    if (fault::FaultInjector* const faults = inst_->faults) {
+      const sim::Cycles avail =
+          faults->elink_available(static_cast<unsigned>(kind_), engine_->now());
       if (avail == fault::kNever) {
         // Permanent outage: the pump falls silent with pumping_ held, so
         // queued requesters hang -- the watchdog layer reports them.
@@ -143,9 +137,9 @@ private:
     total_served_ += r.bytes;
 
     const sim::Cycles now = engine_->now();
-    if (trace_ != nullptr) {
-      trace_->elink_txn(trace_kind_, dims_.coord_of(winner), r.bytes, r.enqueued,
-                        now, now + occupancy);
+    if (trace::Tracer* const tr = inst_->tracer) {
+      tr->elink_txn(kind_, dims_.coord_of(winner), r.bytes, r.enqueued, now,
+                    now + occupancy);
     }
     // The requester observes link occupancy plus the glue-logic latency;
     // the link itself frees after the occupancy (latency is pipelined).
@@ -242,6 +236,8 @@ private:
   const arch::TimingParams* timing_;
   sim::Engine* engine_;
   double overhead_;
+  trace::ElinkKind kind_;
+  const fault::Instruments* inst_;
   std::vector<std::deque<Request>> fifos_;
   std::vector<std::size_t> row_total_;  // pending per row (all columns)
   std::vector<std::size_t> row_west_;   // pending per row, west of the exit column
@@ -251,10 +247,6 @@ private:
   std::uint64_t total_served_ = 0;
   std::size_t pending_ = 0;
   bool pumping_ = false;
-  trace::Tracer* trace_ = nullptr;
-  trace::ElinkKind trace_kind_ = trace::ElinkKind::Write;
-  fault::FaultInjector* faults_ = nullptr;
-  unsigned fault_kind_ = 0;
 };
 
 }  // namespace epi::noc

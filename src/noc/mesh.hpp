@@ -25,23 +25,22 @@ namespace epi::noc {
 
 class MeshNetwork {
 public:
-  MeshNetwork(arch::MeshDims dims, const arch::TimingParams& timing, sim::Engine& engine)
+  /// `inst` is read on every burst and must outlive the network. With a
+  /// tracer armed, each reserved burst emits a per-directed-link occupancy
+  /// span plus per-link byte counters. With a fault injector armed, routing
+  /// only changes when the plan actually fails a mesh link
+  /// (any_link_faults()); otherwise every burst takes the byte-identical
+  /// original path, fast paths included.
+  MeshNetwork(arch::MeshDims dims, const arch::TimingParams& timing, sim::Engine& engine,
+              const fault::Instruments& inst)
       : dims_(dims),
         timing_(&timing),
         engine_(&engine),
+        inst_(&inst),
         // One occupancy slot per directed link: 4 directions per router.
         link_free_(static_cast<std::size_t>(dims.core_count()) * 4, 0) {}
 
   [[nodiscard]] arch::MeshDims dims() const noexcept { return dims_; }
-
-  /// Attach (or detach, with nullptr) a tracer; each reserved burst emits a
-  /// per-directed-link occupancy span plus per-link byte counters.
-  void set_trace(trace::Tracer* t) noexcept { trace_ = t; }
-
-  /// Attach a fault injector. Routing only changes when the plan actually
-  /// fails a mesh link (any_link_faults()); otherwise every burst takes the
-  /// byte-identical original path, fast paths included.
-  void set_faults(fault::FaultInjector* f) noexcept { faults_ = f; }
 
   /// Cycles charged to a core that copies `words` 32-bit values into a
   /// remote core's memory with CPU load/store pairs (Listing 1 style).
@@ -72,7 +71,7 @@ public:
     const sim::Cycles occupancy = std::max<sim::Cycles>(
         1, static_cast<sim::Cycles>(static_cast<double>(bytes) / timing_->link_bytes_per_cycle + 0.5));
 
-    if (faults_ != nullptr && faults_->any_link_faults()) {
+    if (inst_->faults != nullptr && inst_->faults->any_link_faults()) {
       return reserve_path_degraded(src, dst, bytes, earliest, occupancy);
     }
 
@@ -86,41 +85,20 @@ public:
       const std::size_t li = link_index(src, d);
       const sim::Cycles start = std::max(earliest, link_free_[li]);
       link_free_[li] = start + occupancy;
-      if (trace_ != nullptr) {
-        trace_->mesh_link(src, d, static_cast<std::uint32_t>(bytes), start,
-                          start + occupancy);
+      if (trace::Tracer* const tr = inst_->tracer) {
+        tr->mesh_link(src, d, static_cast<std::uint32_t>(bytes), start, start + occupancy);
       }
       return start + occupancy +
              static_cast<sim::Cycles>(timing_->mesh_hop_cycles * 1.0 + 0.5);
     }
 
-    // Collect the directed links of the XY route (column-first, then row,
-    // matching eMesh dimension-ordered routing).
-    path_scratch_.clear();
-    if (trace_ != nullptr) hop_scratch_.clear();
-    arch::CoreCoord cur = src;
-    while (cur.col != dst.col) {
-      const arch::Dir d = cur.col < dst.col ? arch::Dir::East : arch::Dir::West;
-      path_scratch_.push_back(link_index(cur, d));
-      if (trace_ != nullptr) hop_scratch_.push_back({cur, d});
-      cur.col += cur.col < dst.col ? 1 : -1u;
-    }
-    while (cur.row != dst.row) {
-      const arch::Dir d = cur.row < dst.row ? arch::Dir::South : arch::Dir::North;
-      path_scratch_.push_back(link_index(cur, d));
-      if (trace_ != nullptr) hop_scratch_.push_back({cur, d});
-      cur.row += cur.row < dst.row ? 1 : -1u;
-    }
-
+    // The XY route: column-first, then row, matching eMesh
+    // dimension-ordered routing.
+    build_path(src, dst, /*rows_first=*/false);
     sim::Cycles start = earliest;
     for (auto li : path_scratch_) start = std::max(start, link_free_[li]);
     for (auto li : path_scratch_) link_free_[li] = start + occupancy;
-    if (trace_ != nullptr) {
-      for (const auto& [router, dir] : hop_scratch_) {
-        trace_->mesh_link(router, dir, static_cast<std::uint32_t>(bytes), start,
-                          start + occupancy);
-      }
-    }
+    trace_path(bytes, start, occupancy);
 
     const auto hops = static_cast<double>(path_scratch_.size());
     return start + occupancy +
@@ -132,10 +110,12 @@ private:
     return static_cast<std::size_t>(dims_.index_of(c)) * 4 + static_cast<unsigned>(d);
   }
 
-  /// Collect the directed links of a dimension-ordered route into the
-  /// scratch vectors: XY (columns first, the hardware order) or the YX
+  /// Collect the directed links of a dimension-ordered route into
+  /// path_scratch_ (and, while tracing, their (router, dir) pairs into
+  /// hop_scratch_): XY (columns first, the hardware order) or the YX
   /// fallback used to steer around a failed link.
   void build_path(arch::CoreCoord src, arch::CoreCoord dst, bool rows_first) {
+    const bool hops = inst_->tracer != nullptr;
     path_scratch_.clear();
     hop_scratch_.clear();
     arch::CoreCoord cur = src;
@@ -143,7 +123,7 @@ private:
       while (cur.col != dst.col) {
         const arch::Dir d = cur.col < dst.col ? arch::Dir::East : arch::Dir::West;
         path_scratch_.push_back(link_index(cur, d));
-        hop_scratch_.push_back({cur, d});
+        if (hops) hop_scratch_.push_back({cur, d});
         cur.col += cur.col < dst.col ? 1 : -1u;
       }
     };
@@ -151,7 +131,7 @@ private:
       while (cur.row != dst.row) {
         const arch::Dir d = cur.row < dst.row ? arch::Dir::South : arch::Dir::North;
         path_scratch_.push_back(link_index(cur, d));
-        hop_scratch_.push_back({cur, d});
+        if (hops) hop_scratch_.push_back({cur, d});
         cur.row += cur.row < dst.row ? 1 : -1u;
       }
     };
@@ -161,6 +141,15 @@ private:
     } else {
       walk_cols();
       walk_rows();
+    }
+  }
+
+  /// Report a burst over the built path to the tracer, if one is armed.
+  void trace_path(std::size_t bytes, sim::Cycles start, sim::Cycles occupancy) {
+    trace::Tracer* const tr = inst_->tracer;
+    if (tr == nullptr) return;
+    for (const auto& [router, dir] : hop_scratch_) {
+      tr->mesh_link(router, dir, static_cast<std::uint32_t>(bytes), start, start + occupancy);
     }
   }
 
@@ -174,7 +163,7 @@ private:
     while (moved) {
       moved = false;
       for (auto li : path_scratch_) {
-        const sim::Cycles clear = faults_->link_clear_from(li, start, occupancy);
+        const sim::Cycles clear = inst_->faults->link_clear_from(li, start, occupancy);
         if (clear == fault::kNever) return fault::kNever;
         if (clear > start) {
           start = clear;
@@ -203,15 +192,10 @@ private:
                                      arch::to_string(dst) +
                                      ": XY and YX both cross a failed link");
       }
-      faults_->note_reroute(src, dst);
+      inst_->faults->note_reroute(src, dst);
     }
     for (auto li : path_scratch_) link_free_[li] = start + occupancy;
-    if (trace_ != nullptr) {
-      for (const auto& [router, dir] : hop_scratch_) {
-        trace_->mesh_link(router, dir, static_cast<std::uint32_t>(bytes), start,
-                          start + occupancy);
-      }
-    }
+    trace_path(bytes, start, occupancy);
     sim::Cycles done =
         start + occupancy +
         static_cast<sim::Cycles>(
@@ -230,12 +214,11 @@ private:
   arch::MeshDims dims_;
   const arch::TimingParams* timing_;
   sim::Engine* engine_;
+  const fault::Instruments* inst_;
   std::vector<sim::Cycles> link_free_;
   std::vector<std::size_t> path_scratch_;
   std::vector<std::pair<arch::CoreCoord, arch::Dir>> hop_scratch_;
   std::vector<sim::Cycles> pair_done_;  // per (src,dst): last delivery, for ordering
-  trace::Tracer* trace_ = nullptr;
-  fault::FaultInjector* faults_ = nullptr;
 };
 
 }  // namespace epi::noc

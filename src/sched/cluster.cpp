@@ -47,16 +47,11 @@ std::uint32_t payload_crc(const std::string& payload) {
 // delivered messages, which is what keeps each chip's view of the cluster
 // realistic.
 struct ClusterScheduler::Chip final : sim::Domain {
-  // Tracing must be armed before the Scheduler grabs its counter registry,
-  // i.e. between the two member initialisers.
-  static host::System& with_tracing(host::System& sys, bool trace) {
-    if (trace) sys.machine().enable_tracing();
-    return sys;
-  }
   Chip(const arch::MachineConfig& mc, const SchedConfig& sc, unsigned chips,
        bool trace)
-      : sys(mc), sched(with_tracing(sys, trace), sc),
-        bridge(sys.timing(), chips) {}
+      : sys(mc), sched(sys, sc), bridge(sys.timing(), chips) {
+    if (trace) sys.machine().enable_tracing();
+  }
 
   sim::Engine& engine() override { return sys.engine(); }
 
@@ -704,18 +699,14 @@ void ClusterScheduler::run(unsigned /*workers*/) {
           part_.mark(h, machine::ChipHealth::Quarantined);
         }
       }
-      trace::Counters& cnt = chips_[h]->sched.counters();
-      trace::Tracer* tr = chips_[h]->sys.machine().tracer();
+      machine::Machine& m = chips_[h]->sys.machine();
       const auto expose = [&](const char* what, std::uint64_t v) {
         const trace::Counters::Id id =
-            cnt.define(util::format("sched.cluster.chip%u.%s", h, what),
-                       trace::Counters::Kind::Monotonic);
-        cnt.set(id, static_cast<double>(v));
-        // With tracing armed the registry is the tracer's, and a sample at
-        // the makespan puts the verdict on the chip's counter track.
-        if (tr != nullptr) {
-          tr->sample(id, stats_.makespan, static_cast<double>(v));
-        }
+            m.counters().define(util::format("sched.cluster.chip%u.%s", h, what),
+                                trace::Counters::Kind::Monotonic);
+        // With tracing armed, a sample at the makespan puts the verdict on
+        // the chip's counter track.
+        m.set_count(id, static_cast<double>(v), stats_.makespan);
       };
       expose("faults", faults);
       expose("reforwarded", rehomed);

@@ -11,7 +11,6 @@
 #include "lint/workgroup.hpp"
 #include "sched/dag.hpp"
 #include "sched/kernels.hpp"
-#include "trace/tracer.hpp"
 #include "util/fmt.hpp"
 
 namespace epi::sched {
@@ -29,61 +28,47 @@ Scheduler::Scheduler(host::System& sys, SchedConfig cfg)
     throw std::invalid_argument("SchedConfig::queue_capacity must be at least 1");
   }
   if (cfg_.aging_quantum == 0) cfg_.aging_quantum = 1;
-  // When the machine traces, scheduler metrics live in the tracer's registry
-  // so queue depth / cores busy land on the Perfetto timeline next to the
-  // cores' own spans; otherwise keep a private registry.
-  if (auto* tr = sys.machine().tracer()) {
-    counters_ = &tr->counters();
-  } else {
-    owned_counters_ = std::make_unique<trace::Counters>();
-    counters_ = owned_counters_.get();
-  }
   define_counters();
 }
 
+// Scheduler metrics live in the machine's registry, so with a tracer armed
+// queue depth / cores busy land on the Perfetto timeline next to the cores'
+// own spans.
 void Scheduler::define_counters() {
   using K = trace::Counters::Kind;
-  c_submitted_ = counters_->define("sched.jobs.submitted", K::Monotonic);
-  c_admitted_ = counters_->define("sched.jobs.admitted", K::Monotonic);
-  c_rejected_ = counters_->define("sched.jobs.rejected", K::Monotonic);
-  c_completed_ = counters_->define("sched.jobs.completed", K::Monotonic);
-  c_timedout_ = counters_->define("sched.jobs.timed_out", K::Monotonic);
-  c_failed_ = counters_->define("sched.jobs.failed", K::Monotonic);
-  c_launch_failures_ = counters_->define("sched.launch.failures", K::Monotonic);
-  c_retries_ = counters_->define("sched.launch.retries", K::Monotonic);
-  c_busy_cycles_ = counters_->define("sched.core_cycles.busy", K::Monotonic);
-  g_queue_depth_ = counters_->define("sched.queue.depth", K::Gauge);
-  g_running_ = counters_->define("sched.jobs.running", K::Gauge);
-  g_cores_busy_ = counters_->define("sched.cores.busy", K::Gauge);
-  c_faults_ = counters_->define("sched.faults.detected", K::Monotonic);
-  c_reexecs_ = counters_->define("sched.jobs.reexecuted", K::Monotonic);
-  g_quarantined_ = counters_->define("sched.cores.quarantined", K::Gauge);
-  c_lint_rejects_ = counters_->define("sched.lint.rejects", K::Monotonic);
-  c_lint_warnings_ = counters_->define("sched.lint.warnings", K::Monotonic);
-  c_handoff_scratch_ =
-      counters_->define("sched.dag.handoff.scratch_bytes", K::Monotonic);
-  c_handoff_dram_ = counters_->define("sched.dag.handoff.dram_bytes", K::Monotonic);
+  trace::Counters& c = counters();
+  c_submitted_ = c.define("sched.jobs.submitted", K::Monotonic);
+  c_admitted_ = c.define("sched.jobs.admitted", K::Monotonic);
+  c_rejected_ = c.define("sched.jobs.rejected", K::Monotonic);
+  c_completed_ = c.define("sched.jobs.completed", K::Monotonic);
+  c_timedout_ = c.define("sched.jobs.timed_out", K::Monotonic);
+  c_failed_ = c.define("sched.jobs.failed", K::Monotonic);
+  c_launch_failures_ = c.define("sched.launch.failures", K::Monotonic);
+  c_retries_ = c.define("sched.launch.retries", K::Monotonic);
+  c_busy_cycles_ = c.define("sched.core_cycles.busy", K::Monotonic);
+  g_queue_depth_ = c.define("sched.queue.depth", K::Gauge);
+  g_running_ = c.define("sched.jobs.running", K::Gauge);
+  g_cores_busy_ = c.define("sched.cores.busy", K::Gauge);
+  c_faults_ = c.define("sched.faults.detected", K::Monotonic);
+  c_reexecs_ = c.define("sched.jobs.reexecuted", K::Monotonic);
+  g_quarantined_ = c.define("sched.cores.quarantined", K::Gauge);
+  c_lint_rejects_ = c.define("sched.lint.rejects", K::Monotonic);
+  c_lint_warnings_ = c.define("sched.lint.warnings", K::Monotonic);
+  c_handoff_scratch_ = c.define("sched.dag.handoff.scratch_bytes", K::Monotonic);
+  c_handoff_dram_ = c.define("sched.dag.handoff.dram_bytes", K::Monotonic);
 }
 
 void Scheduler::bump(trace::Counters::Id id, double delta) {
-  if (auto* tr = sys_->machine().tracer()) {
-    tr->count(id, sys_->engine().now(), delta);
-  } else {
-    counters_->add(id, delta);
-  }
+  sys_->machine().count(id, delta);
 }
 
 void Scheduler::gauge(trace::Counters::Id id, double value) {
-  if (auto* tr = sys_->machine().tracer()) {
-    tr->sample(id, sys_->engine().now(), value);
-  } else {
-    counters_->set(id, value);
-  }
+  sys_->machine().set_count(id, value, sys_->engine().now());
 }
 
 trace::Counters::Id Scheduler::tenant_counter(const std::string& tenant,
                                               const char* what) {
-  return counters_->define("sched.tenant." + tenant + "." + what,
+  return counters().define("sched.tenant." + tenant + "." + what,
                            trace::Counters::Kind::Monotonic);
 }
 

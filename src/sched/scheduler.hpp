@@ -25,9 +25,9 @@
 //     dropped with a TimedOut verdict; deadlines are soft SLOs tracked in
 //     the metrics (hit-rate), never enforced by killing kernels;
 //   * metrics          -- per-job records plus counters (queue depth, cores
-//     busy, completions per tenant, ...) through trace::Counters; with
-//     machine tracing enabled the samples land on the Perfetto timeline
-//     alongside the cores' own spans.
+//     busy, completions per tenant, ...) in the machine's trace::Counters;
+//     with machine tracing armed, at any time, the samples land on the
+//     Perfetto timeline alongside the cores' own spans.
 //
 // Determinism: every decision is a pure function of (job stream, config,
 // engine event order). Two runs with the same seed produce byte-identical
@@ -169,9 +169,10 @@ public:
   /// The log of a scheduler about to be dropped, moved out instead of copied.
   [[nodiscard]] EventLog event_log() && noexcept { return std::move(log_); }
   [[nodiscard]] const MeshAllocator& allocator() const noexcept { return alloc_; }
-  [[nodiscard]] trace::Counters& counters() noexcept { return *counters_; }
+  /// The machine's counter registry, which holds the sched.* counters.
+  [[nodiscard]] trace::Counters& counters() noexcept { return sys_->machine().counters(); }
   [[nodiscard]] const trace::Counters& counters() const noexcept {
-    return *counters_;
+    return sys_->machine().counters();
   }
 
   /// Structured fault reports (watchdog trips, failed transfers, corrupt
@@ -317,10 +318,8 @@ private:
   std::size_t blocked_ = kNoBlock;
   PassCounts passes_;
 
-  // Counters live in the tracer's registry when tracing is enabled (so the
-  // samples join the Perfetto export); otherwise in a private registry.
-  std::unique_ptr<trace::Counters> owned_counters_;
-  trace::Counters* counters_ = nullptr;
+  // Ids in the machine's registry; bump() and gauge() also record a sample
+  // when a tracer is armed, so the series joins the Perfetto export.
   trace::Counters::Id c_submitted_, c_admitted_, c_rejected_, c_completed_,
       c_timedout_, c_failed_, c_launch_failures_, c_retries_, c_busy_cycles_,
       g_queue_depth_, g_running_, g_cores_busy_, c_faults_, c_reexecs_,

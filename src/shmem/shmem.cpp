@@ -8,7 +8,6 @@
 
 #include "dma/descriptor.hpp"
 #include "mem/memory_system.hpp"
-#include "trace/tracer.hpp"
 
 namespace epi::shmem {
 
@@ -76,19 +75,14 @@ Addr SymmetricHeap::alloc(std::uint32_t bytes, std::uint32_t align) {
 
 Group::Group(machine::Machine& m, device::GroupInfo info, Config cfg)
     : m_(&m), info_(info), cfg_(cfg), heap_(kHeapBase, kHeapEnd) {
-  if (auto* tr = m_->tracer()) {
-    counters_ = &tr->counters();
-  } else {
-    owned_counters_ = std::make_unique<trace::Counters>();
-    counters_ = owned_counters_.get();
-  }
   using K = trace::Counters::Kind;
-  c_puts_ = counters_->define("shmem.puts", K::Monotonic);
-  c_gets_ = counters_->define("shmem.gets", K::Monotonic);
-  c_bytes_ = counters_->define("shmem.bytes", K::Monotonic);
-  c_barrier_waits_ = counters_->define("shmem.barrier_waits", K::Monotonic);
-  c_broadcasts_ = counters_->define("shmem.broadcasts", K::Monotonic);
-  c_reductions_ = counters_->define("shmem.reductions", K::Monotonic);
+  trace::Counters& c = m.counters();
+  c_puts_ = c.define("shmem.puts", K::Monotonic);
+  c_gets_ = c.define("shmem.gets", K::Monotonic);
+  c_bytes_ = c.define("shmem.bytes", K::Monotonic);
+  c_barrier_waits_ = c.define("shmem.barrier_waits", K::Monotonic);
+  c_broadcasts_ = c.define("shmem.broadcasts", K::Monotonic);
+  c_reductions_ = c.define("shmem.reductions", K::Monotonic);
   reset_runtime_words();
 }
 
@@ -104,30 +98,22 @@ void Group::reset_runtime_words() {
   }
 }
 
-void Group::bump(trace::Counters::Id id, double delta) {
-  if (auto* tr = m_->tracer()) {
-    tr->count(id, m_->engine().now(), delta);
-  } else {
-    counters_->add(id, delta);
-  }
-}
-
 void Group::note_put(std::uint32_t bytes) {
-  bump(c_puts_, 1.0);
-  bump(c_bytes_, static_cast<double>(bytes));
+  m_->count(c_puts_, 1.0);
+  m_->count(c_bytes_, static_cast<double>(bytes));
 }
 
 void Group::note_get(std::uint32_t bytes) {
-  bump(c_gets_, 1.0);
-  bump(c_bytes_, static_cast<double>(bytes));
+  m_->count(c_gets_, 1.0);
+  m_->count(c_bytes_, static_cast<double>(bytes));
 }
 
 void Group::note_barrier(unsigned waits) {
-  bump(c_barrier_waits_, static_cast<double>(waits));
+  m_->count(c_barrier_waits_, static_cast<double>(waits));
 }
 
-void Group::note_broadcast() { bump(c_broadcasts_, 1.0); }
-void Group::note_reduction() { bump(c_reductions_, 1.0); }
+void Group::note_broadcast() { m_->count(c_broadcasts_, 1.0); }
+void Group::note_reduction() { m_->count(c_reductions_, 1.0); }
 
 // ---- Pe -------------------------------------------------------------------
 

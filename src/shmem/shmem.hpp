@@ -110,15 +110,15 @@ public:
     return {info_.origin.row + pe / info_.cols, info_.origin.col + pe % info_.cols};
   }
 
-  /// The registry the shmem.* counters live in (the machine tracer's when
-  /// tracing is on, else a Group-private one).
-  [[nodiscard]] const trace::Counters& counters() const noexcept { return *counters_; }
+  /// The registry the shmem.* counters live in: the machine's, so every
+  /// Group on one machine adds into the same counters.
+  [[nodiscard]] const trace::Counters& counters() const noexcept { return m_->counters(); }
 
   /// Re-zero the runtime flag words (also done by the constructor).
   void reset_runtime_words();
 
-  // Counter bumps (called by Pe on the device path; routed through the
-  // tracer when present so the time series lands on the timeline).
+  // Counter bumps (called by Pe on the device path; with a tracer armed the
+  // machine also records the sample, so the series lands on the timeline).
   void note_put(std::uint32_t bytes);
   void note_get(std::uint32_t bytes);
   void note_barrier(unsigned waits);
@@ -126,14 +126,10 @@ public:
   void note_reduction();
 
 private:
-  void bump(trace::Counters::Id id, double delta);
-
   machine::Machine* m_;
   device::GroupInfo info_;
   Config cfg_;
   SymmetricHeap heap_;
-  std::unique_ptr<trace::Counters> owned_counters_;
-  trace::Counters* counters_;
   trace::Counters::Id c_puts_ = trace::Counters::kNone;
   trace::Counters::Id c_gets_ = trace::Counters::kNone;
   trace::Counters::Id c_bytes_ = trace::Counters::kNone;

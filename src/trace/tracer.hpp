@@ -15,6 +15,11 @@
 //   * memory      per-core read/write byte counters via mem::MemoryHook
 //                 (the Tracer composes with the sanitizer hook).
 //
+// The counters live in the machine's one registry (machine::Machine owns
+// it); the Tracer records into it by reference, so a counter keeps its id
+// and value whether or not a tracer is armed, and arming one only adds the
+// samples from then on.
+//
 // Because the engine is deterministic, the event stream (and every export
 // derived from it) is bit-reproducible run over run; tests assert this.
 // Counter samples are coalesced per (counter, cycle) so high-frequency
@@ -82,10 +87,12 @@ struct Event {
 
 class Tracer final : public mem::MemoryHook {
 public:
-  explicit Tracer(arch::MeshDims dims)
+  /// Records into `counters`, which must outlive the tracer. The two DMA
+  /// tracks of every core come first, in core order (dma_track()).
+  Tracer(arch::MeshDims dims, Counters& counters)
       : dims_(dims),
+        counters_(counters),
         core_tracks_(dims.core_count(), kNoTrack),
-        dma_tracks_(static_cast<std::size_t>(dims.core_count()) * 2, kNoTrack),
         link_tracks_(static_cast<std::size_t>(dims.core_count()) * 4, kNoTrack),
         link_bytes_(static_cast<std::size_t>(dims.core_count()) * 4, Counters::kNone),
         mem_read_(dims.core_count(), Counters::kNone),
@@ -94,6 +101,11 @@ public:
                           std::vector<Counters::Id>(dims.core_count(), Counters::kNone)},
         flops_core_(dims.core_count(), Counters::kNone) {
     intern("");  // id 0 = absent
+    for (unsigned i = 0; i < dims.core_count(); ++i) {
+      for (unsigned chan = 0; chan < 2; ++chan) {
+        add_track("dma" + std::to_string(chan) + "@" + arch::to_string(dims.coord_of(i)));
+      }
+    }
   }
 
   [[nodiscard]] arch::MeshDims dims() const noexcept { return dims_; }
@@ -151,21 +163,31 @@ public:
     events_.push_back(e);
   }
 
-  /// Update counter `id` and record a sample. Samples landing on the same
-  /// cycle as the counter's previous sample are coalesced in place, which
-  /// keeps per-element functional traffic (DMA chunk commits) cheap.
+  /// Update counter `id` and record a sample.
   void count(Counters::Id id, sim::Cycles t, double delta) {
     counters_.add(id, delta);
-    push_sample(id, t);
+    record(id, t);
   }
 
-  /// Set a Gauge counter to an absolute level and record a sample (same
-  /// per-cycle coalescing as count()). Levels -- queue depth, resident
-  /// workgroups, cores busy -- move both ways, so they cannot go through the
-  /// delta path.
-  void sample(Counters::Id id, sim::Cycles t, double value) {
-    counters_.set(id, value);
-    push_sample(id, t);
+  /// Record a Counter sample of `id`'s current value at `t`. Samples landing
+  /// on the same cycle as the counter's previous sample are coalesced in
+  /// place, which keeps per-element functional traffic (DMA chunk commits)
+  /// cheap.
+  void record(Counters::Id id, sim::Cycles t) {
+    if (id >= last_sample_.size()) last_sample_.resize(id + 1, kNoEvent);
+    const std::uint32_t last = last_sample_[id];
+    if (last != kNoEvent && events_[last].t == t &&
+        events_[last].type == Event::Type::Counter && events_[last].track == id) {
+      events_[last].value = counters_.value(id);
+      return;
+    }
+    last_sample_[id] = static_cast<std::uint32_t>(events_.size());
+    Event e;
+    e.type = Event::Type::Counter;
+    e.track = id;
+    e.t = t;
+    e.value = counters_.value(id);
+    events_.push_back(e);
   }
 
   // ---- eCore phase spans -------------------------------------------------
@@ -202,23 +224,26 @@ public:
 
   // ---- DMA ----------------------------------------------------------------
 
-  [[nodiscard]] std::uint32_t dma_track(arch::CoreCoord c, unsigned chan) {
-    auto& tr = dma_tracks_[dims_.index_of(c) * 2 + chan];
-    if (tr == kNoTrack) {
-      tr = add_track("dma" + std::to_string(chan) + "@" + arch::to_string(c));
-    }
-    return tr;
+  /// Channel `chan` of core `c`: the constructor made these tracks first.
+  [[nodiscard]] std::uint32_t dma_track(arch::CoreCoord c, unsigned chan) const {
+    return dims_.index_of(c) * 2 + chan;
   }
 
   /// A committed DMA chunk: instant on the channel track + byte counters.
-  void dma_chunk(std::uint32_t track, arch::CoreCoord owner, std::uint32_t bytes,
-                 sim::Cycles t) {
+  void dma_chunk(std::uint32_t track, std::uint32_t bytes, sim::Cycles t) {
     instant(track, "chunk", t, "bytes", bytes);
     if (dma_bytes_ == Counters::kNone) {
       dma_bytes_ = counters_.define("dma.bytes", Counters::Kind::Monotonic);
     }
     count(dma_bytes_, t, bytes);
-    (void)owner;
+  }
+
+  // ---- faults ---------------------------------------------------------------
+
+  /// The track of injected-fault instants, made at the first injection.
+  [[nodiscard]] std::uint32_t fault_track() {
+    if (fault_track_ == kNoTrack) fault_track_ = add_track("faults");
+    return fault_track_;
   }
 
   // ---- eLink ---------------------------------------------------------------
@@ -327,25 +352,6 @@ private:
   static constexpr std::uint32_t kNoTrack = ~std::uint32_t{0};
   static constexpr std::uint32_t kNoEvent = ~std::uint32_t{0};
 
-  /// Record a Counter sample of `id`'s current value at `t`, coalescing with
-  /// the previous sample when it landed on the same cycle.
-  void push_sample(Counters::Id id, sim::Cycles t) {
-    if (id >= last_sample_.size()) last_sample_.resize(id + 1, kNoEvent);
-    const std::uint32_t last = last_sample_[id];
-    if (last != kNoEvent && events_[last].t == t &&
-        events_[last].type == Event::Type::Counter && events_[last].track == id) {
-      events_[last].value = counters_.value(id);
-      return;
-    }
-    last_sample_[id] = static_cast<std::uint32_t>(events_.size());
-    Event e;
-    e.type = Event::Type::Counter;
-    e.track = id;
-    e.t = t;
-    e.value = counters_.value(id);
-    events_.push_back(e);
-  }
-
   Counters::Id mem_counter(std::vector<Counters::Id>& ids, const char* prefix,
                            arch::CoreCoord c) {
     auto& id = ids[dims_.index_of(c)];
@@ -360,15 +366,15 @@ private:
   std::vector<Track> tracks_;
   std::vector<std::string> strings_;
   std::unordered_map<std::string, std::uint32_t> intern_;
-  Counters counters_;
+  Counters& counters_;
   std::vector<std::uint32_t> last_sample_;  // counter id -> last sample event
 
   // Lazily-created tracks and counters (created in first-use order, which is
   // deterministic because the engine is).
   std::vector<std::uint32_t> core_tracks_;
-  std::vector<std::uint32_t> dma_tracks_;
   std::vector<std::uint32_t> link_tracks_;
   std::uint32_t elink_tracks_[2] = {kNoTrack, kNoTrack};
+  std::uint32_t fault_track_ = kNoTrack;
   std::vector<Counters::Id> link_bytes_;
   std::vector<Counters::Id> mem_read_;
   std::vector<Counters::Id> mem_write_;

@@ -35,6 +35,8 @@
 #include "shmem/workloads.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
+#include "trace/export.hpp"
+#include "trace/tracer.hpp"
 
 namespace {
 
@@ -512,6 +514,107 @@ TEST(GoldenDeterminism, ClusterChipCrashFailoverReplay) {
   EXPECT_GT(completed_elsewhere, 0u);
 
   expect_replay_golden(cfg, 12557027773043665117ull);
+}
+
+// ---- trace bytes ------------------------------------------------------------
+//
+// The Chrome/Perfetto JSON and the counters CSV are pinned byte for byte
+// (FNV-1a-64), not only compared run to run: arming an instrument observes
+// the run and must not move a sample, a track or a counter. These digests
+// change only with a deliberate export-format change.
+
+struct TraceDigests {
+  std::uint64_t json = 0;
+  std::uint64_t csv = 0;
+};
+
+TraceDigests digest_machine_trace(const trace::Tracer& t) {
+  std::ostringstream json, csv;
+  trace::write_chrome_trace(json, t);
+  trace::write_counters_csv(csv, t.counters());
+  return {fnv1a(json.str()), fnv1a(csv.str())};
+}
+
+// The 64x64 off-chip matmul on a 2x2 group: host preload over the eLink,
+// per-core DMA paging, barriers, compute and write-back.
+TEST(TraceBytes, OffchipMatmul) {
+  host::System sys;
+  const trace::Tracer& t = sys.machine().enable_tracing();
+  core::run_matmul_offchip(sys, 64, 2, 16, core::Codegen::TunedAsm, 42, false);
+  const TraceDigests d = digest_machine_trace(t);
+  EXPECT_EQ(d.json, 0xd9e635a73d4ac459ull);
+  EXPECT_EQ(d.csv, 0x62ef1f37d1b8b0ecull);
+}
+
+// A 4x4 stencil, 5 iterations: mesh links, flag waits and barriers.
+TEST(TraceBytes, Stencil) {
+  host::System sys;
+  const trace::Tracer& t = sys.machine().enable_tracing();
+  core::StencilConfig cfg;
+  cfg.rows = 8;
+  cfg.cols = 8;
+  cfg.iters = 5;
+  (void)core::run_stencil_experiment(sys, 4, 4, cfg, 1, false);
+  const TraceDigests d = digest_machine_trace(t);
+  EXPECT_EQ(d.json, 0xc0115ee9f3e0ec37ull);
+  EXPECT_EQ(d.csv, 0xff486f63c0d1aa37ull);
+}
+
+// A traced single-chip serve of offload and shmem jobs under a small fault
+// plan: scheduler gauges, shmem counters, the injector's `faults` track and
+// DMA CRC retries all land in one export.
+TEST(TraceBytes, ServeShmemOffloadUnderFaults) {
+  sched::TrafficConfig tc;
+  tc.jobs = 12;
+  tc.seed = 4;
+  tc.mean_interarrival = 20'000;
+  tc.matmul_weight = 0;
+  tc.stencil_weight = 0;
+  tc.offload_weight = 2;
+  tc.cannon_weight = 1;
+  tc.transpose_weight = 1;
+  fault::ChaosConfig chaos;
+  chaos.seed = 6;
+  chaos.core_stalls = 1;
+  chaos.link_faults = 1;
+  chaos.elink_flips = 2;
+  chaos.mem_flips = 1;
+  host::System sys;
+  sys.machine().enable_faults(fault::generate(chaos));
+  const trace::Tracer& t = sys.machine().enable_tracing();
+  sched::SchedConfig cfg;
+  cfg.watchdog_cycles = 400'000;
+  sched::Scheduler sc(sys, cfg);
+  for (auto& spec : sched::generate(tc)) sc.submit(std::move(spec));
+  sc.run();
+  EXPECT_GT(t.counters().value("shmem.puts"), 0.0);
+  EXPECT_FALSE(sys.machine().faults()->injections().empty());
+  const TraceDigests d = digest_machine_trace(t);
+  EXPECT_EQ(d.json, 0xd03de96639ebb094ull);
+  EXPECT_EQ(d.csv, 0x97946a1eee1edf40ull);
+}
+
+// A traced 2x2 cluster losing a chip: one Perfetto process per chip, with
+// the per-chip `sched.cluster.chip*` verdict samples.
+TEST(TraceBytes, ClusterChipCrash) {
+  sched::ClusterConfig cfg = small_cluster();
+  cfg.trace = true;
+  std::istringstream plan(
+      "seed 3\n"
+      "chips 2x2\n"
+      "chip-crash chip=0,1 at=400000\n");
+  cfg.cluster_plan = fault::parse(plan, "crash");
+  sched::ClusterScheduler cs(cfg);
+  cs.run();
+  ASSERT_TRUE(cs.failover_armed());
+  std::ostringstream json, csv;
+  cs.write_trace(json);
+  for (unsigned c = 0; c < cs.stats().chips; ++c) {
+    trace::write_counters_csv(csv, cs.chip_sched(c).counters());
+  }
+  EXPECT_NE(csv.str().find("sched.cluster.chip1.faults"), std::string::npos);
+  EXPECT_EQ(fnv1a(json.str()), 0x9432d27dea9bd6a6ull);
+  EXPECT_EQ(fnv1a(csv.str()), 0x6af82ab784264e96ull);
 }
 
 }  // namespace

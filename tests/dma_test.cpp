@@ -282,11 +282,13 @@ INSTANTIATE_TEST_SUITE_P(
         DescCase{width(dma::ElemSize::DWord), 16, 1, 8, 8, 0, 0}));
 
 
-// ---- chunk commit: one resolve per side vs. one copy() per run -------------
+// ---- chunk commit: hooked vs. unhooked -------------------------------------
+//
+// Both commit through MemorySystem::copy_runs; MemoryCopyRuns.* (mem_test)
+// checks that against one copy() per run.
 
-/// Sees every access and changes nothing. Attaching it sends every chunk
-/// through MemorySystem::copy_run (copy() per run), the reference the
-/// unhooked commit must match.
+/// Sees every access and changes nothing, so attaching it must change no
+/// byte, wake or event.
 struct PassThroughHook : mem::MemoryHook {
   void on_write(Addr, std::size_t, CoreCoord, Cycles) override {}
   void on_read(Addr, std::size_t, CoreCoord, Cycles) override {}
@@ -356,15 +358,16 @@ CommitTrace commit_trace(const CommitCase& c, bool hooked) {
   return out;
 }
 
-/// Both commits of `c` agree on bytes, wake cycles, events and failure.
+/// The hooked and unhooked commits of `c` agree on bytes, wake cycles,
+/// events and failure.
 CommitTrace expect_same_commit(const CommitCase& c) {
-  const CommitTrace fast = commit_trace(c, false);
-  const CommitTrace per_run = commit_trace(c, true);
-  EXPECT_EQ(fast.bytes, per_run.bytes);
-  EXPECT_EQ(fast.wakes, per_run.wakes);
-  EXPECT_EQ(fast.events, per_run.events);
-  EXPECT_EQ(fast.failed, per_run.failed);
-  return fast;
+  const CommitTrace plain = commit_trace(c, false);
+  const CommitTrace hooked = commit_trace(c, true);
+  EXPECT_EQ(plain.bytes, hooked.bytes);
+  EXPECT_EQ(plain.wakes, hooked.wakes);
+  EXPECT_EQ(plain.events, hooked.events);
+  EXPECT_EQ(plain.failed, hooked.failed);
+  return plain;
 }
 
 TEST(DmaCommit, OverlappingRunsMatchTheElementWalk) {

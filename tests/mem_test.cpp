@@ -15,7 +15,9 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "host/system.hpp"
@@ -398,6 +400,142 @@ TEST(MemoryWriteWords, RangePastTheEndThrowsBeforeWriting) {
     EXPECT_EQ(tail, 0u);
   }
   EXPECT_TRUE(hook.calls.empty());
+}
+
+// ---- copy_runs: the DMA chunk commit ---------------------------------------
+
+/// One chunk to commit on a 4x4 machine: `fill_bytes` of pattern at `fill`,
+/// one watcher per flag (waiting for a non-zero word), and the bytes of
+/// [snap, snap + snap_bytes) compared afterwards.
+struct RunsCase {
+  const char* name;
+  std::vector<mem::CopyRun> runs;
+  std::uint32_t esz;
+  CoreCoord issuer;
+  Addr fill;
+  std::size_t fill_bytes;
+  std::vector<Addr> flags;
+  Addr snap;
+  std::size_t snap_bytes;
+};
+
+struct RunsLog {
+  std::vector<std::byte> bytes;
+  decltype(RecordingHook::calls) calls;
+  std::vector<std::pair<int, sim::Cycles>> wakes;  // (flag, cycle), in wake order
+  bool threw = false;
+};
+
+/// The reference commit of one run: one copy() per run, or per element when
+/// the run overlaps itself (the DMA engine's element walk).
+void copy_run_by_copies(mem::MemorySystem& m, const mem::CopyRun& r, std::uint32_t esz,
+                        CoreCoord issuer) {
+  const auto canonical = [&](Addr a) {
+    return arch::AddressMap::is_local_alias(a)
+               ? m.map().global(issuer, arch::AddressMap::local_offset(a))
+               : a;
+  };
+  const Addr cs = canonical(r.src);
+  const Addr cd = canonical(r.dst);
+  const Addr dist = cs > cd ? cs - cd : cd - cs;
+  if (r.elems > 1 && dist != 0 && dist < r.elems * esz) {
+    for (std::uint32_t e = 0; e < r.elems; ++e) m.copy(r.dst + e * esz, r.src + e * esz, esz, issuer);
+  } else {
+    m.copy(r.dst, r.src, std::size_t{r.elems} * esz, issuer);
+  }
+}
+
+/// Commit `c` at cycle 10 with one copy_runs call (`bulk`) or run by run
+/// through copy_run_by_copies, with or without a recording hook. At cycle
+/// 1000 every flag still zero is set to 1, so no watcher stays parked.
+RunsLog runs_log(const RunsCase& c, bool bulk, bool hooked) {
+  sim::Engine engine;
+  mem::MemorySystem mem{arch::MeshDims{4, 4}, engine};
+  std::vector<std::byte> img(c.fill_bytes);
+  for (std::size_t i = 0; i < img.size(); ++i) {
+    img[i] = static_cast<std::byte>((i * 37 + 11) & 0xFF);
+  }
+  mem.write_bytes(c.fill, img, c.issuer);
+  RecordingHook hook;
+  if (hooked) mem.add_hook(&hook);
+  RunsLog out;
+  for (int id = 0; id < static_cast<int>(c.flags.size()); ++id) {
+    sim::spawn(engine, [](mem::MemorySystem& m, sim::Engine& e, Addr f, CoreCoord w, int me,
+                          RunsLog& log) -> sim::Op<void> {
+      co_await wait_flag(m, f, w, [](std::uint32_t v) { return v != 0; });
+      log.wakes.emplace_back(me, e.now());
+    }(mem, engine, c.flags[id], c.issuer, id, out));
+  }
+  engine.call_at(10, [&] {
+    try {
+      if (bulk) {
+        mem.copy_runs(c.runs, c.esz, c.issuer);
+      } else {
+        for (const mem::CopyRun& r : c.runs) copy_run_by_copies(mem, r, c.esz, c.issuer);
+      }
+    } catch (const std::out_of_range&) {
+      out.threw = true;
+    }
+  });
+  engine.call_at(1000, [&] {
+    for (const Addr f : c.flags) {
+      if (mem.read_u32_raw(f, c.issuer) == 0) mem.write_value<std::uint32_t>(f, 1, c.issuer);
+    }
+  });
+  engine.run();
+  const auto span = mem.resolve(c.snap, c.snap_bytes, c.issuer);
+  out.bytes.assign(span.begin(), span.end());
+  out.calls = hook.calls;
+  return out;
+}
+
+// Hooked or not, one copy_runs call must commit like one copy() per run: the
+// same bytes, the same hook calls (canonical addresses and sizes, in order)
+// and the same wakes. Only a chunk that spans two 1 MB windows or holds a
+// run that does not resolve takes the run-by-run path inside copy_runs.
+TEST(MemoryCopyRuns, MatchesOneCopyPerRun) {
+  const auto map = arch::AddressMap::make(arch::MeshDims{4, 4});
+  const Addr g11 = map.global({1, 1}, 0x2000);
+  const Addr dram = map.external_base;
+  std::vector<mem::CopyRun> scatter;  // 20 words to every fourth word of (0,1)
+  for (Addr i = 0; i < 20; ++i) {
+    scatter.push_back({map.global({0, 0}, 0x2000 + 4 * i), map.global({0, 1}, 0x3000 + 16 * i), 1});
+  }
+  const Addr sd = map.global({0, 1}, 0x3000);
+  const std::vector<RunsCase> cases = {
+      {"overlap forward, then a plain run",
+       {{g11 + 0x100, g11 + 0x104, 50}, {g11 + 0x400, g11 + 0x600, 16}},
+       4, {1, 1}, g11, 0x800, {g11 + 0x120, g11 + 0x610}, g11, 0x800},
+      {"overlap backward, dwords",
+       {{g11 + 0x108, g11 + 0x100, 40}}, 8, {1, 1}, g11, 0x800, {g11 + 0x100}, g11, 0x800},
+      {"local alias to its own global window",
+       {{0x2100, g11 + 0x104, 60}}, 4, {1, 1}, g11, 0x800, {0x2200}, g11, 0x800},
+      {"strided scatter", scatter, 4, {0, 1}, map.global({0, 0}, 0x2000), 80,
+       {sd + 5 * 16, sd + 5 * 16 + 4, sd - 3}, sd - 16, 20 * 16 + 32},
+      {"dram to scratch",
+       {{dram + 0x40, g11 + 0x300, 24}, {dram + 0x200, g11 + 0x400, 8}},
+       8, {1, 1}, dram, 0x400, {g11 + 0x400}, g11 + 0x300, 0x200},
+      {"dram straddling a window",
+       {{dram + 0x100000 - 64, g11, 8}, {dram + 0x100000, g11 + 64, 8}},
+       8, {1, 1}, dram + 0x100000 - 64, 128, {g11 + 64}, g11, 128},
+      {"third run past the scratchpad",
+       {{map.global({2, 1}, 0x2000), map.global({2, 2}, 0x6000), 1},
+        {map.global({2, 1}, 0x2004), map.global({2, 2}, 0x7000), 1},
+        {map.global({2, 1}, 0x2008), map.global({2, 2}, 0x8000), 1}},
+       4, {2, 1}, map.global({2, 1}, 0x2000), 12, {}, map.global({2, 2}, 0x6000), 0x2000},
+  };
+  for (const RunsCase& c : cases) {
+    for (const bool hooked : {false, true}) {
+      SCOPED_TRACE(testing::Message() << c.name << (hooked ? ", hooked" : ""));
+      const RunsLog bulk = runs_log(c, true, hooked);
+      const RunsLog ref = runs_log(c, false, hooked);
+      EXPECT_EQ(bulk.bytes, ref.bytes);
+      EXPECT_EQ(bulk.calls, ref.calls);
+      EXPECT_EQ(bulk.wakes, ref.wakes);
+      EXPECT_EQ(bulk.threw, ref.threw);
+      EXPECT_EQ(hooked, !bulk.calls.empty());
+    }
+  }
 }
 
 }  // namespace

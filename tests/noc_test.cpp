@@ -19,7 +19,8 @@ protected:
   arch::MeshDims dims{8, 8};
   arch::TimingParams timing{};
   sim::Engine engine;
-  noc::MeshNetwork mesh{dims, timing, engine};
+  fault::Instruments none;  // neither traced nor faulted
+  noc::MeshNetwork mesh{dims, timing, engine, none};
 };
 
 TEST_F(MeshTest, DirectCopyCostMatchesTableOne) {
@@ -91,7 +92,9 @@ protected:
   arch::MeshDims dims{8, 8};
   arch::TimingParams timing{};
   sim::Engine engine;
-  noc::ELink elink{dims, timing, engine, timing.elink_write_overhead};
+  fault::Instruments none;  // neither traced nor faulted
+  noc::ELink elink{dims, timing, engine, timing.elink_write_overhead,
+                   trace::ElinkKind::Write, none};
 
   void writer(CoreCoord c, std::uint32_t bytes, unsigned blocks, Cycles* done_at = nullptr) {
     sim::spawn(
@@ -152,7 +155,8 @@ TEST_F(ELinkTest, FairWithinTwoEqualWriters) {
 }
 
 TEST_F(ELinkTest, ReadOverheadIndependent) {
-  noc::ELink rd(dims, timing, engine, timing.elink_read_overhead);
+  noc::ELink rd(dims, timing, engine, timing.elink_read_overhead, trace::ElinkKind::Read,
+                none);
   Cycles done = 0;
   sim::spawn(engine,
              [](noc::ELink& l, sim::Engine& e, Cycles& d) -> sim::Op<void> {

@@ -18,6 +18,8 @@
 #include "sched/scheduler.hpp"
 #include "sched/workload.hpp"
 #include "sim/random.hpp"
+#include "trace/export.hpp"
+#include "trace/tracer.hpp"
 #include "util/fmt.hpp"
 
 namespace {
@@ -207,6 +209,60 @@ TEST(Scheduler, RunsConcurrentWorkgroupsAndResolvesEverything) {
   for (const auto& rec : sc.records()) {
     EXPECT_EQ(rec.verdict, sched::Verdict::Completed) << "job " << rec.spec.id;
     EXPECT_GE(rec.finished, rec.started);
+  }
+  EXPECT_DOUBLE_EQ(sc.counters().value("sched.jobs.completed"), 6.0);
+}
+
+// The scheduler counts into its machine's registry whenever the tracer is
+// armed or disarmed: arming it after construction puts the counts in the
+// export, and disarming it mid-life leaves the counts intact.
+const char* const kSchedCounters[] = {
+    "sched.jobs.submitted", "sched.jobs.admitted", "sched.jobs.completed",
+    "sched.jobs.rejected",  "sched.core_cycles.busy", "sched.queue.depth",
+    "sched.jobs.running",   "sched.cores.busy"};
+
+void submit_six(sched::Scheduler& sc) {
+  for (std::uint32_t i = 0; i < 6; ++i) sc.submit(make_job(i, 2, 2, 0, i * 100));
+}
+
+TEST(SchedulerCounters, TracingArmedAfterConstructionCountsIntoTheExport) {
+  host::System ref_sys;
+  sched::Scheduler ref(ref_sys);
+  submit_six(ref);
+  ref.run();
+
+  host::System sys;
+  sched::Scheduler sc(sys);
+  submit_six(sc);
+  const trace::Tracer& t = sys.machine().enable_tracing();
+  sc.run();
+  for (const char* name : kSchedCounters) {
+    EXPECT_DOUBLE_EQ(sc.counters().value(name), ref.counters().value(name)) << name;
+  }
+  EXPECT_DOUBLE_EQ(sc.counters().value("sched.jobs.completed"), 6.0);
+  EXPECT_EQ(&t.counters(), &sc.counters());
+  std::ostringstream csv, json;
+  trace::write_counters_csv(csv, t.counters());
+  trace::write_chrome_trace(json, t);
+  EXPECT_NE(csv.str().find("sched.jobs.completed,monotonic,6"), std::string::npos)
+      << csv.str();
+  EXPECT_NE(json.str().find("sched.jobs.completed"), std::string::npos);
+}
+
+TEST(SchedulerCounters, DisablingTracingKeepsCounting) {
+  host::System ref_sys;
+  sched::Scheduler ref(ref_sys);
+  submit_six(ref);
+  ref.run();
+
+  host::System sys;
+  sys.machine().enable_tracing();
+  sched::Scheduler sc(sys);
+  submit_six(sc);
+  sys.machine().disable_tracing();
+  sc.run();
+  for (const char* name : kSchedCounters) {
+    EXPECT_DOUBLE_EQ(sc.counters().value(name), ref.counters().value(name)) << name;
   }
   EXPECT_DOUBLE_EQ(sc.counters().value("sched.jobs.completed"), 6.0);
 }

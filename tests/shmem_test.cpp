@@ -12,6 +12,7 @@
 #include <cstring>
 #include <memory>
 #include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,8 @@
 #include "lint/sanitizer.hpp"
 #include "shmem/shmem.hpp"
 #include "shmem/workloads.hpp"
+#include "trace/export.hpp"
+#include "trace/tracer.hpp"
 #include "util/fmt.hpp"
 
 namespace {
@@ -407,6 +410,52 @@ TEST(ShmemWorkloads, CannonMatchesHostReference) {
   wg.run();
   EXPECT_EQ(shmem::verify_cannon_output(sys.machine(), wg.info(), plan, 7), "");
   EXPECT_TRUE(san.findings().empty()) << dump(san);
+}
+
+// A Group counts into its machine's registry whether or not the tracer is
+// armed, and whenever it is armed or disarmed.
+const char* const kShmemCounters[] = {"shmem.puts", "shmem.gets", "shmem.bytes",
+                                      "shmem.barrier_waits"};
+
+enum class TraceStep { None, ArmAfterGroup, DisarmAfterGroup };
+
+/// A 2x2 Cannon on a fresh System; returns each kShmemCounters value.
+std::vector<double> cannon_counts(TraceStep step, std::string* csv = nullptr) {
+  host::System sys;
+  if (step == TraceStep::DisarmAfterGroup) sys.machine().enable_tracing();
+  auto wg = sys.open(0, 0, 2, 2);
+  auto group = std::make_shared<shmem::Group>(sys.machine(), wg.info());
+  if (step == TraceStep::ArmAfterGroup) sys.machine().enable_tracing();
+  if (step == TraceStep::DisarmAfterGroup) sys.machine().disable_tracing();
+  const auto plan = shmem::plan_cannon(group->heap(), wg.info(), 8, 2);
+  shmem::fill_cannon_inputs(sys.machine(), wg.info(), plan, 7);
+  wg.load([group, plan](device::CoreCtx& ctx) -> sim::Op<void> {
+    return shmem::cannon_kernel(ctx, group, plan);
+  });
+  wg.run();
+  EXPECT_EQ(shmem::verify_cannon_output(sys.machine(), wg.info(), plan, 7), "");
+  if (csv != nullptr) {
+    std::ostringstream os;
+    trace::write_counters_csv(os, sys.machine().tracer()->counters());
+    *csv = os.str();
+  }
+  std::vector<double> out;
+  for (const char* name : kShmemCounters) out.push_back(group->counters().value(name));
+  return out;
+}
+
+TEST(ShmemCounters, TracingArmedAfterConstructionCountsIntoTheExport) {
+  const std::vector<double> ref = cannon_counts(TraceStep::None);
+  EXPECT_GT(ref[0], 0.0);
+  std::string csv;
+  EXPECT_EQ(cannon_counts(TraceStep::ArmAfterGroup, &csv), ref);
+  EXPECT_NE(csv.find(util::format("shmem.puts,monotonic,%g", ref[0])), std::string::npos)
+      << csv;
+}
+
+TEST(ShmemCounters, DisablingTracingKeepsCounting) {
+  const std::vector<double> ref = cannon_counts(TraceStep::None);
+  EXPECT_EQ(cannon_counts(TraceStep::DisarmAfterGroup), ref);
 }
 
 TEST(ShmemWorkloads, CannonOnNonSquareGroupUsesActiveSquare) {
