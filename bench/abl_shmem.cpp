@@ -2,7 +2,7 @@
 // message size and workgroup shape. For every shape the sweep times
 //   * blocking put / get between PE 0 and the farthest group member (the
 //     worst-case on-chip distance for that shape), across the direct-store
-//     -> DMA crossover (Config.dma_threshold = 256 B),
+//     -> DMA crossover (shmem::kDmaThreshold = 256 B),
 //   * barrier_all (dissemination, log2(n) rounds of flag generations),
 //   * allreduce_i32 sum (binomial up-sweep + broadcast down-sweep),
 // each amortised over several repetitions on a fresh machine, so the table

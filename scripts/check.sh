@@ -40,9 +40,11 @@ ctest --test-dir build-release --output-on-failure -j "${JOBS}" "$@"
 echo "== Sanitized debug build (ASan+UBSan) =="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DEPI_SANITIZE=ON
 cmake --build build-asan -j "${JOBS}"
-# Leak checking stays off: the deadlock-detection tests deliberately abandon
-# suspended coroutine frames (the engine does not own them), which LSan
-# reports at exit. ASan/UBSan proper remain fully enabled.
+# Leak checking stays off: nothing owns a coroutine frame left suspended by
+# a deadlock, a run_until window, a killed core or a quarantined group, and
+# LSan reports each such frame at exit (the deadlock, eLink run_until,
+# watchdog, chaos and failover tests, faults_bench_golden and both plan
+# selftests; ROADMAP item 6). ASan/UBSan proper remain fully enabled.
 ASAN_OPTIONS=detect_leaks=0 \
   ctest --test-dir build-asan --output-on-failure -j "${JOBS}" "$@"
 

@@ -18,6 +18,7 @@
 // watches. Kernel data layouts (e.g. the paper's matmul placement of C at
 // 0x7000-0x7FFF) are unaffected.
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -193,13 +194,7 @@ public:
     m_->mem().write_value<std::uint32_t>(a, v, coord_);
   }
   sim::Op<void> write_f32(arch::Addr a, float v) {
-    auto ph = phase(trace::Phase::Comm, "store");
-    if (m_->mem().map().is_external(a)) {
-      co_await m_->elink_write().txn(coord_, 4);
-    } else {
-      co_await compute(store_cost(a));
-    }
-    m_->mem().write_value<float>(a, v, coord_);
+    return write_u32(a, std::bit_cast<std::uint32_t>(v));
   }
 
   /// CPU store stream into external DRAM (the Table II/III benchmark writes

@@ -14,7 +14,6 @@
 #include <exception>
 #include <functional>
 #include <iterator>
-#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -33,13 +32,13 @@ class System;
 /// A rectangular group of eCores running one kernel each (e_open/e_load/
 /// e_start in the eSDK). A Workgroup owns its cores exclusively: the
 /// constructor reserves the rectangle in the machine's reservation table
-/// (throwing if any core is already held by a live workgroup) and the
-/// destructor releases it, so double-opened cores are rejected instead of
-/// silently clobbering each other.
+/// (throwing if it is empty, leaves the mesh, or holds a core of a live
+/// workgroup) and the destructor releases it, so double-opened cores are
+/// rejected instead of silently clobbering each other.
 ///
-/// Moving a Workgroup transfers the reservation; moves are only safe before
-/// start() (running kernels hold pointers into the group's CoreCtx objects
-/// and completion counters).
+/// A Workgroup never moves: running kernels hold pointers into its CoreCtx
+/// objects and completion counters. A host that keeps groups in a container
+/// holds them by pointer.
 class Workgroup {
 public:
   Workgroup(machine::Machine& m, device::GroupInfo info)
@@ -49,46 +48,14 @@ public:
     ctxs_.reserve(info.size());
     for (unsigned r = 0; r < info.rows; ++r) {
       for (unsigned c = 0; c < info.cols; ++c) {
-        ctxs_.push_back(std::make_unique<device::CoreCtx>(
-            m, arch::CoreCoord{info.origin.row + r, info.origin.col + c}, info));
+        ctxs_.emplace_back(m, arch::CoreCoord{info.origin.row + r, info.origin.col + c},
+                           info);
       }
     }
   }
-
-  Workgroup(Workgroup&& o) noexcept
-      : m_(o.m_),
-        info_(o.info_),
-        ticket_(std::exchange(o.ticket_, 0)),
-        ctxs_(std::move(o.ctxs_)),
-        kernel_(std::move(o.kernel_)),
-        errors_(std::move(o.errors_)),
-        started_(o.started_),
-        finished_(o.finished_),
-        failed_(o.failed_),
-        finish_time_(o.finish_time_),
-        label_(std::move(o.label_)),
-        on_complete_(std::move(o.on_complete_)) {}
-  Workgroup& operator=(Workgroup&& o) noexcept {
-    if (this != &o) {
-      release_cores();
-      m_ = o.m_;
-      info_ = o.info_;
-      ticket_ = std::exchange(o.ticket_, 0);
-      ctxs_ = std::move(o.ctxs_);
-      kernel_ = std::move(o.kernel_);
-      errors_ = std::move(o.errors_);
-      started_ = o.started_;
-      finished_ = o.finished_;
-      failed_ = o.failed_;
-      finish_time_ = o.finish_time_;
-      label_ = std::move(o.label_);
-      on_complete_ = std::move(o.on_complete_);
-    }
-    return *this;
-  }
   Workgroup(const Workgroup&) = delete;
   Workgroup& operator=(const Workgroup&) = delete;
-  ~Workgroup() { release_cores(); }
+  ~Workgroup() { m_->reservations().release(info_.origin, info_.rows, info_.cols, ticket_); }
 
   [[nodiscard]] const device::GroupInfo& info() const noexcept { return info_; }
   [[nodiscard]] unsigned size() const noexcept { return info_.size(); }
@@ -96,7 +63,7 @@ public:
     if (!info_.contains_group_coord(group_row, group_col)) {
       throw std::out_of_range("group coordinate outside workgroup");
     }
-    return *ctxs_[group_row * info_.cols + group_col];
+    return ctxs_[group_row * info_.cols + group_col];
   }
 
   /// Load the same kernel onto every core of the group.
@@ -126,10 +93,10 @@ public:
     failed_ = 0;
     for (auto& ctx : ctxs_) {
       m_->mem().write_value<std::uint32_t>(
-          ctx->my_global(device::CoreCtx::kStatusOffset), 0, ctx->coord());
-      std::string name = label_.empty() ? "core " + arch::to_string(ctx->coord())
-                                        : label_ + " core " + arch::to_string(ctx->coord());
-      sim::spawn(m_->engine(), run_kernel(*ctx), 0, std::move(name));
+          ctx.my_global(device::CoreCtx::kStatusOffset), 0, ctx.coord());
+      std::string name = label_.empty() ? "core " + arch::to_string(ctx.coord())
+                                        : label_ + " core " + arch::to_string(ctx.coord());
+      sim::spawn(m_->engine(), run_kernel(ctx), 0, std::move(name));
     }
   }
 
@@ -162,10 +129,7 @@ public:
     if (!started_) throw std::logic_error("Workgroup::wait before start");
     while (finished_ + failed_ < ctxs_.size()) {
       if (failed_ > 0) rethrow_errors();
-      if (!m_->engine().step()) {
-        throw sim::DeadlockError(m_->engine().live_processes(),
-                                 m_->engine().live_process_names());
-      }
+      if (!m_->engine().step()) throw m_->engine().deadlock_error();
     }
     rethrow_errors();
     // Waiting for kernel completion is the host's synchronisation point:
@@ -206,17 +170,10 @@ private:
     if (on_complete_) on_complete_();
   }
 
-  void release_cores() noexcept {
-    if (ticket_ != 0) {
-      m_->reservations().release(info_.origin, info_.rows, info_.cols, ticket_);
-      ticket_ = 0;
-    }
-  }
-
   machine::Machine* m_;
   device::GroupInfo info_;
-  std::uint32_t ticket_ = 0;  // core reservation; 0 after a move-from
-  std::vector<std::unique_ptr<device::CoreCtx>> ctxs_;
+  std::uint32_t ticket_;  // core reservation
+  std::vector<device::CoreCtx> ctxs_;  // row-major; sized once, never grows
   device::KernelFn kernel_;
   std::vector<std::exception_ptr> errors_;  // per core, ctxs_ order; see run_kernel
   bool started_ = false;      // start() has run at least once
@@ -236,15 +193,11 @@ public:
   [[nodiscard]] const arch::TimingParams& timing() const noexcept { return machine_.timing(); }
 
   /// e_open: place a rows x cols workgroup with its top-left core at
-  /// (origin_row, origin_col).
+  /// (origin_row, origin_col). Throws std::out_of_range if it is empty or
+  /// does not fit on the mesh.
   [[nodiscard]] Workgroup open(unsigned origin_row, unsigned origin_col, unsigned rows,
                                unsigned cols) {
-    const device::GroupInfo info{{origin_row, origin_col}, rows, cols};
-    if (origin_row + rows > machine_.dims().rows ||
-        origin_col + cols > machine_.dims().cols || rows == 0 || cols == 0) {
-      throw std::out_of_range("workgroup does not fit on the mesh");
-    }
-    return Workgroup(machine_, info);
+    return Workgroup(machine_, {{origin_row, origin_col}, rows, cols});
   }
 
   // ---- shared external memory (allocator over the 32 MB window) ----

@@ -9,7 +9,9 @@
 //
 // host::Workgroup acquires its rectangle on construction and releases it on
 // destruction (RAII); overlapping opens fail fast with an error naming the
-// contested core. Tickets make release idempotent and safe across moves.
+// contested core, and an empty or off-mesh rectangle is rejected here, so
+// every path that builds a Workgroup is validated once. Tickets make
+// release idempotent.
 
 #include <cstdint>
 #include <stdexcept>
@@ -29,10 +31,15 @@ public:
       : dims_(dims), owner_(dims.core_count(), kFree) {}
 
   /// Claim the rows x cols rectangle at `origin`. Returns a ticket to hand
-  /// back to release(). Throws std::runtime_error naming the first core
+  /// back to release(). Throws std::out_of_range for an empty rectangle or
+  /// one that leaves the mesh, and std::runtime_error naming the first core
   /// already held by another workgroup.
   std::uint32_t acquire(arch::CoreCoord origin, unsigned rows, unsigned cols) {
-    if (origin.row + rows > dims_.rows || origin.col + cols > dims_.cols) {
+    if (rows == 0 || cols == 0) {
+      throw std::out_of_range("empty reservation rectangle");
+    }
+    if (origin.row > dims_.rows || rows > dims_.rows - origin.row ||
+        origin.col > dims_.cols || cols > dims_.cols - origin.col) {
       throw std::out_of_range("reservation rectangle outside the mesh");
     }
     for (unsigned r = 0; r < rows; ++r) {

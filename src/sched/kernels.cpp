@@ -271,9 +271,8 @@ device::KernelFn prepare_job(host::System& sys, host::Workgroup& wg, const JobSp
     }
     case JobKind::CannonMatmul: {
       // The Group constructor scrubs the shmem runtime words (reused cores
-      // must not see a stale flag generation); the kernel closure keeps it
-      // alive by shared_ptr because the Workgroup itself is moved after
-      // load(). Inputs are seeded by job id so reap can re-derive them.
+      // must not see a stale flag generation); the kernel closure owns it.
+      // Inputs are seeded by job id so reap can re-derive them.
       auto group = std::make_shared<shmem::Group>(sys.machine(), wg.info());
       const auto plan =
           shmem::plan_cannon(group->heap(), wg.info(), cannon_block(spec), spec.iters);

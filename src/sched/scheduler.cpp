@@ -678,13 +678,14 @@ bool Scheduler::launch(Pending& p, sim::Cycles now) {
     return false;
   }
 
-  std::optional<host::Workgroup> wg;
+  std::unique_ptr<host::Workgroup> wg;
   arch::Addr shm_base = 0;
   std::vector<HandoffPull> pulls;
   std::vector<HandoffSpill> spills;
   try {
-    wg.emplace(sys_->open(placement->origin.row, placement->origin.col,
-                          placement->rows, placement->cols));
+    wg = std::make_unique<host::Workgroup>(
+        sys_->machine(),
+        device::GroupInfo{placement->origin, placement->rows, placement->cols});
     wg->set_label(util::format("job %u", spec.id));
     wg->on_complete([this] { ++epoch_; });  // reap at the next pass
     if (const std::size_t shm = job_shm_bytes(spec); shm > 0) {
@@ -762,12 +763,8 @@ bool Scheduler::launch(Pending& p, sim::Cycles now) {
     rec.first_cols = rec.granted_cols;
   }
 
-  auto& slot = running_.emplace_back(
-      Running{p.rec, *placement,
-              std::make_unique<host::Workgroup>(std::move(*wg)), shm_base,
-              myseq});
-  // start() only after the Workgroup reached its stable heap address: the
-  // kernel coroutines capture pointers into it.
+  auto& slot =
+      running_.emplace_back(Running{p.rec, *placement, std::move(wg), shm_base, myseq});
   slot.wg->start();
   peak_resident_ = std::max(peak_resident_, static_cast<unsigned>(running_.size()));
   gauge(g_running_, static_cast<double>(running_.size()));
@@ -985,13 +982,13 @@ void Scheduler::run_window(sim::Cycles limit) {
     // fault behaviour); with one, the next horizon visit converts each
     // silent group into a FaultReport and the loop continues.
     if (!running_.empty() && cfg_.watchdog_cycles == 0) {
-      throw sim::DeadlockError(eng.live_processes(), eng.live_process_names());
+      throw eng.deadlock_error();
     }
     const sim::Cycles t = next_wakeup(now);
     if (t == kNever) {
       if (limit != kNever) return;  // cluster mode: idle until a forward lands
       if (!running_.empty()) {
-        throw sim::DeadlockError(eng.live_processes(), eng.live_process_names());
+        throw eng.deadlock_error();
       }
       throw std::logic_error("scheduler stalled with unresolved jobs and no horizon");
     }

@@ -73,8 +73,8 @@ Addr SymmetricHeap::alloc(std::uint32_t bytes, std::uint32_t align) {
 
 // ---- Group ----------------------------------------------------------------
 
-Group::Group(machine::Machine& m, device::GroupInfo info, Config cfg)
-    : m_(&m), info_(info), cfg_(cfg), heap_(kHeapBase, kHeapEnd) {
+Group::Group(machine::Machine& m, device::GroupInfo info)
+    : m_(&m), info_(info), heap_(kHeapBase, kHeapEnd) {
   using K = trace::Counters::Kind;
   trace::Counters& c = m.counters();
   c_puts_ = c.define("shmem.puts", K::Monotonic);
@@ -159,7 +159,7 @@ sim::Op<void> Pe::put(unsigned target, Addr dst_off, Addr src_off, std::uint32_t
   if (bytes == 0) co_return;
   const Addr dst = remote(target, dst_off);
   const Addr src = ctx_->my_global(src_off);
-  if (bytes <= group_->config().dma_threshold) {
+  if (bytes <= kDmaThreshold) {
     co_await ctx_->direct_write_block(dst, src, bytes);
   } else {
     co_await dma_copy(dst, src, bytes, nullptr);
@@ -173,7 +173,7 @@ sim::Op<void> Pe::put_nbi(unsigned target, Addr dst_off, Addr src_off,
   if (bytes == 0) co_return;
   const Addr dst = remote(target, dst_off);
   const Addr src = ctx_->my_global(src_off);
-  if (bytes <= group_->config().dma_threshold) {
+  if (bytes <= kDmaThreshold) {
     // Small transfers are store streams: complete when issued, nothing for
     // quiet() to track.
     co_await ctx_->direct_write_block(dst, src, bytes);
@@ -191,7 +191,7 @@ sim::Op<void> Pe::get(unsigned source, Addr dst_off, Addr src_off, std::uint32_t
   if (bytes == 0) co_return;
   const Addr src = remote(source, src_off);
   const Addr dst = ctx_->my_global(dst_off);
-  if (bytes <= group_->config().dma_threshold) {
+  if (bytes <= kDmaThreshold) {
     // Load/store pairs: each remote load pays the read-network round trip;
     // the local store commits under it.
     auto& mem = group_->machine().mem();
@@ -217,7 +217,7 @@ sim::Op<void> Pe::put_with_signal(unsigned target, Addr dst_off, Addr src_off,
   }
   const Addr dst = remote(target, dst_off);
   const Addr src = ctx_->my_global(src_off);
-  if (bytes <= group_->config().dma_threshold) {
+  if (bytes <= kDmaThreshold) {
     // Program order is delivery order on the small path: the data block
     // commits before the flag store is issued.
     co_await ctx_->direct_write_block(dst, src, bytes);

@@ -56,11 +56,9 @@ inline constexpr arch::Addr kRuntimeEnd = 0x0300;
 inline constexpr arch::Addr kHeapBase = 0x2000;
 inline constexpr arch::Addr kHeapEnd = arch::AddressMap::kLocalMemBytes;
 
-struct Config {
-  /// Transfers of at most this many bytes use direct remote stores/loads;
-  /// larger ones build DMA descriptors (the papers' crossover regime).
-  std::uint32_t dma_threshold = 256;
-};
+/// Transfers of at most this many bytes use direct remote stores/loads;
+/// larger ones build DMA descriptors (the papers' crossover regime).
+inline constexpr std::uint32_t kDmaThreshold = 256;
 
 /// Host-side bump allocator handing out offsets that are valid on *every*
 /// PE's scratchpad (shmem_malloc). Deterministic: allocation order alone
@@ -94,16 +92,14 @@ private:
 /// words of every member core (host-side, zero simulated cost, issued as
 /// each core's own write) so reused cores never see a stale generation.
 ///
-/// Kernel closures hold the Group by shared_ptr: it deliberately captures
-/// machine + GroupInfo rather than a host::Workgroup, which the serving
-/// runtime moves after load().
+/// Kernel closures hold the Group by shared_ptr; it names its cores by
+/// machine + GroupInfo, not by a host::Workgroup.
 class Group {
 public:
-  Group(machine::Machine& m, device::GroupInfo info, Config cfg = {});
+  Group(machine::Machine& m, device::GroupInfo info);
 
   [[nodiscard]] machine::Machine& machine() noexcept { return *m_; }
   [[nodiscard]] const device::GroupInfo& info() const noexcept { return info_; }
-  [[nodiscard]] const Config& config() const noexcept { return cfg_; }
   [[nodiscard]] SymmetricHeap& heap() noexcept { return heap_; }
   [[nodiscard]] unsigned n_pes() const noexcept { return info_.size(); }
   [[nodiscard]] arch::CoreCoord coord_of(unsigned pe) const noexcept {
@@ -128,7 +124,6 @@ public:
 private:
   machine::Machine* m_;
   device::GroupInfo info_;
-  Config cfg_;
   SymmetricHeap heap_;
   trace::Counters::Id c_puts_ = trace::Counters::kNone;
   trace::Counters::Id c_gets_ = trace::Counters::kNone;

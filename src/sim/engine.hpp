@@ -34,7 +34,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <queue>
 #include <stdexcept>
 #include <string>
@@ -54,16 +53,13 @@ using Cycles = std::uint64_t;
 /// attributable to a specific core or DMA channel.
 class DeadlockError : public std::runtime_error {
 public:
-  explicit DeadlockError(std::size_t stuck, std::vector<std::string> names = {})
-      : std::runtime_error(message(stuck, names)),
-        stuck_processes(stuck),
-        stuck_names(std::move(names)) {}
-  std::size_t stuck_processes;
+  explicit DeadlockError(std::vector<std::string> names)
+      : std::runtime_error(message(names)), stuck_names(std::move(names)) {}
   std::vector<std::string> stuck_names;
 
 private:
-  static std::string message(std::size_t stuck, const std::vector<std::string>& names) {
-    std::string m = "simulation deadlock: " + std::to_string(stuck) +
+  static std::string message(const std::vector<std::string>& names) {
+    std::string m = "simulation deadlock: " + std::to_string(names.size()) +
                     " process(es) suspended with an empty event queue";
     if (!names.empty()) {
       static constexpr std::size_t kShown = 8;
@@ -81,12 +77,22 @@ private:
   }
 };
 
+/// The record of one live root process: its name and its links in the
+/// engine's spawn-ordered list. It lives in the process's root frame (the
+/// RootTask promise, task.hpp), so a spawn allocates nothing beyond that
+/// frame and a name too long for the string's inline buffer.
+struct ProcessRecord {
+  ProcessRecord* prev = nullptr;
+  ProcessRecord* next = nullptr;
+  std::string name;
+};
+
 class Engine {
 public:
   /// Sentinel time: "no event / never". Larger than any reachable cycle.
   static constexpr Cycles kNever = ~Cycles{0};
 
-  Engine() : ring_(kRingSpan) {}
+  Engine() : ring_(kRingSpan) { live_.prev = live_.next = &live_; }
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -121,7 +127,7 @@ public:
   /// processes) if any remain suspended when the queue empties.
   void run() {
     drain(kNoLimit);
-    if (!live_.empty()) throw DeadlockError(live_.size(), live_process_names());
+    if (live_count_ != 0) throw deadlock_error();
   }
 
   /// Run until simulated time would exceed `t` (events at exactly `t` run).
@@ -159,27 +165,38 @@ public:
 
   [[nodiscard]] bool empty() const noexcept { return summary_ == 0 && heap_.empty(); }
   [[nodiscard]] std::size_t events_processed() const noexcept { return processed_; }
-  [[nodiscard]] std::size_t live_processes() const noexcept { return live_.size(); }
+  [[nodiscard]] std::size_t live_processes() const noexcept { return live_count_; }
 
   /// Human-readable names of every live (unfinished) process, in spawn
   /// order. Processes spawned without a name report as "<unnamed>".
   [[nodiscard]] std::vector<std::string> live_process_names() const {
     std::vector<std::string> out;
-    out.reserve(live_.size());
-    for (const auto& [token, name] : live_) {
-      out.push_back(name.empty() ? "<unnamed>" : name);
+    out.reserve(live_count_);
+    for (const ProcessRecord* p = live_.next; p != &live_; p = p->next) {
+      out.push_back(p->name.empty() ? "<unnamed>" : p->name);
     }
     return out;
   }
 
-  // Process bookkeeping (used by spawn() and the root frame). The returned
-  // token must be handed back to note_process_finished.
-  [[nodiscard]] std::uint64_t note_process_started(std::string name = {}) {
-    const std::uint64_t token = next_token_++;
-    live_.emplace(token, std::move(name));
-    return token;
+  /// The hang report: a DeadlockError naming every live process.
+  [[nodiscard]] DeadlockError deadlock_error() const {
+    return DeadlockError(live_process_names());
   }
-  void note_process_finished(std::uint64_t token) noexcept { live_.erase(token); }
+
+  // Process bookkeeping: spawn() links a root frame's record in, and the
+  // frame's destructor unlinks it.
+  void link_process(ProcessRecord& p) noexcept {
+    p.prev = live_.prev;
+    p.next = &live_;
+    live_.prev->next = &p;
+    live_.prev = &p;
+    ++live_count_;
+  }
+  void unlink_process(ProcessRecord& p) noexcept {
+    p.prev->next = p.next;
+    p.next->prev = p.prev;
+    --live_count_;
+  }
 
 private:
   static constexpr Cycles kNoLimit = kNever;
@@ -324,10 +341,10 @@ private:
   Cycles now_ = 0;
   std::uint64_t seq_ = 0;
   std::size_t processed_ = 0;
-  // Live root processes, keyed by start token (std::map: deterministic,
-  // spawn-ordered iteration for deadlock diagnostics).
-  std::map<std::uint64_t, std::string> live_;
-  std::uint64_t next_token_ = 0;
+  // Live root processes: a circular list through their root frames, headed
+  // by this sentinel, in spawn order (deadlock reports name them in order).
+  ProcessRecord live_;
+  std::size_t live_count_ = 0;
 };
 
 /// Awaitable: suspend the current process for `d` cycles.

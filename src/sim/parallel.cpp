@@ -106,12 +106,7 @@ void ParallelEngine::run() {
     stuck.insert(stuck.end(), std::make_move_iterator(names.begin()),
                  std::make_move_iterator(names.end()));
   }
-  if (!stuck.empty()) {
-    // Take the count first: argument evaluation order is unspecified, so
-    // size() after the move could read an emptied vector.
-    const std::size_t n = stuck.size();
-    throw DeadlockError(n, std::move(stuck));
-  }
+  if (!stuck.empty()) throw DeadlockError(std::move(stuck));
 }
 
 }  // namespace epi::sim

@@ -6,17 +6,19 @@
 // resumes the awaiting coroutine via symmetric transfer, so arbitrarily deep
 // call chains cost no stack and no extra events.
 //
-// spawn() turns an Op<void> into a detached root process: a frame plus the
-// name the Engine keeps for deadlock reports. There is no handle. A spawner
-// that needs completion or errors records them itself, as the eSDK host
-// reads a core's status word (host::Workgroup counts retired kernels,
-// dma::DmaChannel keeps its chain's error). A root must catch everything:
-// an exception that escapes one is a simulator bug and terminates.
+// spawn() turns an Op<void> into a detached root process: one frame, which
+// also holds the process's entry in the Engine's live list (its name, for
+// deadlock reports). There is no handle. A spawner that needs completion or
+// errors records them itself, as the eSDK host reads a core's status word
+// (host::Workgroup counts retired kernels, dma::DmaChannel keeps its chain's
+// error). A root must catch everything: an exception that escapes one is a
+// simulator bug and terminates.
 //
-// All promise types route their frame storage through FramePool: simulation
-// kernels churn through millions of short-lived frames (per-word stores,
-// barrier legs, DMA chunk loops), and a size-class free list beats the
-// global allocator by a wide margin on that pattern.
+// Every promise type derives from PooledFrame, which routes frame storage
+// through FramePool: simulation kernels churn through millions of
+// short-lived frames (per-word stores, barrier legs, DMA chunk loops), and a
+// size-class free list beats the global allocator by a wide margin on that
+// pattern.
 
 #include <coroutine>
 #include <exception>
@@ -33,17 +35,19 @@ class Op;
 
 namespace detail {
 
-struct OpPromiseBase {
-  std::coroutine_handle<> continuation{};
-  std::exception_ptr error{};
-
-  // Frame storage comes from the pool; both deallocation signatures are
-  // provided so whichever form the compiler selects finds the pool.
+/// Frame storage comes from the pool; both deallocation signatures are
+/// provided so whichever form the compiler selects finds the pool.
+struct PooledFrame {
   static void* operator new(std::size_t n) { return FramePool::allocate(n); }
   static void operator delete(void* p) noexcept { FramePool::deallocate(p); }
   static void operator delete(void* p, std::size_t) noexcept {
     FramePool::deallocate(p);
   }
+};
+
+struct OpPromiseBase : PooledFrame {
+  std::coroutine_handle<> continuation{};
+  std::exception_ptr error{};
 
   struct FinalAwaiter {
     [[nodiscard]] bool await_ready() const noexcept { return false; }
@@ -150,15 +154,10 @@ inline Op<void> OpPromise<void>::get_return_object() noexcept {
 namespace detail {
 
 struct RootTask {
-  struct promise_type {
+  // The frame is the process's live record: spawn() links it into the
+  // engine's list and the destructor (the process's end) unlinks it.
+  struct promise_type : PooledFrame, ProcessRecord {
     Engine* engine = nullptr;
-    std::uint64_t token = 0;
-
-    static void* operator new(std::size_t n) { return FramePool::allocate(n); }
-    static void operator delete(void* p) noexcept { FramePool::deallocate(p); }
-    static void operator delete(void* p, std::size_t) noexcept {
-      FramePool::deallocate(p);
-    }
 
     RootTask get_return_object() noexcept {
       return RootTask{std::coroutine_handle<promise_type>::from_promise(*this)};
@@ -168,9 +167,7 @@ struct RootTask {
     std::suspend_never final_suspend() noexcept { return {}; }
     void return_void() noexcept {}
     [[noreturn]] void unhandled_exception() noexcept { std::terminate(); }
-    ~promise_type() {
-      if (engine) engine->note_process_finished(token);
-    }
+    ~promise_type() { engine->unlink_process(*this); }
   };
   std::coroutine_handle<promise_type> h;
 };
@@ -188,8 +185,10 @@ RootTask root_task(Op<void> op);
 inline void spawn(Engine& engine, Op<void> op, Cycles start_delay = 0,
                   std::string name = {}) {
   detail::RootTask t = detail::root_task(std::move(op));
-  t.h.promise().engine = &engine;
-  t.h.promise().token = engine.note_process_started(std::move(name));
+  auto& p = t.h.promise();
+  p.engine = &engine;
+  p.name = std::move(name);
+  engine.link_process(p);
   engine.schedule_in(start_delay, t.h);
 }
 

@@ -27,6 +27,20 @@ TEST(Workgroup, OpenValidatesPlacement) {
   EXPECT_THROW((void)sys.open(0, 0, 0, 1), std::out_of_range);
 }
 
+// The reservation table validates every rectangle, so a Workgroup built
+// directly (as the serving runtime builds one) is checked like one opened.
+TEST(Workgroup, ConstructionRejectsAnEmptyOrWrappingRectangle) {
+  host::System sys;
+  using Info = device::GroupInfo;
+  EXPECT_THROW(host::Workgroup(sys.machine(), Info{{0, 0}, 0, 4}), std::out_of_range);
+  EXPECT_THROW(host::Workgroup(sys.machine(), Info{{2, 3}, 4, 0}), std::out_of_range);
+  EXPECT_THROW(host::Workgroup(sys.machine(), Info{{1, 0}, ~0u, 1}), std::out_of_range);
+  EXPECT_THROW(host::Workgroup(sys.machine(), Info{{0, 9}, 1, 1}), std::out_of_range);
+  EXPECT_EQ(sys.machine().reservations().reserved_count(), 0u);
+  host::Workgroup wg(sys.machine(), Info{{7, 7}, 1, 1});
+  EXPECT_EQ(wg.size(), 1u);
+}
+
 TEST(Workgroup, StartWithoutLoadThrows) {
   host::System sys;
   auto wg = sys.open(0, 0, 1, 1);

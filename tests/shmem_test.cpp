@@ -82,8 +82,8 @@ TEST(Shmem, PutSmallAndLargeWithSignal) {
   lint::MemSanitizer san(sys.machine().mem());
   auto wg = sys.open(0, 0, 1, 2);
   auto group = std::make_shared<shmem::Group>(sys.machine(), wg.info());
-  const std::uint32_t small_bytes = 16;    // <= dma_threshold: direct stores
-  const std::uint32_t large_bytes = 1024;  // > dma_threshold: DMA descriptor
+  const std::uint32_t small_bytes = 16;    // <= kDmaThreshold: direct stores
+  const std::uint32_t large_bytes = 1024;  // > kDmaThreshold: DMA descriptor
   const Addr small = group->heap().alloc(small_bytes);
   const Addr large = group->heap().alloc(large_bytes);
   const Addr sig = group->heap().alloc(4, 4);

@@ -158,6 +158,26 @@ TEST(Process, ReportsCompletion) {
   EXPECT_EQ(e.now(), 10u);
 }
 
+TEST(Process, LiveListKeepsSpawnOrderWhenProcessesFinishOutOfOrder) {
+  Engine e;
+  auto sleeper = [](Engine& eng, Cycles d) -> Op<void> { co_await delay(eng, d); };
+  spawn(e, sleeper(e, 30), 0, "a");
+  spawn(e, sleeper(e, 10), 0, "b");
+  spawn(e, sleeper(e, 40));
+  spawn(e, sleeper(e, 20), 0, "d");
+  spawn(e, sleeper(e, 50), 0, "e");
+  e.run_until(25);  // b and d finish while a, spawned first, still runs
+  EXPECT_EQ(e.live_processes(), 3u);
+  EXPECT_EQ(e.live_process_names(), (std::vector<std::string>{"a", "<unnamed>", "e"}));
+  e.run_until(45);  // a, then the unnamed process
+  EXPECT_EQ(e.live_process_names(), std::vector<std::string>{"e"});
+  spawn(e, sleeper(e, 1), 0, "late");
+  EXPECT_EQ(e.live_process_names(), (std::vector<std::string>{"e", "late"}));
+  e.run();
+  EXPECT_EQ(e.live_processes(), 0u);
+  EXPECT_TRUE(e.live_process_names().empty());
+}
+
 // A spawner that needs a process's errors catches them in the process
 // itself; one that escapes the root is a simulator bug.
 TEST(ProcessDeathTest, EscapedExceptionTerminates) {
@@ -227,6 +247,35 @@ TEST(Deadlock, DetectedWhenWaiterIsNeverNotified) {
   WaitQueue q(e);
   spawn(e, [](WaitQueue& wq) -> Op<void> { co_await wq.wait(); }(q));
   EXPECT_THROW(e.run(), DeadlockError);
+}
+
+TEST(Deadlock, MessageCountsTheNamedProcesses) {
+  const DeadlockError three({"core (0,0)", "core (0,1)", "dma0@(0,0)"});
+  EXPECT_STREQ(three.what(),
+               "simulation deadlock: 3 process(es) suspended with an empty event "
+               "queue [stuck: core (0,0), core (0,1), dma0@(0,0)]");
+  std::vector<std::string> many;
+  for (int i = 0; i < 11; ++i) many.push_back(std::string("p").append(std::to_string(i)));
+  const DeadlockError eleven(many);
+  EXPECT_NE(std::string(eleven.what()).find("deadlock: 11 process(es)"), std::string::npos);
+  EXPECT_NE(std::string(eleven.what()).find("p7, +3 more]"), std::string::npos);
+  EXPECT_EQ(eleven.stuck_names, many);
+}
+
+TEST(Deadlock, EngineReportNamesEveryLiveProcess) {
+  Engine e;
+  WaitQueue q(e);
+  spawn(e, [](WaitQueue& wq) -> Op<void> { co_await wq.wait(); }(q), 0, "waiter");
+  spawn(e, [](Engine& eng) -> Op<void> { co_await delay(eng, 5); }(e), 0, "sleeper");
+  spawn(e, [](WaitQueue& wq) -> Op<void> { co_await wq.wait(); }(q));
+  try {
+    e.run();
+    FAIL() << "expected DeadlockError";
+  } catch (const DeadlockError& err) {
+    EXPECT_EQ(err.stuck_names, (std::vector<std::string>{"waiter", "<unnamed>"}));
+    EXPECT_STREQ(err.what(), e.deadlock_error().what());
+    EXPECT_NE(std::string(err.what()).find("deadlock: 2 process(es)"), std::string::npos);
+  }
 }
 
 TEST(Deadlock, RunUntilDoesNotThrow) {
